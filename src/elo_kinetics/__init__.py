@@ -21,7 +21,6 @@ from .fv_solver import (
     EvolutionTrace,
     PositivityError,
     SolverConfig,
-    SolverMode,
     Splitting,
     cfl_limit,
     evolve,
@@ -53,7 +52,6 @@ from .diagnostics import (
     ContinuityProbeResult,
     DriftCheckResult,
     InverseSteadyStateWeight,
-    PhiBetaWeight,
     beta_norm,
     beta_norm_diff,
     confinement_radii,

@@ -22,19 +22,19 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     InverseSteadyStateWeight,
-    PhiBetaWeight,
     beta_norm_diff,
     lyapunov_drift_check,
     relative_energy,
     wasserstein1_samples_vs_marginal,
 )
-from .fv_solver import CFLError, PositivityError, SolverConfig, SolverMode, Splitting, evolve
+from .fv_solver import CFLError, EvolutionTrace, PositivityError, SolverConfig, Splitting, evolve
 from .grid import DensityField, Grid2D
 from .kernels import KernelKind, KernelParams, LyapunovWeight
 from .particles import AgentPopulation, InteractionParams, run_tournament, simulate_mean_field
 from .steady_state import (
     FixedPointConfig,
     NonConvergenceError,
+    SteadyStateResult,
     fixed_point_iterate,
     nonlinear_equilibrate,
 )
@@ -58,6 +58,15 @@ DEFAULTS = {
 
 class ConfigError(ValueError):
     pass
+
+
+def _build(make, *args, **kwargs):
+    """make(*args, **kwargs), reporting a ValueError or OSError (a value the
+    model rejects, an unreadable input file) as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(path: str | None, overrides: list[str]) -> dict[str, str]:
@@ -94,21 +103,18 @@ def _get(cfg: dict[str, str], key: str, cast, default=None):
 
 
 def build_params(cfg: dict[str, str]) -> KernelParams:
-    kind = _get(cfg, "model.kernel", str, "tanh").lower()
-    try:
-        kernel = KernelKind(kind)
-    except ValueError:
-        raise ConfigError(f"model.kernel must be tanh or linear, got {kind}")
-    return KernelParams(
+    return _build(
+        KernelParams,
         c=_get(cfg, "model.c", float),
         gamma=_get(cfg, "model.gamma", float),
         sigma=_get(cfg, "model.sigma", float),
-        kernel_kind=kernel,
+        kernel_kind=_get(cfg, "model.kernel", lambda v: KernelKind(v.lower()), KernelKind.TANH),
     )
 
 
 def build_grid(cfg: dict[str, str]) -> Grid2D:
-    return Grid2D(
+    return _build(
+        Grid2D,
         rho_min=_get(cfg, "grid.rho_min", float, 0.0),
         rho_max=_get(cfg, "grid.rho_max", float, 1.0),
         R_min=_get(cfg, "grid.R_min", float, 0.0),
@@ -119,13 +125,13 @@ def build_grid(cfg: dict[str, str]) -> Grid2D:
 
 
 def build_solver_config(cfg: dict[str, str]) -> SolverConfig:
-    dt_raw = cfg.get("solver.dt", "auto")
-    dt = None if dt_raw == "auto" else float(dt_raw)
-    return SolverConfig(
+    auto = cfg.get("solver.dt", "auto") == "auto"
+    return _build(
+        SolverConfig,
         t_final=_get(cfg, "solver.t_final", float),
-        dt=dt,
+        dt=None if auto else _get(cfg, "solver.dt", float),
         cfl_safety=_get(cfg, "solver.cfl_safety", float, 0.45),
-        splitting=Splitting(_get(cfg, "solver.splitting", str, "rho_first")),
+        splitting=_get(cfg, "solver.splitting", Splitting, Splitting.RHO_FIRST),
     )
 
 
@@ -148,20 +154,21 @@ def write_manifest(outdir: Path, cfg: dict[str, str], mode: str) -> None:
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def write_trace_csv(trace, path: Path) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "t", "mass", "clipped_mass", "max_f"])
-        for row in trace.summary_rows():
-            writer.writerow([row[0]] + [f"{x:.17g}" for x in row[1:]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trace_csv(trace, path: Path) -> None:
+    _write_csv(path, ["step", "t", "mass", "clipped_mass", "max_f"],
+               ([row[0]] + [f"{x:.17g}" for x in row[1:]] for row in trace.summary_rows()))
 
 
 def write_agents_csv(pop: AgentPopulation, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "rho", "R"])
-        for k in range(pop.n):
-            writer.writerow([k, f"{pop.rho[k]:.17g}", f"{pop.R[k]:.17g}"])
+    _write_csv(path, ["id", "rho", "R"],
+               ([k, f"{pop.rho[k]:.17g}", f"{pop.R[k]:.17g}"] for k in range(pop.n)))
 
 
 def _require_seed(cfg: dict[str, str]) -> int:
@@ -175,17 +182,22 @@ def _initial_density(cfg: dict[str, str], grid: Grid2D) -> DensityField:
     if init == "uniform":
         return DensityField.uniform(grid)
     if init.startswith("file:"):
-        return DensityField.from_csv(init[5:])
+        return _build(DensityField.from_csv, init[5:])
     raise ConfigError(f"unknown run.initial '{init}'")
 
 
-def cmd_solve(cfg: dict[str, str], outdir: Path) -> int:
+def _run_pde(cfg: dict[str, str]) -> tuple[KernelParams, SolverConfig, EvolutionTrace]:
+    """Evolve run.initial to solver.t_final, with snapshots every
+    run.snapshot_every if that is set."""
     params = build_params(cfg)
-    grid = build_grid(cfg)
     solver_cfg = build_solver_config(cfg)
-    f0 = _initial_density(cfg, grid)
-    snap = cfg.get("run.snapshot_every")
-    trace = evolve(f0, solver_cfg, params, snapshot_every=float(snap) if snap else None)
+    f0 = _initial_density(cfg, build_grid(cfg))
+    snap = _get(cfg, "run.snapshot_every", float) if cfg.get("run.snapshot_every") else None
+    return params, solver_cfg, evolve(f0, solver_cfg, params, snapshot_every=snap)
+
+
+def cmd_solve(cfg: dict[str, str], outdir: Path) -> int:
+    _, solver_cfg, trace = _run_pde(cfg)
     write_trace_csv(trace, outdir / "trace.csv")
     trace.final.to_csv(outdir / "final.csv")
     for t, f in trace.snapshots:
@@ -201,7 +213,8 @@ def cmd_solve(cfg: dict[str, str], outdir: Path) -> int:
 
 
 def _fp_config(cfg: dict[str, str]) -> FixedPointConfig:
-    return FixedPointConfig(
+    return _build(
+        FixedPointConfig,
         tol_state=_get(cfg, "fixedpoint.tol_state", float, 5e-4),
         tol_map=_get(cfg, "fixedpoint.tol_map", float, 2e-3),
         max_outer=_get(cfg, "fixedpoint.max_outer", int, 40),
@@ -213,8 +226,14 @@ def _fp_config(cfg: dict[str, str]) -> FixedPointConfig:
 
 def cmd_steady(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
-    grid = build_grid(cfg)
-    result = nonlinear_equilibrate(_initial_density(cfg, grid), _fp_config(cfg), params)
+    fp_cfg = _fp_config(cfg)
+    f0 = _initial_density(cfg, build_grid(cfg))
+    try:
+        result = nonlinear_equilibrate(f0, fp_cfg, params)
+    except NonConvergenceError as exc:
+        _write_csv(outdir / "steady_log.csv", ["check", "residual"],
+                   ([k, f"{r:.17g}"] for k, r in enumerate(exc.history)))
+        raise
     result.density.to_csv(outdir / "steady_state.csv")
     (outdir / "steady_summary.json").write_text(json.dumps({
         "residual": result.residual,
@@ -225,22 +244,31 @@ def cmd_steady(cfg: dict[str, str], outdir: Path) -> int:
     return EXIT_OK
 
 
+def _write_fixedpoint_log(result: SteadyStateResult, path: Path) -> None:
+    rows = zip(result.norm_diff_history, result.moment_history)
+    _write_csv(path, ["outer_iter", "norm_diff_beta", "moment_beta", "residual"],
+               ([k, f"{d:.17g}", f"{m:.17g}", f"{result.residual:.17g}"]
+                for k, (d, m) in enumerate(rows)))
+
+
 def cmd_fixedpoint(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
-    grid = build_grid(cfg)
     fp_cfg = _fp_config(cfg)
-    result = fixed_point_iterate(_initial_density(cfg, grid), fp_cfg, params)
+    f0 = _initial_density(cfg, build_grid(cfg))
+    try:
+        result = fixed_point_iterate(f0, fp_cfg, params)
+    except NonConvergenceError as exc:
+        if exc.result is not None:
+            _write_fixedpoint_log(exc.result, outdir / "fixedpoint_log.csv")
+        raise
     result.density.to_csv(outdir / "fixed_point.csv")
-    with open(outdir / "fixedpoint_log.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outer_iter", "norm_diff_beta", "moment_beta", "residual"])
-        for k, (d, m) in enumerate(zip(result.norm_diff_history, result.moment_history)):
-            writer.writerow([k, f"{d:.17g}", f"{m:.17g}", f"{result.residual:.17g}"])
+    _write_fixedpoint_log(result, outdir / "fixedpoint_log.csv")
     return EXIT_OK
 
 
 def _interaction(cfg: dict[str, str], params: KernelParams) -> InteractionParams:
-    return InteractionParams(
+    return _build(
+        InteractionParams,
         K=_get(cfg, "particles.K", float, 1.0),
         gamma_micro=_get(cfg, "particles.gamma_micro", float, params.gamma),
         sigma_micro=_get(cfg, "particles.sigma_micro", float, params.sigma),
@@ -283,25 +311,23 @@ def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
 def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
     beta = _get(cfg, "model.beta", float, 0.1)
-    f = DensityField.from_csv(_get(cfg, "diagnose.f", str))
-    f_inf = DensityField.from_csv(_get(cfg, "diagnose.f_inf", str))
+    f = _build(DensityField.from_csv, _get(cfg, "diagnose.f", str))
+    f_inf = _build(DensityField.from_csv, _get(cfg, "diagnose.f_inf", str))
+    weight = LyapunovWeight(beta, params.gamma)
     com = f.center_of_mass()
     row = {
         "t": _get(cfg, "diagnose.t", float, 0.0),
-        "E_phi_beta": relative_energy(f, f_inf, PhiBetaWeight(beta, params.gamma)),
+        "E_phi_beta": relative_energy(f, f_inf, weight),
         "E_inv_finf": relative_energy(f, f_inf, InverseSteadyStateWeight()),
         "beta_norm_diff": beta_norm_diff(f, f_inf, beta, params.gamma),
         "mass": f.mass(),
         "com_rho": com[0],
         "com_R": com[1],
     }
-    with open(outdir / "diagnostics.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow({k: f"{v:.17g}" for k, v in row.items()})
+    _write_csv(outdir / "diagnostics.csv", list(row), [[f"{v:.17g}" for v in row.values()]])
     if cfg.get("diagnose.drift_check", "false").lower() in ("1", "true", "yes"):
         result = lyapunov_drift_check(
-            f_inf, LyapunovWeight(beta, params.gamma), params,
+            f_inf, weight, params,
             exterior_ball=_get(cfg, "diagnose.exterior_ball", float, 1.0),
         )
         (outdir / "drift_check.json").write_text(json.dumps({
@@ -314,22 +340,16 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
 
 
 def cmd_compare(cfg: dict[str, str], outdir: Path) -> int:
-    params = build_params(cfg)
     seed = _require_seed(cfg)
-    grid = build_grid(cfg)
-    solver_cfg = build_solver_config(cfg)
-    f0 = _initial_density(cfg, grid)
-    trace = evolve(f0, solver_cfg, params)
     n = _get(cfg, "particles.n", int)
     dt = _get(cfg, "sde.dt", float, 0.01)
+    params, solver_cfg, trace = _run_pde(cfg)
     pop = AgentPopulation.uniform_box(n, seed)
     pop = simulate_mean_field(pop, solver_cfg.t_final, dt, params)
     w1_rho = wasserstein1_samples_vs_marginal(pop.rho, trace.final, "rho")
     w1_R = wasserstein1_samples_vs_marginal(pop.R, trace.final, "R")
-    with open(outdir / "compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "n", "w1_rho", "w1_R"])
-        writer.writerow([solver_cfg.t_final, n, f"{w1_rho:.17g}", f"{w1_R:.17g}"])
+    _write_csv(outdir / "compare.csv", ["t", "n", "w1_rho", "w1_R"],
+               [[solver_cfg.t_final, n, f"{w1_rho:.17g}", f"{w1_R:.17g}"]])
     trace.final.to_csv(outdir / "pde_final.csv")
     write_agents_csv(pop, outdir / "agents.csv")
     return EXIT_OK
@@ -359,22 +379,14 @@ def cmd_repro_fig1(cfg: dict[str, str], outdir: Path, full: bool) -> int:
 def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> int:
     cfg = _fig_config(cfg, full=False)
     cfg.setdefault("run.snapshot_every", "0.02")
-    params = build_params(cfg)
-    grid = build_grid(cfg)
-    solver_cfg = build_solver_config(cfg)
-    beta = _get(cfg, "model.beta", float, 0.1)
-    trace = evolve(DensityField.uniform(grid), solver_cfg, params,
-                   snapshot_every=float(cfg["run.snapshot_every"]))
+    params, _, trace = _run_pde(cfg)
+    weight = LyapunovWeight(_get(cfg, "model.beta", float, 0.1), params.gamma)
     f_inf = trace.final
-    with open(outdir / "energies.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "E_phi_beta", "E_inv_finf"])
-        for t, f in trace.snapshots:
-            writer.writerow([
-                f"{t:.17g}",
-                f"{relative_energy(f, f_inf, PhiBetaWeight(beta, params.gamma)):.17g}",
-                f"{relative_energy(f, f_inf, InverseSteadyStateWeight()):.17g}",
-            ])
+    _write_csv(outdir / "energies.csv", ["t", "E_phi_beta", "E_inv_finf"], (
+        [f"{t:.17g}",
+         f"{relative_energy(f, f_inf, weight):.17g}",
+         f"{relative_energy(f, f_inf, InverseSteadyStateWeight()):.17g}"]
+        for t, f in trace.snapshots))
     f_inf.to_csv(outdir / "steady_state.csv")
     return EXIT_OK
 

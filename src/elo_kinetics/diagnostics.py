@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fv_solver import SolverConfig, SolverMode, evolve
+from .fv_solver import SolverConfig, evolve
 from .grid import DensityField, Grid2D
 from .kernels import (
     AssumptionConstants,
@@ -17,15 +17,10 @@ from .kernels import (
     LyapunovWeight,
     a1_of_density,
     a2_of_density,
+    a_field,
     phi_beta,
     quadratic_form,
 )
-
-
-@dataclass(frozen=True)
-class PhiBetaWeight:
-    beta: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -42,14 +37,17 @@ def _phi_on_grid(grid: Grid2D, beta: float, gamma: float) -> np.ndarray:
 
 
 def relative_energy(f: DensityField, f_inf: DensityField, weight) -> float:
-    """Weighted L1 distance E(f; f_inf) = integral of phi |f - f_inf|."""
+    """Weighted L1 distance E(f; f_inf) = integral of phi |f - f_inf|.
+
+    phi is phi_beta for a LyapunovWeight, 1/f_inf for an
+    InverseSteadyStateWeight.
+    """
     if f.grid != f_inf.grid:
         raise ValueError("grid mismatch")
-    diff = np.abs(f.values - f_inf.values)
-    if isinstance(weight, PhiBetaWeight):
-        phi = _phi_on_grid(f.grid, weight.beta, weight.gamma)
-        return float(np.sum(phi * diff)) * f.grid.cell_area
+    if isinstance(weight, LyapunovWeight):
+        return beta_norm_diff(f, f_inf, weight.beta, weight.gamma)
     if isinstance(weight, InverseSteadyStateWeight):
+        diff = np.abs(f.values - f_inf.values)
         floor = weight.floor_ratio * float(f_inf.values.max())
         mask = f_inf.values >= floor
         return float(np.sum(diff[mask] / f_inf.values[mask])) * f.grid.cell_area
@@ -286,13 +284,9 @@ def semigroup_continuity_probe(
 ) -> ContinuityProbeResult:
     """Evolve nu under the two frozen-coefficient equations to time t and
     compare the marginals; used to check the exp(Ct)-Lipschitz bound shape."""
-    out = []
-    for mu in (mu1, mu2):
-        cfg = SolverConfig(
-            t_final=t, dt=dt, mode=SolverMode.LINEAR_FROZEN, frozen_mu=mu
-        )
-        out.append(evolve(nu, cfg, params).final)
-    f1, f2 = out
+    cfg = SolverConfig(t_final=t, dt=dt)
+    f1, f2 = (evolve(nu, cfg, params, frozen=a_field(mu, params, nu.grid)).final
+              for mu in (mu1, mu2))
     return ContinuityProbeResult(
         w1_rho=wasserstein1_marginal(f1, f2, "rho"),
         w1_R=wasserstein1_marginal(f1, f2, "R"),

@@ -18,11 +18,6 @@ from .grid import DensityField, Grid2D
 from .kernels import CoefficientField, KernelParams, a_field
 
 
-class SolverMode(enum.Enum):
-    NONLINEAR = "nonlinear"
-    LINEAR_FROZEN = "linear_frozen"
-
-
 class Splitting(enum.Enum):
     RHO_FIRST = "rho_first"
     R_FIRST = "R_first"
@@ -41,8 +36,6 @@ class SolverConfig:
     t_final: float
     dt: float | None = None  # None: pick from the CFL bound each step
     cfl_safety: float = 0.45
-    mode: SolverMode = SolverMode.NONLINEAR
-    frozen_mu: DensityField | None = None
     splitting: Splitting = Splitting.RHO_FIRST
     clip_budget: float = 1e-8
 
@@ -52,8 +45,6 @@ class SolverConfig:
         if self.cfl_safety > 0.5 and self.dt is None:
             # SG positivity needs dt*(2D/h^2 + |v|/h) <= 1; safety <= 0.5 guarantees it
             raise ValueError("cfl_safety above 0.5 is not positivity-safe")
-        if self.mode is SolverMode.LINEAR_FROZEN and self.frozen_mu is None:
-            raise ValueError("linear_frozen mode needs frozen_mu")
         if self.t_final < 0:
             raise ValueError("t_final must be nonnegative")
 
@@ -86,6 +77,15 @@ def cfl_limit(coeff: CoefficientField, grid: Grid2D, params: KernelParams) -> fl
     if params.sigma > 0:
         bounds.append(grid.h_rho**2 / params.sigma**2)
     return min(bounds) if bounds else np.inf
+
+
+def _step_size(f: DensityField, dt: float | None, cfl_safety: float, params: KernelParams,
+               frozen: CoefficientField | None) -> float:
+    """dt if fixed, else cfl_safety times the CFL bound of the current coefficients."""
+    if dt is not None:
+        return dt
+    coeff = frozen if frozen is not None else a_field(f, params)
+    return cfl_safety * cfl_limit(coeff, f.grid, params)
 
 
 def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float) -> DensityField:
@@ -143,37 +143,34 @@ def step_drift_diffuse_rho(
     return f.copy_with(new)
 
 
-def _coefficients(f: DensityField, cfg: SolverConfig, params: KernelParams,
-                  frozen: CoefficientField | None) -> CoefficientField:
-    if cfg.mode is SolverMode.LINEAR_FROZEN:
-        return frozen if frozen is not None else a_field(cfg.frozen_mu, params, f.grid)
-    return a_field(f, params)
-
-
 def strang_step(
     f: DensityField,
     dt: float,
     cfg: SolverConfig,
     params: KernelParams,
-    frozen_coeff: CoefficientField | None = None,
+    frozen: CoefficientField | None = None,
 ) -> DensityField:
     """Symmetric split step: half A, full B, half A.
 
-    Default order puts the stiff rho operator in the halves. In nonlinear
-    mode coefficients are recomputed from the current state before every
-    sub-step; in frozen mode they are reused.
+    Default order puts the stiff rho operator in the halves. Coefficients
+    are recomputed from the current state before every sub-step, unless
+    `frozen` supplies them (the linear equation with coefficients frozen at
+    a measure).
     """
     if dt == 0:
         return f
-    rho_first = cfg.splitting is Splitting.RHO_FIRST
-    if rho_first:
-        f = step_drift_diffuse_rho(f, _coefficients(f, cfg, params, frozen_coeff), dt / 2, params)
-        f = step_advect_R(f, _coefficients(f, cfg, params, frozen_coeff), dt)
-        f = step_drift_diffuse_rho(f, _coefficients(f, cfg, params, frozen_coeff), dt / 2, params)
+
+    def coeff(g: DensityField) -> CoefficientField:
+        return frozen if frozen is not None else a_field(g, params)
+
+    if cfg.splitting is Splitting.RHO_FIRST:
+        f = step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
+        f = step_advect_R(f, coeff(f), dt)
+        f = step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
     else:
-        f = step_advect_R(f, _coefficients(f, cfg, params, frozen_coeff), dt / 2)
-        f = step_drift_diffuse_rho(f, _coefficients(f, cfg, params, frozen_coeff), dt, params)
-        f = step_advect_R(f, _coefficients(f, cfg, params, frozen_coeff), dt / 2)
+        f = step_advect_R(f, coeff(f), dt / 2)
+        f = step_drift_diffuse_rho(f, coeff(f), dt, params)
+        f = step_advect_R(f, coeff(f), dt / 2)
     return f
 
 
@@ -203,28 +200,21 @@ def evolve(
     cfg: SolverConfig,
     params: KernelParams,
     snapshot_every: float | None = None,
+    frozen: CoefficientField | None = None,
 ) -> EvolutionTrace:
     """March to t_final, recording mass/positivity data every step.
 
     With cfg.dt None the step is chosen from the CFL bound each step
-    (velocities drift as f evolves in nonlinear mode).
+    (velocities drift as f evolves unless the coefficients are `frozen`).
     """
     trace = EvolutionTrace()
     f = f0
     t = 0.0
-    frozen_coeff = None
-    if cfg.mode is SolverMode.LINEAR_FROZEN:
-        frozen_coeff = a_field(cfg.frozen_mu, params, f0.grid)
     trace.snapshots.append((0.0, f))
     next_snap = snapshot_every if snapshot_every is not None else np.inf
     while t < cfg.t_final - 1e-15:
-        if cfg.dt is not None:
-            dt = cfg.dt
-        else:
-            coeff = frozen_coeff if frozen_coeff is not None else a_field(f, params)
-            dt = cfg.cfl_safety * cfl_limit(coeff, f.grid, params)
-        dt = min(dt, cfg.t_final - t)
-        f = strang_step(f, dt, cfg, params, frozen_coeff)
+        dt = min(_step_size(f, cfg.dt, cfg.cfl_safety, params, frozen), cfg.t_final - t)
+        f = strang_step(f, dt, cfg, params, frozen)
         f, min_val, clipped = enforce_positivity(f, cfg.clip_budget)
         t += dt
         trace.times.append(t)

@@ -170,16 +170,29 @@ class DensityField:
 
     @classmethod
     def from_csv(cls, path) -> "DensityField":
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
+        """Read the snapshot format, rows in any order.
+
+        The (rho, R) pairs must form a complete lattice of uniformly spaced
+        cell centers; an axis with one cell gets spacing 1.
+        """
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        if data.shape[1] != 3:
+            raise ValueError(f"{path}: expected 3 columns rho,R,f")
+        data = data[np.lexsort((data[:, 1], data[:, 0]))]
         rhos = np.unique(data[:, 0])
         Rs = np.unique(data[:, 1])
         n_rho, n_R = len(rhos), len(Rs)
+        if not (np.array_equal(data[:, 0], np.repeat(rhos, n_R))
+                and np.array_equal(data[:, 1], np.tile(Rs, n_rho))):
+            raise ValueError(f"{path}: rows do not form a complete rho x R lattice")
         h_rho = rhos[1] - rhos[0] if n_rho > 1 else 1.0
         h_R = Rs[1] - Rs[0] if n_R > 1 else 1.0
+        for name, centers, h in (("rho", rhos, h_rho), ("R", Rs, h_R)):
+            if np.any(np.abs(np.diff(centers) - h) > 1e-6 * h):
+                raise ValueError(f"{path}: {name} centers are not uniformly spaced")
         grid = Grid2D(
             rhos[0] - h_rho / 2, rhos[-1] + h_rho / 2,
             Rs[0] - h_R / 2, Rs[-1] + h_R / 2,
             n_rho, n_R,
         )
-        values = data[:, 2].reshape(n_rho, n_R)
-        return cls(grid, values)
+        return cls(grid, data[:, 2].reshape(n_rho, n_R))

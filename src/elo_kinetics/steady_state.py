@@ -13,22 +13,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import beta_norm, beta_norm_diff
-from .fv_solver import (
-    SolverConfig,
-    SolverMode,
-    a_field,
-    cfl_limit,
-    enforce_positivity,
-    strang_step,
-)
+from .fv_solver import SolverConfig, _step_size, evolve
 from .grid import DensityField
-from .kernels import KernelParams, LyapunovWeight, phi_beta
+from .kernels import CoefficientField, KernelParams, a_field
+
+# Unused here; bench/test_bench.py checks that the tracer patches these
+# copied bindings, so they stay bound until that list changes.
+from .fv_solver import cfl_limit, enforce_positivity, strang_step  # noqa: F401
+from .kernels import phi_beta  # noqa: F401
 
 
 class NonConvergenceError(RuntimeError):
-    def __init__(self, message: str, history: list[float]):
+    """`history` holds the residuals or map differences up to the failure;
+    `result` the partial result, where there is one."""
+
+    def __init__(self, message: str, history: list[float],
+                 result: SteadyStateResult | None = None):
         super().__init__(message)
         self.history = history
+        self.result = result
 
 
 @dataclass
@@ -64,46 +67,27 @@ def _equilibrate(
     f0: DensityField,
     cfg: FixedPointConfig,
     params: KernelParams,
-    mode: SolverMode,
-    frozen_mu: DensityField | None,
-) -> tuple[DensityField, float]:
-    """March until the discrete d_t proxy drops below tol_state."""
-    solver_cfg = SolverConfig(
-        t_final=np.inf, dt=cfg.dt, cfl_safety=cfg.cfl_safety,
-        mode=mode, frozen_mu=frozen_mu,
-    )
-    frozen_coeff = None
-    if mode is SolverMode.LINEAR_FROZEN:
-        frozen_coeff = a_field(frozen_mu, params, f0.grid)
+    frozen: CoefficientField | None,
+) -> SteadyStateResult:
+    """March blocks of check_every steps until the discrete d_t proxy drops
+    below tol_state."""
     f = f0
     t = 0.0
-    t_mark = 0.0
-    f_mark = f
     history: list[float] = []
     while t < cfg.t_max:
-        if cfg.dt is not None:
-            dt = cfg.dt
-        else:
-            coeff = frozen_coeff if frozen_coeff is not None else a_field(f, params)
-            dt = cfg.cfl_safety * cfl_limit(coeff, f.grid, params)
-        for _ in range(cfg.check_every):
-            f = strang_step(f, dt, solver_cfg, params, frozen_coeff)
-            f, _, _ = enforce_positivity(f, solver_cfg.clip_budget)
-            t += dt
-        delta = t - t_mark
-        res = beta_norm_diff(f, f_mark, cfg.beta, params.gamma) / delta
+        dt = _step_size(f, cfg.dt, cfg.cfl_safety, params, frozen)
+        delta = cfg.check_every * dt
+        block = SolverConfig(t_final=delta, dt=dt)
+        f_next = evolve(f, block, params, frozen=frozen).final
+        t += delta
+        res = beta_norm_diff(f_next, f, cfg.beta, params.gamma) / delta
         history.append(res)
+        f = f_next
         if res < cfg.tol_state:
-            return f, res
-        t_mark, f_mark = t, f
+            return SteadyStateResult(f, res, beta_norm(f, cfg.beta, params.gamma), 0)
     raise NonConvergenceError(
         f"no stationarity within horizon t_max={cfg.t_max}", history
     )
-
-
-def _moment(f: DensityField, beta: float, gamma: float) -> float:
-    w = LyapunovWeight(beta, gamma)
-    return f.weighted_integral(lambda p, q: phi_beta(p, q, w))
 
 
 def map_G(
@@ -114,13 +98,7 @@ def map_G(
 ) -> SteadyStateResult:
     """Steady state of the linear equation with coefficients frozen at mu."""
     guess = initial_guess if initial_guess is not None else mu
-    f, res = _equilibrate(guess, cfg, params, SolverMode.LINEAR_FROZEN, mu)
-    return SteadyStateResult(
-        density=f,
-        residual=res,
-        moment_beta=_moment(f, cfg.beta, params.gamma),
-        outer_iterations=0,
-    )
+    return _equilibrate(guess, cfg, params, a_field(mu, params, guess.grid))
 
 
 def nonlinear_equilibrate(
@@ -128,13 +106,7 @@ def nonlinear_equilibrate(
 ) -> SteadyStateResult:
     """Reference steady state f_inf: direct equilibration of the nonlinear
     equation from f0."""
-    f, res = _equilibrate(f0, cfg, params, SolverMode.NONLINEAR, None)
-    return SteadyStateResult(
-        density=f,
-        residual=res,
-        moment_beta=_moment(f, cfg.beta, params.gamma),
-        outer_iterations=0,
-    )
+    return _equilibrate(f0, cfg, params, None)
 
 
 def fixed_point_iterate(
@@ -145,29 +117,32 @@ def fixed_point_iterate(
     mu = mu0
     diffs: list[float] = []
     moments: list[float] = []
-    last: SteadyStateResult | None = None
-    for k in range(cfg.max_outer):
+    residual = np.nan
+    for _ in range(cfg.max_outer):
         result = map_G(mu, cfg, params)
         g = result.density
         diff = beta_norm_diff(g, mu, cfg.beta, params.gamma)
         diffs.append(diff)
         moments.append(result.moment_beta)
+        residual = result.residual
         mu = g if cfg.theta == 1.0 else mu.copy_with(
             (1.0 - cfg.theta) * mu.values + cfg.theta * g.values
         )
-        last = result
         if diff < cfg.tol_map:
-            return SteadyStateResult(
-                density=mu,
-                residual=last.residual,
-                moment_beta=_moment(mu, cfg.beta, params.gamma),
-                outer_iterations=k + 1,
-                norm_diff_history=diffs,
-                moment_history=moments,
-            )
-    raise NonConvergenceError(
-        f"fixed point not reached in {cfg.max_outer} outer iterations", diffs
+            break
+    out = SteadyStateResult(
+        density=mu,
+        residual=residual,
+        moment_beta=beta_norm(mu, cfg.beta, params.gamma),
+        outer_iterations=len(diffs),
+        norm_diff_history=diffs,
+        moment_history=moments,
     )
+    if not (diffs and diffs[-1] < cfg.tol_map):
+        raise NonConvergenceError(
+            f"fixed point not reached in {cfg.max_outer} outer iterations", diffs, out
+        )
+    return out
 
 
 def moment_map_exponent(
@@ -182,7 +157,7 @@ def moment_map_exponent(
     """
     if len(family) < 3:
         raise ValueError("family must have at least 3 members")
-    Ms = np.array([_moment(mu, beta, params.gamma) for mu in family])
+    Ms = np.array([beta_norm(mu, beta, params.gamma) for mu in family])
     logM = np.log(Ms)
     if np.ptp(logM) < 1e-8:
         raise ValueError("degenerate family: moments are not distinct")

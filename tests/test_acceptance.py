@@ -104,7 +104,7 @@ def test_criterion_02_diffusivity_monotonicity(f_inf, low_diffusion_run):
 def test_criterion_03_relative_energy_decay(fig_run, f_inf, params_base):
     with criterion(3, "both weighted relative energies decay >= 2 orders"):
         weights = [
-            ek.PhiBetaWeight(BETA, params_base.gamma),
+            ek.LyapunovWeight(BETA, params_base.gamma),
             ek.InverseSteadyStateWeight(),
         ]
         for w in weights:

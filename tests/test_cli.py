@@ -58,6 +58,20 @@ def test_bad_value_is_config_error(tmp_path, monkeypatch):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", [
+    "solver.dt=abc",
+    "solver.splitting=xx",
+    "model.c=-1",
+    "grid.n_rho=0",
+    "run.initial=file:{tmp}/missing.csv",
+])
+def test_rejected_value_or_input_is_config_error(tmp_path, monkeypatch, capsys, override):
+    code, _ = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
+                      "--set", override.format(tmp=tmp_path), "solve")
+    assert code == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_unstable_dt_is_cfl_abort(tmp_path, monkeypatch):
     code, _ = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
                       "--set", "solver.dt=1.0", "solve")
@@ -72,6 +86,20 @@ def test_nonconvergence_exit_code(tmp_path, monkeypatch):
                       "--set", "fixedpoint.t_max=0.1",
                       "steady")
     assert code == cli.EXIT_NONCONV
+    # a failed run keeps its residual history
+    log = (tmp_path / "out" / "steady_log.csv").read_text().splitlines()
+    assert log[0] == "check,residual" and len(log) >= 2
+    code, out = run_cli(tmp_path / "fp", monkeypatch,
+                        "--set", "defaults.accept=true",
+                        "--set", "grid.n_rho=30", "--set", "grid.n_R=30",
+                        "--set", "fixedpoint.tol_map=1e-14",
+                        "--set", "fixedpoint.max_outer=2",
+                        "fixedpoint")
+    assert code == cli.EXIT_NONCONV
+    log = (out / "fixedpoint_log.csv").read_text().splitlines()
+    assert log[0] == "outer_iter,norm_diff_beta,moment_beta,residual"
+    assert len(log) == 1 + 2
+    assert not (out / "fixed_point.csv").exists()
 
 
 def test_config_file_and_override(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ def params():
 def test_relative_energy_zero_at_steady_state(params):
     g = ek.Grid2D.unit_square(20)
     f = gaussian_blob(g, (0.5, 0.5), 0.2)
-    assert ek.relative_energy(f, f, ek.PhiBetaWeight(0.1, 1.0)) == 0.0
+    assert ek.relative_energy(f, f, ek.LyapunovWeight(0.1, 1.0)) == 0.0
     assert ek.relative_energy(f, f, ek.InverseSteadyStateWeight()) == 0.0
 
 
@@ -31,20 +31,20 @@ def test_relative_energy_beta_zero_is_l1(params):
     f = gaussian_blob(g, (0.4, 0.5), 0.15)
     h = gaussian_blob(g, (0.6, 0.5), 0.15)
     l1 = np.abs(f.values - h.values).sum() * g.cell_area
-    assert ek.relative_energy(f, h, ek.PhiBetaWeight(0.0, 1.0)) == pytest.approx(l1)
+    assert ek.relative_energy(f, h, ek.LyapunovWeight(0.0, 1.0)) == pytest.approx(l1)
 
 
 def test_relative_energy_grid_mismatch():
     a = ek.DensityField.uniform(ek.Grid2D.unit_square(10))
     b = ek.DensityField.uniform(ek.Grid2D.unit_square(12))
     with pytest.raises(ValueError):
-        ek.relative_energy(a, b, ek.PhiBetaWeight(0.1, 1.0))
+        ek.relative_energy(a, b, ek.LyapunovWeight(0.1, 1.0))
 
 
 def test_relative_energy_metric_properties():
     g = ek.Grid2D.unit_square(12)
     rng = np.random.default_rng(8)
-    w = ek.PhiBetaWeight(0.1, 1.0)
+    w = ek.LyapunovWeight(0.1, 1.0)
     for _ in range(5):
         f, h, k = (ek.DensityField(g, rng.random((12, 12))).normalized()
                    for _ in range(3))

@@ -163,11 +163,8 @@ def test_frozen_consistency_second_order(params):
 
     def gap(dt):
         nl = ek.strang_step(f, dt, ek.SolverConfig(t_final=1.0, dt=dt), params)
-        fr = ek.strang_step(
-            f, dt,
-            ek.SolverConfig(t_final=1.0, dt=dt, mode=ek.SolverMode.LINEAR_FROZEN,
-                            frozen_mu=f),
-            params, frozen_coeff=ek.a_field(f, params))
+        fr = ek.strang_step(f, dt, ek.SolverConfig(t_final=1.0, dt=dt), params,
+                            frozen=ek.a_field(f, params))
         return np.abs(nl.values - fr.values).sum() * g.cell_area
 
     ratio = gap(1e-3) / gap(5e-4)
@@ -218,14 +215,13 @@ def test_linear_mode_semigroup_property(params):
     mu = gaussian_blob(g, (0.4, 0.6), 0.15)
     nu = gaussian_blob(g, (0.6, 0.4), 0.12)
     dt = 1.0 / 1024  # exact binary step so time accumulates without roundoff
+    frozen = ek.a_field(mu, params, g)
 
-    def frozen_cfg(t):
-        return ek.SolverConfig(t_final=t, dt=dt, mode=ek.SolverMode.LINEAR_FROZEN,
-                               frozen_mu=mu)
+    def run(f, t):
+        return ek.evolve(f, ek.SolverConfig(t_final=t, dt=dt), params, frozen=frozen).final
 
-    whole = ek.evolve(nu, frozen_cfg(96.0 / 1024), params).final
-    part = ek.evolve(nu, frozen_cfg(32.0 / 1024), params).final
-    part = ek.evolve(part, frozen_cfg(64.0 / 1024), params).final
+    whole = run(nu, 96.0 / 1024)
+    part = run(run(nu, 32.0 / 1024), 64.0 / 1024)
     assert np.array_equal(whole.values, part.values)
 
 
@@ -235,8 +231,6 @@ def test_linear_mode_semigroup_property(params):
 def test_solver_config_validation(params):
     with pytest.raises(ValueError):
         ek.SolverConfig(t_final=1.0, cfl_safety=0.8)  # auto-dt needs <= 0.5
-    with pytest.raises(ValueError):
-        ek.SolverConfig(t_final=1.0, mode=ek.SolverMode.LINEAR_FROZEN)
     with pytest.raises(ValueError):
         ek.SolverConfig(t_final=-1.0)
     with pytest.raises(ValueError):

@@ -117,3 +117,44 @@ def test_csv_roundtrip(tmp_path):
     assert back.grid.rho_min == pytest.approx(0.0, abs=1e-12)
     assert back.grid.R_max == pytest.approx(2.0, abs=1e-12)
     assert np.array_equal(back.values, f.values)  # 17 sig digits roundtrips exactly
+
+
+@pytest.mark.parametrize("n_rho, n_R", [(1, 1), (6, 1), (1, 4)])
+def test_csv_roundtrip_single_cell_axes(tmp_path, n_rho, n_R):
+    # unit spacing: the spacing a one-cell axis is read back with
+    g = ek.Grid2D(0.0, float(n_rho), -1.0, n_R - 1.0, n_rho, n_R)
+    f = ek.DensityField(g, np.random.default_rng(5).random((n_rho, n_R)))
+    path = tmp_path / "field.csv"
+    f.to_csv(path)
+    back = ek.DensityField.from_csv(path)
+    assert back.grid == g
+    assert np.array_equal(back.values, f.values)
+
+
+def test_csv_rows_in_any_order(tmp_path):
+    g = ek.Grid2D(0.0, 1.0, -1.0, 2.0, 5, 7)
+    f = ek.DensityField(g, np.random.default_rng(12).random((5, 7)))
+    path = tmp_path / "field.csv"
+    f.to_csv(path)
+    header, *rows = path.read_text().splitlines()
+    expected = ek.DensityField.from_csv(path)
+    r_major = sorted(rows, key=lambda line: float(line.split(",")[1]))
+    shuffled = [rows[i] for i in np.random.default_rng(13).permutation(len(rows))]
+    for order in (r_major, shuffled):
+        path.write_text("\n".join([header] + order) + "\n")
+        back = ek.DensityField.from_csv(path)
+        assert back.grid == expected.grid
+        assert np.array_equal(back.values, f.values)
+
+
+def test_csv_rejects_gapped_and_nonuniform_lattices(tmp_path):
+    g = ek.Grid2D.unit_square(4)
+    path = tmp_path / "field.csv"
+    ek.DensityField.uniform(g).to_csv(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:5] + lines[6:]) + "\n")  # one cell missing
+    with pytest.raises(ValueError, match="lattice"):
+        ek.DensityField.from_csv(path)
+    path.write_text("rho,R,f\n0.1,0.5,1\n0.3,0.5,1\n0.7,0.5,1\n")
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        ek.DensityField.from_csv(path)

@@ -95,10 +95,10 @@ def test_frozen_semigroup_contraction(params):
     mu = gaussian_blob(g, (0.5, 0.5), 0.14)
     nu1 = gaussian_blob(g, (0.3, 0.3), 0.1)
     nu2 = gaussian_blob(g, (0.7, 0.7), 0.1)
-    cfg = ek.SolverConfig(t_final=1.0, dt=2e-4, mode=ek.SolverMode.LINEAR_FROZEN,
-                          frozen_mu=mu)
-    tr1 = ek.evolve(nu1, cfg, params, snapshot_every=0.2)
-    tr2 = ek.evolve(nu2, cfg, params, snapshot_every=0.2)
+    cfg = ek.SolverConfig(t_final=1.0, dt=2e-4)
+    frozen = ek.a_field(mu, params, g)
+    tr1 = ek.evolve(nu1, cfg, params, snapshot_every=0.2, frozen=frozen)
+    tr2 = ek.evolve(nu2, cfg, params, snapshot_every=0.2, frozen=frozen)
     ts, ys = [], []
     for (t, f1), (_, f2) in zip(tr1.snapshots, tr2.snapshots):
         ts.append(t)
@@ -106,6 +106,26 @@ def test_frozen_semigroup_contraction(params):
     lam_hat = -np.polyfit(ts[1:], np.log(ys[1:]), 1)[0]
     assert lam_hat > 0.0
     assert ys[-1] < ys[0]
+
+
+def test_frozen_path_coefficient_count(params, monkeypatch):
+    # frozen coefficients are tabulated once per map_G and never while marching
+    real = ek.kernels.a_field
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (ek.fv_solver, ek.steady_state):
+        monkeypatch.setattr(module, "a_field", counting)
+    g = ek.Grid2D.unit_square(20)
+    mu = gaussian_blob(g, (0.5, 0.5), 0.14)
+    ek.evolve(ek.DensityField.uniform(g), ek.SolverConfig(t_final=0.05), params,
+              frozen=real(mu, params))
+    assert calls == []
+    ek.map_G(mu, ek.FixedPointConfig(), params)
+    assert len(calls) == 1
 
 
 # -- fixed_point_iterate ----------------------------------------------
