@@ -177,6 +177,13 @@ def _require_seed(cfg: dict[str, str]) -> int:
     return _get(cfg, "run.seed", int)
 
 
+def _sde_dt(cfg: dict[str, str]) -> float:
+    dt = _get(cfg, "sde.dt", float, 0.01)
+    if not dt > 0:
+        raise ConfigError(f"sde.dt must be positive, got {dt}")
+    return dt
+
+
 def _initial_density(cfg: dict[str, str], grid: Grid2D) -> DensityField:
     init = cfg.get("run.initial", "uniform")
     if init == "uniform":
@@ -283,7 +290,7 @@ def cmd_particles(cfg: dict[str, str], outdir: Path) -> int:
     n = _get(cfg, "particles.n", int)
     rounds = _get(cfg, "particles.rounds", int)
     p = _interaction(cfg, params)
-    pop = AgentPopulation.uniform_box(n, seed)
+    pop = _build(AgentPopulation.uniform_box, n, seed)
     pop = run_tournament(pop, rounds, p, params)
     write_agents_csv(pop, outdir / "agents.csv")
     (outdir / "run_metadata.json").write_text(json.dumps({
@@ -298,8 +305,10 @@ def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
     seed = _require_seed(cfg)
     n = _get(cfg, "particles.n", int)
     t_final = _get(cfg, "sde.t_final", float)
-    dt = _get(cfg, "sde.dt", float, 0.01)
-    pop = AgentPopulation.uniform_box(n, seed)
+    if not t_final >= 0:
+        raise ConfigError(f"sde.t_final must be nonnegative, got {t_final}")
+    dt = _sde_dt(cfg)
+    pop = _build(AgentPopulation.uniform_box, n, seed)
     pop = simulate_mean_field(pop, t_final, dt, params)
     write_agents_csv(pop, outdir / "agents.csv")
     (outdir / "run_metadata.json").write_text(json.dumps({
@@ -342,9 +351,9 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
 def cmd_compare(cfg: dict[str, str], outdir: Path) -> int:
     seed = _require_seed(cfg)
     n = _get(cfg, "particles.n", int)
-    dt = _get(cfg, "sde.dt", float, 0.01)
+    dt = _sde_dt(cfg)
     params, solver_cfg, trace = _run_pde(cfg)
-    pop = AgentPopulation.uniform_box(n, seed)
+    pop = _build(AgentPopulation.uniform_box, n, seed)
     pop = simulate_mean_field(pop, solver_cfg.t_final, dt, params)
     w1_rho = wasserstein1_samples_vs_marginal(pop.rho, trace.final, "rho")
     w1_R = wasserstein1_samples_vs_marginal(pop.R, trace.final, "R")

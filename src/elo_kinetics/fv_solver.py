@@ -45,8 +45,10 @@ class SolverConfig:
         if self.cfl_safety > 0.5 and self.dt is None:
             # SG positivity needs dt*(2D/h^2 + |v|/h) <= 1; safety <= 0.5 guarantees it
             raise ValueError("cfl_safety above 0.5 is not positivity-safe")
-        if self.t_final < 0:
+        if not self.t_final >= 0:
             raise ValueError("t_final must be nonnegative")
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError("dt must be positive")
 
 
 @dataclass
@@ -79,28 +81,38 @@ def cfl_limit(coeff: CoefficientField, grid: Grid2D, params: KernelParams) -> fl
     return min(bounds) if bounds else np.inf
 
 
-def _step_size(f: DensityField, dt: float | None, cfl_safety: float, params: KernelParams,
-               frozen: CoefficientField | None) -> float:
-    """dt if fixed, else cfl_safety times the CFL bound of the current coefficients."""
-    if dt is not None:
-        return dt
-    coeff = frozen if frozen is not None else a_field(f, params)
-    return cfl_safety * cfl_limit(coeff, f.grid, params)
+def _step_size(grid: Grid2D, dt: float | None, cfl_safety: float, params: KernelParams,
+               coeff: CoefficientField) -> float:
+    """dt if fixed, else cfl_safety times the CFL bound of coeff (the current
+    coefficients)."""
+    return dt if dt is not None else cfl_safety * cfl_limit(coeff, grid, params)
+
+
+def _upwind_flux(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Donor-cell flux v * f_upwind through the faces between cells lo and hi.
+
+    Equal to max(v,0) lo + min(v,0) hi up to the sign of a zero flux, which
+    leaves every cell value unchanged.
+    """
+    flux = np.where(v > 0, lo, hi)
+    flux *= v
+    return flux
 
 
 def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float) -> DensityField:
     """Donor-cell upwind transport in R with velocity a1(rho) - a2(R_face)."""
     g = f.grid
-    # interior face velocities, shape (n_rho, n_R - 1)
-    v = coeff.a1_at_rho_centers[:, None] - coeff.a2_at_R_faces[None, 1:-1]
-    if v.size and dt * np.max(np.abs(v)) / g.h_R > 1.0 + 1e-12:
+    a1 = coeff.a1_at_rho_centers
+    a2 = coeff.a2_at_R_faces[1:-1]  # interior faces
+    # max |a1_i - a2_j| from the 1D extremes: rounding is monotone, so this
+    # is the maximum over the 2D velocity array exactly
+    if a2.size and dt * max(a1.max() - a2.min(), a2.max() - a1.min()) / g.h_R > 1.0 + 1e-12:
         raise CFLError("R-advection CFL violated")
-    vp = np.maximum(v, 0.0)
-    vm = np.minimum(v, 0.0)
-    flux = vp * f.values[:, :-1] + vm * f.values[:, 1:]
+    flux = _upwind_flux(a1[:, None] - a2[None, :], f.values[:, :-1], f.values[:, 1:])
+    flux *= dt / g.h_R
     new = f.values.copy()
-    new[:, :-1] -= dt / g.h_R * flux
-    new[:, 1:] += dt / g.h_R * flux
+    new[:, :-1] -= flux
+    new[:, 1:] += flux
     return f.copy_with(new)
 
 
@@ -128,18 +140,18 @@ def step_drift_diffuse_rho(
     max_v = float(np.max(np.abs(v))) if v.size else 0.0
     if dt * (2.0 * D / g.h_rho**2 + max_v / g.h_rho) > 1.0 + 1e-12:
         raise CFLError("rho drift-diffusion CFL violated")
+    lo, hi = f.values[:-1, :], f.values[1:, :]
     if D > 0:
         P = v * g.h_rho / D
-        bm = _bernoulli(-P)[:, None]
-        bp = _bernoulli(P)[:, None]
-        flux = (D / g.h_rho) * (bm * f.values[:-1, :] - bp * f.values[1:, :])
+        flux = _bernoulli(-P)[:, None] * lo
+        flux -= _bernoulli(P)[:, None] * hi
+        flux *= D / g.h_rho
     else:
-        vp = np.maximum(v, 0.0)[:, None]
-        vm = np.minimum(v, 0.0)[:, None]
-        flux = vp * f.values[:-1, :] + vm * f.values[1:, :]
+        flux = _upwind_flux(v[:, None], lo, hi)
+    flux *= dt / g.h_rho
     new = f.values.copy()
-    new[:-1, :] -= dt / g.h_rho * flux
-    new[1:, :] += dt / g.h_rho * flux
+    new[:-1, :] -= flux
+    new[1:, :] += flux
     return f.copy_with(new)
 
 
@@ -149,13 +161,16 @@ def strang_step(
     cfg: SolverConfig,
     params: KernelParams,
     frozen: CoefficientField | None = None,
+    *,
+    _coeff: CoefficientField | None = None,
 ) -> DensityField:
     """Symmetric split step: half A, full B, half A.
 
     Default order puts the stiff rho operator in the halves. Coefficients
     are recomputed from the current state before every sub-step, unless
     `frozen` supplies them (the linear equation with coefficients frozen at
-    a measure).
+    a measure). `_coeff` is private to `evolve`: the coefficients it already
+    tabulated from this `f` to choose `dt`, reused by the first sub-step.
     """
     if dt == 0:
         return f
@@ -163,12 +178,13 @@ def strang_step(
     def coeff(g: DensityField) -> CoefficientField:
         return frozen if frozen is not None else a_field(g, params)
 
+    first = _coeff if _coeff is not None else coeff(f)
     if cfg.splitting is Splitting.RHO_FIRST:
-        f = step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
+        f = step_drift_diffuse_rho(f, first, dt / 2, params)
         f = step_advect_R(f, coeff(f), dt)
         f = step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
     else:
-        f = step_advect_R(f, coeff(f), dt / 2)
+        f = step_advect_R(f, first, dt / 2)
         f = step_drift_diffuse_rho(f, coeff(f), dt, params)
         f = step_advect_R(f, coeff(f), dt / 2)
     return f
@@ -195,6 +211,14 @@ def enforce_positivity(f: DensityField, clip_budget: float) -> tuple[DensityFiel
     return f.copy_with(v), min_val, clipped
 
 
+def _whole_steps(cfg: SolverConfig) -> int:
+    """n when dt is fixed and t_final is the float product n*dt, else 0."""
+    if cfg.dt is None or cfg.t_final == np.inf:
+        return 0
+    n = round(cfg.t_final / cfg.dt)
+    return n if n * cfg.dt == cfg.t_final else 0
+
+
 def evolve(
     f0: DensityField,
     cfg: SolverConfig,
@@ -206,15 +230,22 @@ def evolve(
 
     With cfg.dt None the step is chosen from the CFL bound each step
     (velocities drift as f evolves unless the coefficients are `frozen`).
+    A fixed dt whose float multiple n*dt is t_final gives exactly n steps of
+    dt, wherever the summed time rounds to; otherwise the last step is cut
+    to end at t_final.
     """
     trace = EvolutionTrace()
     f = f0
     t = 0.0
     trace.snapshots.append((0.0, f))
     next_snap = snapshot_every if snapshot_every is not None else np.inf
-    while t < cfg.t_final - 1e-15:
-        dt = min(_step_size(f, cfg.dt, cfg.cfl_safety, params, frozen), cfg.t_final - t)
-        f = strang_step(f, dt, cfg, params, frozen)
+    n_whole = _whole_steps(cfg)
+    while (len(trace.times) < n_whole) if n_whole else (t < cfg.t_final - 1e-15):
+        coeff = frozen if frozen is not None else a_field(f, params)
+        dt = _step_size(f.grid, cfg.dt, cfg.cfl_safety, params, coeff)
+        if not n_whole:
+            dt = min(dt, cfg.t_final - t)
+        f = strang_step(f, dt, cfg, params, frozen, _coeff=coeff)
         f, min_val, clipped = enforce_positivity(f, cfg.clip_budget)
         t += dt
         trace.times.append(t)

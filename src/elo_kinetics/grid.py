@@ -6,7 +6,6 @@ tails, so the truncation error decays exponentially in the box size.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,17 +155,21 @@ class DensityField:
     # -- I/O ------------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Snapshot format: header rho,R,f, row-major over cells."""
+        """Snapshot format: header rho,R,f, row-major over cells.
+
+        The bytes are those of a csv.writer writing each value as
+        f"{x:.17g}" (CRLF line ends); written one rho-row at a time.
+        """
         g = self.grid
+        row_format = "%.17g,%.17g,%.17g\r\n" * g.n_R
+        row = np.empty((g.n_R, 3))
+        row[:, 1] = g.R_centers
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rho", "R", "f"])
-            rc, Rc = g.rho_centers, g.R_centers
-            for i in range(g.n_rho):
-                for j in range(g.n_R):
-                    writer.writerow(
-                        [f"{rc[i]:.17g}", f"{Rc[j]:.17g}", f"{self.values[i, j]:.17g}"]
-                    )
+            fh.write("rho,R,f\r\n")
+            for rho, values in zip(g.rho_centers, self.values):
+                row[:, 0] = rho
+                row[:, 2] = values
+                fh.write(row_format % tuple(row.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "DensityField":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,18 +122,35 @@ def a2_of_density(f: DensityField, R, params: KernelParams):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
 class CoefficientField:
     """a1, a2 tabulated at the faces and centers the upwind scheme needs.
 
-    Monotone nondecreasing arrays, inherited from monotonicity of b.
+    Monotone nondecreasing arrays, inherited from monotonicity of b. Each
+    table is given as an array or, by `a_field`, as a function of no
+    arguments that computes it; that function runs the first time the table
+    is read, so a sub-step pays only for the tables it reads.
     """
 
-    grid: Grid2D
-    a1_at_rho_faces: np.ndarray
-    a2_at_R_faces: np.ndarray
-    a1_at_rho_centers: np.ndarray
-    a2_at_R_centers: np.ndarray
+    def __init__(self, grid: Grid2D, a1_at_rho_faces, a2_at_R_faces,
+                 a1_at_rho_centers, a2_at_R_centers):
+        self.grid = grid
+        self._tables = {
+            "a1_at_rho_faces": a1_at_rho_faces,
+            "a2_at_R_faces": a2_at_R_faces,
+            "a1_at_rho_centers": a1_at_rho_centers,
+            "a2_at_R_centers": a2_at_R_centers,
+        }
+
+    def _table(self, name: str) -> np.ndarray:
+        table = self._tables[name]
+        if callable(table):
+            table = self._tables[name] = table()
+        return table
+
+    a1_at_rho_faces = property(lambda self: self._table("a1_at_rho_faces"))
+    a2_at_R_faces = property(lambda self: self._table("a2_at_R_faces"))
+    a1_at_rho_centers = property(lambda self: self._table("a1_at_rho_centers"))
+    a2_at_R_centers = property(lambda self: self._table("a2_at_R_centers"))
 
     def max_abs_a(self) -> float:
         """sup |a1(rho) - a2(R)| over the tabulated box (uses monotonicity)."""
@@ -161,27 +179,25 @@ def a_field(f: DensityField, params: KernelParams, grid: Grid2D | None = None) -
     """Tabulate a[mu] = a1 - a2 on the faces/centers of a target grid.
 
     The target grid defaults to the grid carrying f; when the target spacing
-    matches the source spacing the Toeplitz fast path is used.
+    matches the source spacing the Toeplitz fast path is used, and each of
+    the four tables is convolved the first time it is read.
     """
     g = grid if grid is not None else f.grid
     if abs(g.h_rho - f.grid.h_rho) < 1e-12 * f.grid.h_rho and \
        abs(g.h_R - f.grid.h_R) < 1e-12 * f.grid.h_R:
         _validate_measure(f)
         area = f.grid.cell_area
+        # marginals are taken now, so later changes to f.values do not leak in
         m_rho = f.values.sum(axis=1) * area
         m_R = f.values.sum(axis=0) * area
         src_rho = f.grid.rho_centers
         src_R = f.grid.R_centers
         return CoefficientField(
-            grid=g,
-            a1_at_rho_faces=_coeff_uniform(
-                m_rho, src_rho, g.rho_faces[0], g.n_rho + 1, g.h_rho, params),
-            a2_at_R_faces=_coeff_uniform(
-                m_R, src_R, g.R_faces[0], g.n_R + 1, g.h_R, params),
-            a1_at_rho_centers=_coeff_uniform(
-                m_rho, src_rho, g.rho_centers[0], g.n_rho, g.h_rho, params),
-            a2_at_R_centers=_coeff_uniform(
-                m_R, src_R, g.R_centers[0], g.n_R, g.h_R, params),
+            g,
+            partial(_coeff_uniform, m_rho, src_rho, g.rho_faces[0], g.n_rho + 1, g.h_rho, params),
+            partial(_coeff_uniform, m_R, src_R, g.R_faces[0], g.n_R + 1, g.h_R, params),
+            partial(_coeff_uniform, m_rho, src_rho, g.rho_centers[0], g.n_rho, g.h_rho, params),
+            partial(_coeff_uniform, m_R, src_R, g.R_centers[0], g.n_R, g.h_R, params),
         )
     return CoefficientField(
         grid=g,

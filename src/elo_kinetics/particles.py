@@ -34,6 +34,8 @@ class AgentPopulation:
 
     @classmethod
     def uniform_box(cls, n: int, seed: int, box=(0.0, 1.0, 0.0, 1.0)) -> "AgentPopulation":
+        if n < 1:
+            raise ValueError(f"population size must be positive, got {n}")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA6E7]))
         rho = rng.uniform(box[0], box[1], size=n)
         R = rng.uniform(box[2], box[3], size=n)

@@ -75,7 +75,8 @@ def _equilibrate(
     t = 0.0
     history: list[float] = []
     while t < cfg.t_max:
-        dt = _step_size(f, cfg.dt, cfg.cfl_safety, params, frozen)
+        coeff = frozen if frozen is not None else a_field(f, params)
+        dt = _step_size(f.grid, cfg.dt, cfg.cfl_safety, params, coeff)
         delta = cfg.check_every * dt
         block = SolverConfig(t_final=delta, dt=dt)
         f_next = evolve(f, block, params, frozen=frozen).final
@@ -113,13 +114,32 @@ def fixed_point_iterate(
     mu0: DensityField, cfg: FixedPointConfig, params: KernelParams
 ) -> SteadyStateResult:
     """Iterate mu_{k+1} = (1-theta) mu_k + theta G(mu_k) until the beta-norm
-    difference falls below tol_map."""
+    difference falls below tol_map.
+
+    A NonConvergenceError, from the outer loop or from an inner
+    equilibration, carries the outer history so far as its `result`.
+    """
     mu = mu0
     diffs: list[float] = []
     moments: list[float] = []
     residual = np.nan
+
+    def outer_result() -> SteadyStateResult:
+        return SteadyStateResult(
+            density=mu,
+            residual=residual,
+            moment_beta=beta_norm(mu, cfg.beta, params.gamma),
+            outer_iterations=len(diffs),
+            norm_diff_history=diffs,
+            moment_history=moments,
+        )
+
     for _ in range(cfg.max_outer):
-        result = map_G(mu, cfg, params)
+        try:
+            result = map_G(mu, cfg, params)
+        except NonConvergenceError as exc:
+            exc.result = outer_result()  # the outer history so far, maybe empty
+            raise
         g = result.density
         diff = beta_norm_diff(g, mu, cfg.beta, params.gamma)
         diffs.append(diff)
@@ -130,14 +150,7 @@ def fixed_point_iterate(
         )
         if diff < cfg.tol_map:
             break
-    out = SteadyStateResult(
-        density=mu,
-        residual=residual,
-        moment_beta=beta_norm(mu, cfg.beta, params.gamma),
-        outer_iterations=len(diffs),
-        norm_diff_history=diffs,
-        moment_history=moments,
-    )
+    out = outer_result()
     if not (diffs and diffs[-1] < cfg.tol_map):
         raise NonConvergenceError(
             f"fixed point not reached in {cfg.max_outer} outer iterations", diffs, out

@@ -64,10 +64,19 @@ def test_bad_value_is_config_error(tmp_path, monkeypatch):
     "model.c=-1",
     "grid.n_rho=0",
     "run.initial=file:{tmp}/missing.csv",
+    "solver.dt=0",
+    "particles.n=-4",
+    "sde.dt=0",
+    "sde.t_final=-1",
 ])
 def test_rejected_value_or_input_is_config_error(tmp_path, monkeypatch, capsys, override):
+    # particles.* and sde.* keys are read by the subcommand of that name
+    section = override.split(".")[0]
+    command = section if section in ("particles", "sde") else "solve"
     code, _ = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
-                      "--set", override.format(tmp=tmp_path), "solve")
+                      "--set", "run.seed=1", "--set", "particles.n=10",
+                      "--set", "particles.rounds=2", "--set", "sde.t_final=0.02",
+                      "--set", override.format(tmp=tmp_path), command)
     assert code == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
 
@@ -99,6 +108,16 @@ def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     log = (out / "fixedpoint_log.csv").read_text().splitlines()
     assert log[0] == "outer_iter,norm_diff_beta,moment_beta,residual"
     assert len(log) == 1 + 2
+    assert not (out / "fixed_point.csv").exists()
+    # an inner equilibration that fails keeps the (here empty) outer history
+    code, out = run_cli(tmp_path / "inner", monkeypatch,
+                        "--set", "defaults.accept=true",
+                        "--set", "grid.n_rho=20", "--set", "grid.n_R=20",
+                        "--set", "fixedpoint.t_max=0.05",
+                        "fixedpoint")
+    assert code == cli.EXIT_NONCONV
+    log = (out / "fixedpoint_log.csv").read_text().splitlines()
+    assert log == ["outer_iter,norm_diff_beta,moment_beta,residual"]
     assert not (out / "fixed_point.csv").exists()
 
 

@@ -225,6 +225,24 @@ def test_linear_mode_semigroup_property(params):
     assert np.array_equal(whole.values, part.values)
 
 
+def test_evolve_fixed_dt_takes_whole_steps(params):
+    g = ek.Grid2D.unit_square(30)
+    f = gaussian_blob(g, (0.4, 0.6), 0.15)
+    frozen = ek.a_field(f, params)
+    dt = 0.45 * ek.cfl_limit(frozen, g, params)  # 100 of these sum to 3.8e-16 short of 100*dt
+    cfg = ek.SolverConfig(t_final=100 * dt, dt=dt)
+    trace = ek.evolve(f, cfg, params, frozen=frozen)
+    stepped = f
+    for _ in range(100):
+        stepped, _, _ = ek.fv_solver.enforce_positivity(
+            ek.strang_step(stepped, dt, cfg, params, frozen=frozen), cfg.clip_budget)
+    assert len(trace.times) == 100
+    assert trace.final.values.tobytes() == stepped.values.tobytes()
+    # a t_final that is no multiple of dt is still hit exactly
+    cut = ek.evolve(f, ek.SolverConfig(t_final=100.5 * dt, dt=dt), params, frozen=frozen)
+    assert len(cut.times) == 101 and cut.times[-1] == 100.5 * dt
+
+
 # -- config validation and positivity policing -------------------------
 
 
@@ -235,6 +253,10 @@ def test_solver_config_validation(params):
         ek.SolverConfig(t_final=-1.0)
     with pytest.raises(ValueError):
         ek.SolverConfig(t_final=1.0, cfl_safety=0.0)
+    with pytest.raises(ValueError):
+        ek.SolverConfig(t_final=1.0, dt=0.0)  # would never advance
+    with pytest.raises(ValueError):
+        ek.SolverConfig(t_final=np.nan)
 
 
 def test_cfl_limit_formula(params):

@@ -1,4 +1,6 @@
 """Grid and density-field tests."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,21 @@ def test_csv_roundtrip(tmp_path):
     assert back.grid.rho_min == pytest.approx(0.0, abs=1e-12)
     assert back.grid.R_max == pytest.approx(2.0, abs=1e-12)
     assert np.array_equal(back.values, f.values)  # 17 sig digits roundtrips exactly
+
+
+def test_to_csv_bytes_match_csv_writer(tmp_path):
+    g = ek.Grid2D(-1.0, 2.0, 0.1, 0.8, 3, 4)
+    v = np.random.default_rng(3).random((3, 4))
+    v[0, :3] = [-0.0, 5e-324, 1e300]
+    f = ek.DensityField(g, v)
+    f.to_csv(tmp_path / "field.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rho", "R", "f"])
+        for i, rho in enumerate(g.rho_centers):
+            for j, R in enumerate(g.R_centers):
+                writer.writerow([f"{rho:.17g}", f"{R:.17g}", f"{v[i, j]:.17g}"])
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n_rho, n_R", [(1, 1), (6, 1), (1, 4)])
