@@ -291,7 +291,7 @@ def cmd_particles(cfg: dict[str, str], outdir: Path) -> int:
     rounds = _get(cfg, "particles.rounds", int)
     p = _interaction(cfg, params)
     pop = _build(AgentPopulation.uniform_box, n, seed)
-    pop = run_tournament(pop, rounds, p, params)
+    pop = _build(run_tournament, pop, rounds, p, params)
     write_agents_csv(pop, outdir / "agents.csv")
     (outdir / "run_metadata.json").write_text(json.dumps({
         "seed": seed, "n": n, "rounds": rounds, "epsilon": p.epsilon,
@@ -309,7 +309,7 @@ def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
         raise ConfigError(f"sde.t_final must be nonnegative, got {t_final}")
     dt = _sde_dt(cfg)
     pop = _build(AgentPopulation.uniform_box, n, seed)
-    pop = simulate_mean_field(pop, t_final, dt, params)
+    pop = _build(simulate_mean_field, pop, t_final, dt, params)
     write_agents_csv(pop, outdir / "agents.csv")
     (outdir / "run_metadata.json").write_text(json.dumps({
         "seed": seed, "n": n, "t_final": t_final, "dt": dt,
@@ -354,7 +354,7 @@ def cmd_compare(cfg: dict[str, str], outdir: Path) -> int:
     dt = _sde_dt(cfg)
     params, solver_cfg, trace = _run_pde(cfg)
     pop = _build(AgentPopulation.uniform_box, n, seed)
-    pop = simulate_mean_field(pop, solver_cfg.t_final, dt, params)
+    pop = _build(simulate_mean_field, pop, solver_cfg.t_final, dt, params)
     w1_rho = wasserstein1_samples_vs_marginal(pop.rho, trace.final, "rho")
     w1_R = wasserstein1_samples_vs_marginal(pop.R, trace.final, "R")
     _write_csv(outdir / "compare.csv", ["t", "n", "w1_rho", "w1_R"],

@@ -81,10 +81,9 @@ class LyapunovWeight:
 def b_eval(z, params: KernelParams):
     """Odd interaction kernel: tanh(c z), or c z in linear oracle mode."""
     z = np.asarray(z, dtype=float)
-    if params.kernel_kind is KernelKind.LINEAR:
-        out = params.c * z
-    else:
-        out = np.tanh(params.c * z)
+    out = np.multiply(params.c, z, out=np.empty_like(z))
+    if params.kernel_kind is KernelKind.TANH:
+        np.tanh(out, out=out)  # in place: one array per call
     return out if out.ndim else float(out)
 
 
@@ -102,24 +101,39 @@ def _validate_measure(f: DensityField) -> None:
         raise ValueError("density has zero mass")
 
 
+_BLOCK_ROWS = 256  # query points per block of kernel_sum
+
+
+def kernel_sum(query, points, weights, params: KernelParams):
+    """sum_j b(q - x_j) w_j at each query point q (any shape; a scalar gives
+    a float), summed directly in blocks of _BLOCK_ROWS query points."""
+    q = np.asarray(query, dtype=float)
+    out = np.empty(q.shape)
+    flat_q, flat_out = q.reshape(-1), out.reshape(-1)  # flat_out is a view of out
+    for s in range(0, q.size, _BLOCK_ROWS):
+        # peak: this block's differences and b values, and the previous block's b values
+        kb = b_eval(flat_q[s:s + _BLOCK_ROWS, None] - points, params)
+        kb *= weights
+        flat_out[s:s + _BLOCK_ROWS] = kb.sum(axis=1)
+    return out if out.ndim else float(out)
+
+
+def _marginal(f: DensityField, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell centers and cell masses of f's marginal on axis 0 (rho) or 1 (R)."""
+    centers = f.grid.rho_centers if axis == 0 else f.grid.R_centers
+    return centers, f.values.sum(axis=1 - axis) * f.grid.cell_area
+
+
 def a1_of_density(f: DensityField, rho, params: KernelParams):
     """a1[mu](rho) = integral of b(rho - rho') against mu, midpoint rule."""
     _validate_measure(f)
-    rho_masses = f.values.sum(axis=1) * f.grid.cell_area
-    rho = np.asarray(rho, dtype=float)
-    diffs = rho[..., None] - f.grid.rho_centers
-    out = np.sum(b_eval(diffs, params) * rho_masses, axis=-1)
-    return out if out.ndim else float(out)
+    return kernel_sum(rho, *_marginal(f, 0), params)
 
 
 def a2_of_density(f: DensityField, R, params: KernelParams):
     """a2[mu](R) = integral of b(R - R') against mu, midpoint rule."""
     _validate_measure(f)
-    R_masses = f.values.sum(axis=0) * f.grid.cell_area
-    R = np.asarray(R, dtype=float)
-    diffs = R[..., None] - f.grid.R_centers
-    out = np.sum(b_eval(diffs, params) * R_masses, axis=-1)
-    return out if out.ndim else float(out)
+    return kernel_sum(R, *_marginal(f, 1), params)
 
 
 class CoefficientField:
@@ -175,36 +189,27 @@ def _coeff_uniform(masses: np.ndarray, centers: np.ndarray, query0: float,
     return np.convolve(masses, kern)[n - 1: n - 1 + n_query]
 
 
-def a_field(f: DensityField, params: KernelParams, grid: Grid2D | None = None) -> CoefficientField:
-    """Tabulate a[mu] = a1 - a2 on the faces/centers of a target grid.
+def _lazy_sum(query, h, h_src, centers, masses, params: KernelParams):
+    """sum_j b(q_i - c_j) m_j at uniformly spaced queries, as a function run on
+    first read: Toeplitz when the spacings h and h_src match, else kernel_sum."""
+    if abs(h - h_src) < 1e-12 * h_src:
+        return partial(_coeff_uniform, masses, centers, query[0], len(query), h, params)
+    return partial(kernel_sum, query, centers, masses, params)
 
-    The target grid defaults to the grid carrying f; when the target spacing
-    matches the source spacing the Toeplitz fast path is used, and each of
-    the four tables is convolved the first time it is read.
-    """
-    g = grid if grid is not None else f.grid
-    if abs(g.h_rho - f.grid.h_rho) < 1e-12 * f.grid.h_rho and \
-       abs(g.h_R - f.grid.h_R) < 1e-12 * f.grid.h_R:
-        _validate_measure(f)
-        area = f.grid.cell_area
-        # marginals are taken now, so later changes to f.values do not leak in
-        m_rho = f.values.sum(axis=1) * area
-        m_R = f.values.sum(axis=0) * area
-        src_rho = f.grid.rho_centers
-        src_R = f.grid.R_centers
-        return CoefficientField(
-            g,
-            partial(_coeff_uniform, m_rho, src_rho, g.rho_faces[0], g.n_rho + 1, g.h_rho, params),
-            partial(_coeff_uniform, m_R, src_R, g.R_faces[0], g.n_R + 1, g.h_R, params),
-            partial(_coeff_uniform, m_rho, src_rho, g.rho_centers[0], g.n_rho, g.h_rho, params),
-            partial(_coeff_uniform, m_R, src_R, g.R_centers[0], g.n_R, g.h_R, params),
-        )
+
+def a_field(f: DensityField, params: KernelParams, grid: Grid2D | None = None) -> CoefficientField:
+    """Tabulate a[mu] = a1 - a2 on the faces/centers of a target grid (by
+    default f's own); each table is computed the first time it is read."""
+    g, src = (grid if grid is not None else f.grid), f.grid
+    _validate_measure(f)
+    # marginals are taken now, so later changes to f.values do not leak in
+    rho_src, R_src = _marginal(f, 0), _marginal(f, 1)
     return CoefficientField(
-        grid=g,
-        a1_at_rho_faces=a1_of_density(f, g.rho_faces, params),
-        a2_at_R_faces=a2_of_density(f, g.R_faces, params),
-        a1_at_rho_centers=a1_of_density(f, g.rho_centers, params),
-        a2_at_R_centers=a2_of_density(f, g.R_centers, params),
+        g,
+        _lazy_sum(g.rho_faces, g.h_rho, src.h_rho, *rho_src, params),
+        _lazy_sum(g.R_faces, g.h_R, src.h_R, *R_src, params),
+        _lazy_sum(g.rho_centers, g.h_rho, src.h_rho, *rho_src, params),
+        _lazy_sum(g.R_centers, g.h_R, src.h_R, *R_src, params),
     )
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DensityField, Grid2D
-from .kernels import KernelParams, b_eval, h1_eval
+from .kernels import KernelParams, b_eval, h1_eval, kernel_sum
 
 
 @dataclass
@@ -137,17 +137,6 @@ def run_tournament(
     return pop0.copy_with(rho, R)
 
 
-def _empirical_coefficient(query: np.ndarray, source: np.ndarray,
-                           params: KernelParams, chunk: int = 256) -> np.ndarray:
-    """(1/n) sum_j b(query_i - source_j), exact, chunked to bound memory."""
-    n = len(source)
-    out = np.empty(len(query))
-    for s in range(0, len(query), chunk):
-        block = query[s:s + chunk, None] - source[None, :]
-        out[s:s + chunk] = b_eval(block, params).sum(axis=1) / n
-    return out
-
-
 def step_mean_field_sde(
     pop: AgentPopulation,
     dt: float,
@@ -158,8 +147,9 @@ def step_mean_field_sde(
     measure: dR = a[mu_n] dt, drho = -gamma a1[mu_n] dt + sigma dB."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    a1 = _empirical_coefficient(pop.rho, pop.rho, params)
-    a2 = _empirical_coefficient(pop.R, pop.R, params)
+    ones = np.ones(pop.n)
+    a1 = kernel_sum(pop.rho, pop.rho, ones, params) / pop.n
+    a2 = kernel_sum(pop.R, pop.R, ones, params) / pop.n
     R_new = pop.R + (a1 - a2) * dt
     rho_new = (
         pop.rho
@@ -175,9 +165,13 @@ def simulate_mean_field(
     dt: float,
     params: KernelParams,
 ) -> AgentPopulation:
-    """March the mean-field SDE to t_final with fixed-step Euler-Maruyama."""
+    """March the mean-field SDE to t_final with fixed-step Euler-Maruyama;
+    t_final must be a whole number of steps dt."""
+    steps = t_final / dt
+    n_steps = round(steps)
+    if abs(steps - n_steps) > 1e-9 * abs(steps):
+        raise ValueError(f"t_final={t_final} is not a whole number of steps dt={dt}")
     pop = pop0
-    n_steps = int(round(t_final / dt))
     for k in range(n_steps):
         rng = np.random.default_rng(np.random.SeedSequence([pop0.rng_seed, 0x5DE, k]))
         pop = step_mean_field_sde(pop, dt, params, rng)

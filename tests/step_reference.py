@@ -1,12 +1,47 @@
-"""The Strang step as first written: eager four-array coefficient
-tabulation before every sub-step and upwind/Scharfetter-Gummel kernels
-built from vp/vm temporaries. The solver's lean versions must reproduce it
-bit for bit (see test_step_oracle.py)."""
+"""Reference versions of code the package has since rewritten, kept as
+bitwise oracles (see test_step_oracle.py):
+
+- the Strang step as first written: eager four-array coefficient tabulation
+  before every sub-step and upwind/Scharfetter-Gummel kernels built from
+  vp/vm temporaries;
+- the direct kernel sums before they were folded into `kernels.kernel_sum`:
+  `a1_of_density`, `a2_of_density` and the SDE's `_empirical_coefficient`.
+"""
 import numpy as np
 
 import elo_kinetics as ek
 from elo_kinetics.fv_solver import CFLError, _bernoulli
-from elo_kinetics.kernels import _coeff_uniform, _validate_measure
+from elo_kinetics.kernels import _coeff_uniform, _validate_measure, b_eval
+
+
+def a1_of_density(f, rho, params):
+    """a1[mu](rho) = integral of b(rho - rho') against mu, midpoint rule."""
+    _validate_measure(f)
+    rho_masses = f.values.sum(axis=1) * f.grid.cell_area
+    rho = np.asarray(rho, dtype=float)
+    diffs = rho[..., None] - f.grid.rho_centers
+    out = np.sum(b_eval(diffs, params) * rho_masses, axis=-1)
+    return out if out.ndim else float(out)
+
+
+def a2_of_density(f, R, params):
+    """a2[mu](R) = integral of b(R - R') against mu, midpoint rule."""
+    _validate_measure(f)
+    R_masses = f.values.sum(axis=0) * f.grid.cell_area
+    R = np.asarray(R, dtype=float)
+    diffs = R[..., None] - f.grid.R_centers
+    out = np.sum(b_eval(diffs, params) * R_masses, axis=-1)
+    return out if out.ndim else float(out)
+
+
+def _empirical_coefficient(query, source, params, chunk=256):
+    """(1/n) sum_j b(query_i - source_j), exact, chunked to bound memory."""
+    n = len(source)
+    out = np.empty(len(query))
+    for s in range(0, len(query), chunk):
+        block = query[s:s + chunk, None] - source[None, :]
+        out[s:s + chunk] = b_eval(block, params).sum(axis=1) / n
+    return out
 
 
 def a_field(f, params):

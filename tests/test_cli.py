@@ -66,8 +66,10 @@ def test_bad_value_is_config_error(tmp_path, monkeypatch):
     "run.initial=file:{tmp}/missing.csv",
     "solver.dt=0",
     "particles.n=-4",
+    "particles.n=3",
     "sde.dt=0",
     "sde.t_final=-1",
+    "sde.t_final=0.025",
 ])
 def test_rejected_value_or_input_is_config_error(tmp_path, monkeypatch, capsys, override):
     # particles.* and sde.* keys are read by the subcommand of that name
@@ -211,6 +213,14 @@ def test_compare_subcommand(tmp_path, monkeypatch):
     lines = (out / "compare.csv").read_text().splitlines()
     assert lines[0] == "t,n,w1_rho,w1_R"
     assert (out / "pde_final.csv").exists()
+
+
+def test_compare_rejects_a_horizon_off_the_sde_step(tmp_path, monkeypatch, capsys):
+    code, _ = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
+                      "--set", "solver.t_final=0.025", "--set", "sde.dt=0.01",
+                      "--set", "particles.n=10", "--set", "run.seed=1", "compare")
+    assert code == cli.EXIT_CONFIG
+    assert "whole number of steps" in capsys.readouterr().err
 
 
 def test_repro_fig2_emits_energies(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import elo_kinetics as ek
 from conftest import gaussian_blob
@@ -146,6 +147,40 @@ def test_csv_roundtrip_single_cell_axes(tmp_path, n_rho, n_R):
     back = ek.DensityField.from_csv(path)
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
+
+
+@st.composite
+def csv_fields(draw):
+    """Fields on shifted boxes of 1-12 cells per axis, with extreme values.
+
+    A one-cell axis has unit width: the spacing it is read back with."""
+    bounds = []
+    for _ in range(2):
+        n = draw(st.integers(1, 12))
+        lo = draw(st.floats(-100.0, 100.0))
+        width = 1.0 if n == 1 else draw(st.floats(0.1, 50.0))
+        bounds.append((lo, lo + width, n))
+    (r0, r1, n_rho), (R0, R1, n_R) = bounds
+    value = st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e300]) | st.floats(
+        allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(value, min_size=n_rho * n_R, max_size=n_rho * n_R))
+    return ek.DensityField(ek.Grid2D(r0, r1, R0, R1, n_rho, n_R),
+                           np.reshape(values, (n_rho, n_R)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=csv_fields())
+def test_csv_roundtrip_property(tmp_path_factory, f):
+    path = tmp_path_factory.mktemp("csv") / "field.csv"
+    f.to_csv(path)
+    back = ek.DensityField.from_csv(path)
+    assert back.values.tobytes() == f.values.tobytes()
+    g, h = f.grid, back.grid
+    assert (h.n_rho, h.n_R) == (g.n_rho, g.n_R)
+    for lo, hi, lo_back, hi_back in ((g.rho_min, g.rho_max, h.rho_min, h.rho_max),
+                                     (g.R_min, g.R_max, h.R_min, h.R_max)):
+        scale = max(abs(lo), abs(hi))
+        assert abs(lo_back - lo) <= 1e-12 * scale and abs(hi_back - hi) <= 1e-12 * scale
 
 
 def test_csv_rows_in_any_order(tmp_path):

@@ -195,10 +195,11 @@ def test_simulate_mean_field_deterministic(params):
 
 
 def test_empirical_coefficient_matches_direct(params):
+    # 600 queries: three blocks of kernel_sum, the last one partial
     rng = np.random.default_rng(4)
     src = rng.normal(size=300)
-    query = rng.normal(size=47)
-    fast = ek.particles._empirical_coefficient(query, src, params, chunk=16)
+    query = rng.normal(size=600)
+    fast = ek.kernels.kernel_sum(query, src, np.ones(len(src)), params) / len(src)
     direct = np.array([np.mean(np.tanh(q - src)) for q in query])
     assert np.max(np.abs(fast - direct)) < 1e-12
 

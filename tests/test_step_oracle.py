@@ -1,6 +1,7 @@
-"""The lean Strang step against the reference in step_reference.py: the
-same bits for random densities, coefficients and time steps, the CFL error
-on the same side of its threshold, and the convolutions a step makes."""
+"""The lean Strang step and the folded kernel sums against the references in
+step_reference.py: the same bits for random densities, coefficients, time
+steps, query shapes and agent clouds, the CFL error on the same side of its
+threshold, and the convolutions a step makes."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,3 +149,79 @@ def test_convolutions_per_nonlinear_step(monkeypatch, splitting, per_step):
     trace = ek.evolve(f, ek.SolverConfig(t_final=0.05, splitting=splitting), params)
     assert len(trace.times) >= 5
     assert len(calls) <= per_step * len(trace.times)
+
+
+# -- kernel_sum against the direct sums it replaced ----------------------
+
+# scalar, 1D and 2D queries, on both sides of kernel_sum's 256-row block edge
+QUERY_SHAPES = [(), (1,), (255,), (256,), (257,), (600,), (16, 16), (17, 16), (3, 100)]
+
+
+@st.composite
+def measures_with_empty_lines(draw):
+    """A nonnegative density whose marginals have exact zeros, with up to
+    300 cells per axis so the row sums run numpy's blocked pairwise sum."""
+    n_rho, n_R = (draw(st.sampled_from([1, 2, 9, 130, 300])) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.random((n_rho, n_R))
+    v[rng.random(n_rho) < 0.4, :] = 0.0
+    v[:, rng.random(n_R) < 0.4] = 0.0
+    v[rng.integers(n_rho), rng.integers(n_R)] = 1.0
+    return ek.DensityField(ek.Grid2D(-0.5, 1.5, -1.0, 1.0, n_rho, n_R), v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(measures_with_empty_lines(), params_st, st.sampled_from(QUERY_SHAPES),
+       st.integers(0, 2**32 - 1))
+def test_marginal_sums_match_reference(f, params, shape, seed):
+    q = np.random.default_rng(seed).uniform(-3.0, 3.0, size=shape)
+    query = float(q) if shape == () else q
+    for new, old in ((ek.a1_of_density, ref.a1_of_density),
+                     (ek.a2_of_density, ref.a2_of_density)):
+        got, want = new(f, query, params), old(f, query, params)
+        assert type(got) is type(want)
+        assert np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 255, 256, 257, 600]), params_st, st.integers(0, 2**32 - 1))
+def test_sde_step_matches_reference_drift(n, params, seed):
+    rng = np.random.default_rng(seed)
+    rho, R = rng.normal(size=n), rng.normal(size=n)
+    rho[: n // 3] = rho[0]  # coincident agents: exact b(0) = 0 terms
+    pop = ek.AgentPopulation(rho, R, seed)
+    dt = 0.01
+    new = ek.step_mean_field_sde(pop, dt, params, np.random.default_rng(7))
+    a1 = ref._empirical_coefficient(rho, rho, params)
+    a2 = ref._empirical_coefficient(R, R, params)
+    noise = params.sigma * np.sqrt(dt) * np.random.default_rng(7).standard_normal(n)
+    assert new.R.tobytes() == (R + (a1 - a2) * dt).tobytes()
+    assert new.rho.tobytes() == (rho - params.gamma * a1 * dt + noise).tobytes()
+
+
+@SETTINGS
+@given(densities(), params_st, st.sampled_from([1.0, 0.5, 1.5]),
+       st.sampled_from([1.0, 0.75]), st.floats(-0.3, 0.3))
+def test_a_field_picks_a_back_end_per_axis(f, params, s_rho, s_R, shift):
+    # a target grid whose spacing is f's times s on each axis
+    g = f.grid
+    n_rho, n_R = g.n_rho + 1, max(g.n_R - 1, 1)
+    target = ek.Grid2D(g.rho_min + shift, g.rho_min + shift + n_rho * s_rho * g.h_rho,
+                       g.R_min - shift, g.R_min - shift + n_R * s_R * g.h_R, n_rho, n_R)
+    coeff = ek.a_field(f, params, target)
+    m_rho = f.values.sum(axis=1) * g.cell_area
+    m_R = f.values.sum(axis=0) * g.cell_area
+
+    def expected(query, h, s, centers, masses, direct):
+        if s == 1.0:  # same spacing: the Toeplitz convolution
+            return ek.kernels._coeff_uniform(masses, centers, query[0], len(query), h, params)
+        return direct(f, query, params)
+
+    want = [
+        expected(target.rho_faces, target.h_rho, s_rho, g.rho_centers, m_rho, ref.a1_of_density),
+        expected(target.R_faces, target.h_R, s_R, g.R_centers, m_R, ref.a2_of_density),
+        expected(target.rho_centers, target.h_rho, s_rho, g.rho_centers, m_rho, ref.a1_of_density),
+        expected(target.R_centers, target.h_R, s_R, g.R_centers, m_R, ref.a2_of_density),
+    ]
+    assert [t.tobytes() for t in tables(coeff)] == [t.tobytes() for t in want]
