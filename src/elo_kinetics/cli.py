@@ -17,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .diagnostics import (
     InverseSteadyStateWeight,
@@ -27,7 +25,7 @@ from .diagnostics import (
     relative_energy,
     wasserstein1_samples_vs_marginal,
 )
-from .fv_solver import CFLError, EvolutionTrace, PositivityError, SolverConfig, Splitting, evolve
+from .fv_solver import CFLError, PositivityError, SolverConfig, Splitting, evolve
 from .grid import DensityField, Grid2D
 from .kernels import KernelKind, KernelParams, LyapunovWeight
 from .particles import AgentPopulation, InteractionParams, run_tournament, simulate_mean_field
@@ -171,17 +169,12 @@ def write_agents_csv(pop: AgentPopulation, path: Path) -> None:
                ([k, f"{pop.rho[k]:.17g}", f"{pop.R[k]:.17g}"] for k in range(pop.n)))
 
 
-def _require_seed(cfg: dict[str, str]) -> int:
+def _population(cfg: dict[str, str]) -> AgentPopulation:
+    """particles.n agents on the unit square, seeded by the mandatory run.seed."""
     if "run.seed" not in cfg:
         raise ConfigError("run.seed is mandatory for stochastic modes")
-    return _get(cfg, "run.seed", int)
-
-
-def _sde_dt(cfg: dict[str, str]) -> float:
-    dt = _get(cfg, "sde.dt", float, 0.01)
-    if not dt > 0:
-        raise ConfigError(f"sde.dt must be positive, got {dt}")
-    return dt
+    return _build(AgentPopulation.uniform_box, _get(cfg, "particles.n", int),
+                  _get(cfg, "run.seed", int))
 
 
 def _initial_density(cfg: dict[str, str], grid: Grid2D) -> DensityField:
@@ -193,18 +186,21 @@ def _initial_density(cfg: dict[str, str], grid: Grid2D) -> DensityField:
     raise ConfigError(f"unknown run.initial '{init}'")
 
 
-def _run_pde(cfg: dict[str, str]) -> tuple[KernelParams, SolverConfig, EvolutionTrace]:
-    """Evolve run.initial to solver.t_final, with snapshots every
-    run.snapshot_every if that is set."""
+def _pde_inputs(
+    cfg: dict[str, str],
+) -> tuple[KernelParams, SolverConfig, DensityField, float | None]:
+    """Model parameters, solver config, run.initial on the grid, and the
+    snapshot interval run.snapshot_every (None if unset)."""
     params = build_params(cfg)
     solver_cfg = build_solver_config(cfg)
     f0 = _initial_density(cfg, build_grid(cfg))
     snap = _get(cfg, "run.snapshot_every", float) if cfg.get("run.snapshot_every") else None
-    return params, solver_cfg, evolve(f0, solver_cfg, params, snapshot_every=snap)
+    return params, solver_cfg, f0, snap
 
 
 def cmd_solve(cfg: dict[str, str], outdir: Path) -> int:
-    _, solver_cfg, trace = _run_pde(cfg)
+    params, solver_cfg, f0, snap = _pde_inputs(cfg)
+    trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     write_trace_csv(trace, outdir / "trace.csv")
     trace.final.to_csv(outdir / "final.csv")
     for t, f in trace.snapshots:
@@ -286,15 +282,13 @@ def _interaction(cfg: dict[str, str], params: KernelParams) -> InteractionParams
 
 def cmd_particles(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
-    seed = _require_seed(cfg)
-    n = _get(cfg, "particles.n", int)
+    pop0 = _population(cfg)
     rounds = _get(cfg, "particles.rounds", int)
     p = _interaction(cfg, params)
-    pop = _build(AgentPopulation.uniform_box, n, seed)
-    pop = _build(run_tournament, pop, rounds, p, params)
+    pop = _build(run_tournament, pop0, rounds, p, params)
     write_agents_csv(pop, outdir / "agents.csv")
     (outdir / "run_metadata.json").write_text(json.dumps({
-        "seed": seed, "n": n, "rounds": rounds, "epsilon": p.epsilon,
+        "seed": pop0.rng_seed, "n": pop0.n, "rounds": rounds, "epsilon": p.epsilon,
         "macroscopic_time": rounds * p.epsilon,
     }, indent=2))
     return EXIT_OK
@@ -302,17 +296,13 @@ def cmd_particles(cfg: dict[str, str], outdir: Path) -> int:
 
 def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
-    seed = _require_seed(cfg)
-    n = _get(cfg, "particles.n", int)
+    pop0 = _population(cfg)
     t_final = _get(cfg, "sde.t_final", float)
-    if not t_final >= 0:
-        raise ConfigError(f"sde.t_final must be nonnegative, got {t_final}")
-    dt = _sde_dt(cfg)
-    pop = _build(AgentPopulation.uniform_box, n, seed)
-    pop = _build(simulate_mean_field, pop, t_final, dt, params)
+    dt = _get(cfg, "sde.dt", float, 0.01)
+    pop = _build(simulate_mean_field, pop0, t_final, dt, params)
     write_agents_csv(pop, outdir / "agents.csv")
     (outdir / "run_metadata.json").write_text(json.dumps({
-        "seed": seed, "n": n, "t_final": t_final, "dt": dt,
+        "seed": pop0.rng_seed, "n": pop0.n, "t_final": t_final, "dt": dt,
     }, indent=2))
     return EXIT_OK
 
@@ -322,6 +312,8 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
     beta = _get(cfg, "model.beta", float, 0.1)
     f = _build(DensityField.from_csv, _get(cfg, "diagnose.f", str))
     f_inf = _build(DensityField.from_csv, _get(cfg, "diagnose.f_inf", str))
+    if f.grid != f_inf.grid:
+        raise ConfigError("diagnose.f and diagnose.f_inf are on different grids")
     weight = LyapunovWeight(beta, params.gamma)
     com = f.center_of_mass()
     row = {
@@ -349,16 +341,15 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
 
 
 def cmd_compare(cfg: dict[str, str], outdir: Path) -> int:
-    seed = _require_seed(cfg)
-    n = _get(cfg, "particles.n", int)
-    dt = _sde_dt(cfg)
-    params, solver_cfg, trace = _run_pde(cfg)
-    pop = _build(AgentPopulation.uniform_box, n, seed)
-    pop = _build(simulate_mean_field, pop, solver_cfg.t_final, dt, params)
+    params, solver_cfg, f0, snap = _pde_inputs(cfg)
+    # the SDE runs first, so that a horizon off its step exits before the PDE is paid for
+    pop = _build(simulate_mean_field, _population(cfg), solver_cfg.t_final,
+                 _get(cfg, "sde.dt", float, 0.01), params)
+    trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     w1_rho = wasserstein1_samples_vs_marginal(pop.rho, trace.final, "rho")
     w1_R = wasserstein1_samples_vs_marginal(pop.R, trace.final, "R")
     _write_csv(outdir / "compare.csv", ["t", "n", "w1_rho", "w1_R"],
-               [[solver_cfg.t_final, n, f"{w1_rho:.17g}", f"{w1_R:.17g}"]])
+               [[solver_cfg.t_final, pop.n, f"{w1_rho:.17g}", f"{w1_R:.17g}"]])
     trace.final.to_csv(outdir / "pde_final.csv")
     write_agents_csv(pop, outdir / "agents.csv")
     return EXIT_OK
@@ -381,14 +372,11 @@ def _fig_config(cfg: dict[str, str], full: bool) -> dict[str, str]:
     return parse_config(None, [f"{k}={v}" for k, v in base.items()])
 
 
-def cmd_repro_fig1(cfg: dict[str, str], outdir: Path, full: bool) -> int:
-    return cmd_solve(_fig_config(cfg, full), outdir)
-
-
 def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> int:
     cfg = _fig_config(cfg, full=False)
     cfg.setdefault("run.snapshot_every", "0.02")
-    params, _, trace = _run_pde(cfg)
+    params, solver_cfg, f0, snap = _pde_inputs(cfg)
+    trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     weight = LyapunovWeight(_get(cfg, "model.beta", float, 0.1), params.gamma)
     f_inf = trace.final
     _write_csv(outdir / "energies.csv", ["t", "E_phi_beta", "E_inv_finf"], (
@@ -400,6 +388,21 @@ def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> int:
     return EXIT_OK
 
 
+# subcommand -> (handler(cfg, outdir, **flags), its boolean flags as {name: help})
+COMMANDS = {
+    "solve": (cmd_solve, {}),
+    "steady": (cmd_steady, {}),
+    "fixedpoint": (cmd_fixedpoint, {}),
+    "particles": (cmd_particles, {}),
+    "sde": (cmd_sde, {}),
+    "diagnose": (cmd_diagnose, {}),
+    "compare": (cmd_compare, {}),
+    "repro-fig2": (cmd_repro_fig2, {}),
+    "repro-fig1": (lambda cfg, outdir, full: cmd_solve(_fig_config(cfg, full), outdir),
+                   {"full": "full-resolution grid (h=1/800, dt=2e-6); not a CI target"}),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="elokin",
@@ -409,31 +412,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--set", action="append", default=[], dest="overrides",
                         metavar="KEY=VALUE", help="override a config key")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "steady", "fixedpoint", "particles", "sde",
-                 "diagnose", "compare", "repro-fig2"):
-        sub.add_parser(name)
-    fig1 = sub.add_parser("repro-fig1")
-    fig1.add_argument("--full", action="store_true",
-                      help="full-resolution grid (h=1/800, dt=2e-6); not a CI target")
+    for name, (_, flags) in COMMANDS.items():
+        command = sub.add_parser(name)
+        for flag, text in flags.items():
+            command.add_argument(f"--{flag}", action="store_true", help=text)
     args = parser.parse_args(argv)
+    handler, flags = COMMANDS[args.command]
 
     try:
         cfg = parse_config(args.config, args.overrides)
         outdir = resolve_outdir(cfg)
         write_manifest(outdir, cfg, args.command)
-        handlers = {
-            "solve": cmd_solve,
-            "steady": cmd_steady,
-            "fixedpoint": cmd_fixedpoint,
-            "particles": cmd_particles,
-            "sde": cmd_sde,
-            "diagnose": cmd_diagnose,
-            "compare": cmd_compare,
-            "repro-fig2": cmd_repro_fig2,
-        }
-        if args.command == "repro-fig1":
-            return cmd_repro_fig1(cfg, outdir, args.full)
-        return handlers[args.command](cfg, outdir)
+        return handler(cfg, outdir, **{flag: getattr(args, flag) for flag in flags})
     except (ConfigError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -195,6 +195,14 @@ def confinement_radii(
     )
 
 
+def _along(f: DensityField, axis: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """(marginal, faces, spacing) of f along axis "rho" or "R"."""
+    k, g = {"rho": 0, "R": 1}.get(axis), f.grid
+    if k is None:
+        raise ValueError("axis must be 'rho' or 'R'")
+    return f.marginals()[k], (g.rho_faces, g.R_faces)[k], (g.h_rho, g.h_R)[k]
+
+
 def wasserstein1_marginal(f: DensityField, g: DensityField, axis: str) -> float:
     """Exact 1D W1 between the chosen marginals: L1 distance of the CDFs.
 
@@ -202,16 +210,8 @@ def wasserstein1_marginal(f: DensityField, g: DensityField, axis: str) -> float:
     """
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
-    if axis == "rho":
-        mf, _ = f.marginals()
-        mg, _ = g.marginals()
-        h = f.grid.h_rho
-    elif axis == "R":
-        _, mf = f.marginals()
-        _, mg = g.marginals()
-        h = f.grid.h_R
-    else:
-        raise ValueError("axis must be 'rho' or 'R'")
+    mf, _, h = _along(f, axis)
+    mg, _, _ = _along(g, axis)
     sf, sg = mf.sum(), mg.sum()
     if sf <= 0 or sg <= 0:
         raise ValueError("zero-mass marginal")
@@ -228,12 +228,7 @@ def wasserstein1_samples_vs_marginal(
     Evaluated as the L1 distance between the empirical CDF and the
     piecewise-linear grid CDF on a merged breakpoint set.
     """
-    if axis == "rho":
-        m, _ = f.marginals()
-        edges = f.grid.rho_faces
-    else:
-        _, m = f.marginals()
-        edges = f.grid.R_faces
+    m, edges, _ = _along(f, axis)
     m = m / m.sum()
     grid_cdf_at_edges = np.concatenate([[0.0], np.cumsum(m)])
     xs = np.sort(np.asarray(samples, dtype=float))

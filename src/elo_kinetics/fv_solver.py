@@ -31,13 +31,15 @@ class PositivityError(RuntimeError):
     """Raised when clipped negative mass exceeds the per-step budget."""
 
 
+_CLIP_BUDGET = 1e-8  # clipped mass per step above which evolve aborts
+
+
 @dataclass
 class SolverConfig:
     t_final: float
     dt: float | None = None  # None: pick from the CFL bound each step
     cfl_safety: float = 0.45
     splitting: Splitting = Splitting.RHO_FIRST
-    clip_budget: float = 1e-8
 
     def __post_init__(self):
         if not (0 < self.cfl_safety <= 1.0):
@@ -79,13 +81,6 @@ def cfl_limit(coeff: CoefficientField, grid: Grid2D, params: KernelParams) -> fl
     if params.sigma > 0:
         bounds.append(grid.h_rho**2 / params.sigma**2)
     return min(bounds) if bounds else np.inf
-
-
-def _step_size(grid: Grid2D, dt: float | None, cfl_safety: float, params: KernelParams,
-               coeff: CoefficientField) -> float:
-    """dt if fixed, else cfl_safety times the CFL bound of coeff (the current
-    coefficients)."""
-    return dt if dt is not None else cfl_safety * cfl_limit(coeff, grid, params)
 
 
 def _upwind_flux(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -242,11 +237,11 @@ def evolve(
     n_whole = _whole_steps(cfg)
     while (len(trace.times) < n_whole) if n_whole else (t < cfg.t_final - 1e-15):
         coeff = frozen if frozen is not None else a_field(f, params)
-        dt = _step_size(f.grid, cfg.dt, cfg.cfl_safety, params, coeff)
+        dt = cfg.dt if cfg.dt is not None else cfg.cfl_safety * cfl_limit(coeff, f.grid, params)
         if not n_whole:
             dt = min(dt, cfg.t_final - t)
         f = strang_step(f, dt, cfg, params, frozen, _coeff=coeff)
-        f, min_val, clipped = enforce_positivity(f, cfg.clip_budget)
+        f, min_val, clipped = enforce_positivity(f, _CLIP_BUDGET)
         t += dt
         trace.times.append(t)
         trace.masses.append(f.mass())

@@ -33,12 +33,13 @@ class AgentPopulation:
         return len(self.rho)
 
     @classmethod
-    def uniform_box(cls, n: int, seed: int, box=(0.0, 1.0, 0.0, 1.0)) -> "AgentPopulation":
+    def uniform_box(cls, n: int, seed: int) -> "AgentPopulation":
+        """n agents drawn uniformly on the unit square."""
         if n < 1:
             raise ValueError(f"population size must be positive, got {n}")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA6E7]))
-        rho = rng.uniform(box[0], box[1], size=n)
-        R = rng.uniform(box[2], box[3], size=n)
+        rho = rng.uniform(0.0, 1.0, size=n)
+        R = rng.uniform(0.0, 1.0, size=n)
         return cls(rho, R, seed)
 
     def copy_with(self, rho: np.ndarray, R: np.ndarray) -> "AgentPopulation":
@@ -73,6 +74,23 @@ class InteractionParams:
         return self.sigma_micro * np.sqrt(self.epsilon)
 
 
+def _match_update(rho_i, rho_j, R_i, R_j, u, z, p: InteractionParams, params: KernelParams):
+    """(R_i*, R_j*, rho_i*, rho_j*) after games of agents i against j, from
+    uniforms u (one per game) drawn before standard normals z (two per game).
+
+    The score S in {-1, +1} has mean b(rho_i - rho_j); the rating update is
+    zero sum, and both strengths gain the learning term plus a fluctuation.
+    """
+    drho = rho_i - rho_j
+    S = np.where(u < 0.5 * (1.0 + b_eval(drho, params)), 1.0, -1.0)
+    bR = b_eval(R_i - R_j, params)
+    gain = p.gamma_micro * p.alpha_eff
+    return (R_i + p.K_eff * (S - bR),
+            R_j + p.K_eff * (-S + bR),  # b is odd: b(R_j - R_i) = -b(R_i - R_j)
+            rho_i + gain * h1_eval(-drho, params) + p.sigma_eff * z[0],
+            rho_j + gain * h1_eval(drho, params) + p.sigma_eff * z[1])
+
+
 def play_match(
     i: int,
     j: int,
@@ -81,23 +99,11 @@ def play_match(
     params: KernelParams,
     rng: np.random.Generator,
 ) -> tuple[float, float, float, float]:
-    """One game between agents i and j; returns (R_i*, R_j*, rho_i*, rho_j*).
-
-    The score S in {-1, +1} has mean b(rho_i - rho_j); the rating update is
-    zero sum, and both strengths gain the learning term plus a fluctuation.
-    """
+    """One game between agents i and j; returns (R_i*, R_j*, rho_i*, rho_j*)."""
     if i == j:
         raise ValueError("an agent cannot play itself")
-    ri, rj = pop.rho[i], pop.rho[j]
-    Ri, Rj = pop.R[i], pop.R[j]
-    p_win = 0.5 * (1.0 + b_eval(ri - rj, params))
-    S = 1.0 if rng.random() < p_win else -1.0
-    Ri_new = Ri + p.K_eff * (S - b_eval(Ri - Rj, params))
-    Rj_new = Rj + p.K_eff * (-S - b_eval(Rj - Ri, params))
-    eta, eta_t = p.sigma_eff * rng.standard_normal(2)
-    ri_new = ri + p.gamma_micro * p.alpha_eff * h1_eval(rj - ri, params) + eta
-    rj_new = rj + p.gamma_micro * p.alpha_eff * h1_eval(ri - rj, params) + eta_t
-    return Ri_new, Rj_new, ri_new, rj_new
+    return _match_update(pop.rho[i], pop.rho[j], pop.R[i], pop.R[j],
+                         rng.random(), rng.standard_normal(2), p, params)
 
 
 def run_tournament(
@@ -114,6 +120,8 @@ def run_tournament(
     """
     if pop0.n % 2 != 0:
         raise ValueError("need an even number of agents for a full matching")
+    if rounds < 0:
+        raise ValueError(f"rounds must be nonnegative, got {rounds}")
     rho = pop0.rho.copy()
     R = pop0.R.copy()
     n = pop0.n
@@ -121,19 +129,9 @@ def run_tournament(
         rng = np.random.default_rng(np.random.SeedSequence([pop0.rng_seed, rnd]))
         perm = rng.permutation(n)
         ii, jj = perm[: n // 2], perm[n // 2:]
-        drho = rho[ii] - rho[jj]
-        dR = R[ii] - R[jj]
-        p_win = 0.5 * (1.0 + b_eval(drho, params))
-        S = np.where(rng.random(n // 2) < p_win, 1.0, -1.0)
-        bR = b_eval(dR, params)
-        R_i = R[ii] + p.K_eff * (S - bR)
-        R_j = R[jj] + p.K_eff * (-S + bR)  # b is odd: b(Rj-Ri) = -b(Ri-Rj)
-        gain = p.gamma_micro * p.alpha_eff
-        noise = p.sigma_eff * rng.standard_normal((2, n // 2))
-        rho_i = rho[ii] + gain * h1_eval(-drho, params) + noise[0]
-        rho_j = rho[jj] + gain * h1_eval(drho, params) + noise[1]
-        R[ii], R[jj] = R_i, R_j
-        rho[ii], rho[jj] = rho_i, rho_j
+        R[ii], R[jj], rho[ii], rho[jj] = _match_update(
+            rho[ii], rho[jj], R[ii], R[jj],
+            rng.random(n // 2), rng.standard_normal((2, n // 2)), p, params)
     return pop0.copy_with(rho, R)
 
 
@@ -167,6 +165,10 @@ def simulate_mean_field(
 ) -> AgentPopulation:
     """March the mean-field SDE to t_final with fixed-step Euler-Maruyama;
     t_final must be a whole number of steps dt."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not t_final >= 0:
+        raise ValueError(f"t_final must be nonnegative, got {t_final}")
     steps = t_final / dt
     n_steps = round(steps)
     if abs(steps - n_steps) > 1e-9 * abs(steps):

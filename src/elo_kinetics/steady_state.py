@@ -13,14 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import beta_norm, beta_norm_diff
-from .fv_solver import SolverConfig, _step_size, evolve
+from .fv_solver import SolverConfig, cfl_limit, evolve
 from .grid import DensityField
 from .kernels import CoefficientField, KernelParams, a_field
 
 # Unused here; bench/test_bench.py checks that the tracer patches these
 # copied bindings, so they stay bound until that list changes.
-from .fv_solver import cfl_limit, enforce_positivity, strang_step  # noqa: F401
+from .fv_solver import enforce_positivity, strang_step  # noqa: F401
 from .kernels import phi_beta  # noqa: F401
+
+_CHECK_EVERY = 100  # steps per residual check: Delta = _CHECK_EVERY * dt
 
 
 class NonConvergenceError(RuntimeError):
@@ -41,9 +43,6 @@ class FixedPointConfig:
     max_outer: int = 40
     beta: float = 0.1
     t_max: float = 20.0       # equilibration horizon per map evaluation
-    dt: float | None = None   # None: CFL-chosen
-    cfl_safety: float = 0.45
-    check_every: int = 100    # residual cadence, Delta = check_every * dt
     theta: float = 1.0        # damping: mu_{k+1} = (1-theta) mu_k + theta G(mu_k)
 
     def __post_init__(self):
@@ -69,15 +68,15 @@ def _equilibrate(
     params: KernelParams,
     frozen: CoefficientField | None,
 ) -> SteadyStateResult:
-    """March blocks of check_every steps until the discrete d_t proxy drops
-    below tol_state."""
+    """March blocks of _CHECK_EVERY steps (the CFL step at the block's start)
+    until the discrete d_t proxy drops below tol_state."""
     f = f0
     t = 0.0
     history: list[float] = []
     while t < cfg.t_max:
         coeff = frozen if frozen is not None else a_field(f, params)
-        dt = _step_size(f.grid, cfg.dt, cfg.cfl_safety, params, coeff)
-        delta = cfg.check_every * dt
+        dt = SolverConfig.cfl_safety * cfl_limit(coeff, f.grid, params)
+        delta = _CHECK_EVERY * dt
         block = SolverConfig(t_final=delta, dt=dt)
         f_next = evolve(f, block, params, frozen=frozen).final
         t += delta

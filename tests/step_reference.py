@@ -5,13 +5,17 @@ bitwise oracles (see test_step_oracle.py):
   before every sub-step and upwind/Scharfetter-Gummel kernels built from
   vp/vm temporaries;
 - the direct kernel sums before they were folded into `kernels.kernel_sum`:
-  `a1_of_density`, `a2_of_density` and the SDE's `_empirical_coefficient`.
+  `a1_of_density`, `a2_of_density` and the SDE's `_empirical_coefficient`;
+- the scalar game `play_match` and the vectorized tournament round of
+  `run_tournament`, each with its own copy of the match update, before both
+  were folded into one update.
 """
 import numpy as np
 
 import elo_kinetics as ek
 from elo_kinetics.fv_solver import CFLError, _bernoulli
-from elo_kinetics.kernels import _coeff_uniform, _validate_measure, b_eval
+from elo_kinetics.kernels import KernelParams, _coeff_uniform, _validate_measure, b_eval, h1_eval
+from elo_kinetics.particles import AgentPopulation, InteractionParams
 
 
 def a1_of_density(f, rho, params):
@@ -120,7 +124,71 @@ def evolve_auto(f, cfg, params):
         limit = ek.cfl_limit(a_field(f, params), f.grid, params)
         dt = min(cfg.cfl_safety * limit, cfg.t_final - t)
         f = strang_step(f, dt, cfg, params)
-        f, _, _ = ek.fv_solver.enforce_positivity(f, cfg.clip_budget)
+        f, _, _ = ek.fv_solver.enforce_positivity(f, ek.fv_solver._CLIP_BUDGET)
         t += dt
         times.append(t)
     return times, f
+
+
+def play_match(
+    i: int,
+    j: int,
+    pop: AgentPopulation,
+    p: InteractionParams,
+    params: KernelParams,
+    rng: np.random.Generator,
+) -> tuple[float, float, float, float]:
+    """One game between agents i and j; returns (R_i*, R_j*, rho_i*, rho_j*).
+
+    The score S in {-1, +1} has mean b(rho_i - rho_j); the rating update is
+    zero sum, and both strengths gain the learning term plus a fluctuation.
+    """
+    if i == j:
+        raise ValueError("an agent cannot play itself")
+    ri, rj = pop.rho[i], pop.rho[j]
+    Ri, Rj = pop.R[i], pop.R[j]
+    p_win = 0.5 * (1.0 + b_eval(ri - rj, params))
+    S = 1.0 if rng.random() < p_win else -1.0
+    Ri_new = Ri + p.K_eff * (S - b_eval(Ri - Rj, params))
+    Rj_new = Rj + p.K_eff * (-S - b_eval(Rj - Ri, params))
+    eta, eta_t = p.sigma_eff * rng.standard_normal(2)
+    ri_new = ri + p.gamma_micro * p.alpha_eff * h1_eval(rj - ri, params) + eta
+    rj_new = rj + p.gamma_micro * p.alpha_eff * h1_eval(ri - rj, params) + eta_t
+    return Ri_new, Rj_new, ri_new, rj_new
+
+
+def run_tournament(
+    pop0: AgentPopulation,
+    rounds: int,
+    p: InteractionParams,
+    params: KernelParams,
+) -> AgentPopulation:
+    """Play `rounds` rounds of uniformly matched games.
+
+    Each round pairs all agents with a uniform random perfect matching and
+    the pairs update simultaneously (vectorized over pairs). Macroscopic
+    time is rounds * epsilon.
+    """
+    if pop0.n % 2 != 0:
+        raise ValueError("need an even number of agents for a full matching")
+    rho = pop0.rho.copy()
+    R = pop0.R.copy()
+    n = pop0.n
+    for rnd in range(rounds):
+        rng = np.random.default_rng(np.random.SeedSequence([pop0.rng_seed, rnd]))
+        perm = rng.permutation(n)
+        ii, jj = perm[: n // 2], perm[n // 2:]
+        drho = rho[ii] - rho[jj]
+        dR = R[ii] - R[jj]
+        p_win = 0.5 * (1.0 + b_eval(drho, params))
+        S = np.where(rng.random(n // 2) < p_win, 1.0, -1.0)
+        bR = b_eval(dR, params)
+        R_i = R[ii] + p.K_eff * (S - bR)
+        R_j = R[jj] + p.K_eff * (-S + bR)  # b is odd: b(Rj-Ri) = -b(Ri-Rj)
+        gain = p.gamma_micro * p.alpha_eff
+        noise = p.sigma_eff * rng.standard_normal((2, n // 2))
+        rho_i = rho[ii] + gain * h1_eval(-drho, params) + noise[0]
+        rho_j = rho[jj] + gain * h1_eval(drho, params) + noise[1]
+        R[ii], R[jj] = R_i, R_j
+        rho[ii], rho[jj] = rho_i, rho_j
+    return pop0.copy_with(rho, R)

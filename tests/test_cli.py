@@ -67,6 +67,7 @@ def test_bad_value_is_config_error(tmp_path, monkeypatch):
     "solver.dt=0",
     "particles.n=-4",
     "particles.n=3",
+    "particles.rounds=-3",
     "sde.dt=0",
     "sde.t_final=-1",
     "sde.t_final=0.025",
@@ -187,6 +188,21 @@ def test_diagnose_on_steady_state_is_zero(tmp_path, monkeypatch):
     assert float(row["mass"]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_diagnose_rejects_densities_on_different_grids(tmp_path, monkeypatch, capsys):
+    paths = []
+    for n_R in (12, 14):
+        paths.append(tmp_path / f"f{n_R}.csv")
+        ek.DensityField.uniform(ek.Grid2D(0.0, 1.0, 0.0, 1.0, 12, n_R)).to_csv(paths[-1])
+    code, out = run_cli(tmp_path, monkeypatch,
+                        "--set", "defaults.accept=true",
+                        "--set", f"diagnose.f={paths[0]}",
+                        "--set", f"diagnose.f_inf={paths[1]}",
+                        "diagnose")
+    assert code == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()
+
+
 def test_fixedpoint_subcommand(tmp_path, monkeypatch):
     code, out = run_cli(tmp_path, monkeypatch,
                         "--set", "defaults.accept=true",
@@ -216,6 +232,10 @@ def test_compare_subcommand(tmp_path, monkeypatch):
 
 
 def test_compare_rejects_a_horizon_off_the_sde_step(tmp_path, monkeypatch, capsys):
+    def no_pde(*args, **kwargs):
+        raise AssertionError("the PDE ran before the SDE horizon was checked")
+
+    monkeypatch.setattr(cli, "evolve", no_pde)
     code, _ = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
                       "--set", "solver.t_final=0.025", "--set", "sde.dt=0.01",
                       "--set", "particles.n=10", "--set", "run.seed=1", "compare")

@@ -214,6 +214,15 @@ def test_w1_samples_vs_marginal_consistency():
     assert w1 == pytest.approx(0.5, abs=g.h_rho)
 
 
+@pytest.mark.parametrize("axis", ["bogus", "r", "", None])
+def test_w1_rejects_an_unknown_axis(axis):
+    f = ek.DensityField.uniform(ek.Grid2D.unit_square(8))
+    with pytest.raises(ValueError, match="axis"):
+        ek.wasserstein1_marginal(f, f, axis)
+    with pytest.raises(ValueError, match="axis"):
+        ek.wasserstein1_samples_vs_marginal(np.array([0.3, 0.6]), f, axis)
+
+
 def test_coefficient_continuity_bound(params):
     # ||a1[mu1]-a1[mu2]||_inf <= ||b||_inf * ||mu1-mu2||_TV, ||b||_inf = 1
     g = ek.Grid2D.unit_square(25)

@@ -235,7 +235,7 @@ def test_evolve_fixed_dt_takes_whole_steps(params):
     stepped = f
     for _ in range(100):
         stepped, _, _ = ek.fv_solver.enforce_positivity(
-            ek.strang_step(stepped, dt, cfg, params, frozen=frozen), cfg.clip_budget)
+            ek.strang_step(stepped, dt, cfg, params, frozen=frozen), ek.fv_solver._CLIP_BUDGET)
     assert len(trace.times) == 100
     assert trace.final.values.tobytes() == stepped.values.tobytes()
     # a t_final that is no multiple of dt is still hit exactly

@@ -1,10 +1,12 @@
-"""The lean Strang step and the folded kernel sums against the references in
-step_reference.py: the same bits for random densities, coefficients, time
-steps, query shapes and agent clouds, the CFL error on the same side of its
-threshold, and the convolutions a step makes."""
+"""The lean Strang step, the folded kernel sums and the folded match update
+against the references in step_reference.py: the same bits for random
+densities, coefficients, time steps, query shapes, agent clouds and games,
+the CFL error on the same side of its threshold, and the convolutions a step
+makes. Also: single sub-steps at admissible time steps conserve mass and
+stay nonnegative to roundoff."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import elo_kinetics as ek
 import step_reference as ref
@@ -225,3 +227,82 @@ def test_a_field_picks_a_back_end_per_axis(f, params, s_rho, s_R, shift):
         expected(target.R_centers, target.h_R, s_R, g.R_centers, m_R, ref.a2_of_density),
     ]
     assert [t.tobytes() for t in tables(coeff)] == [t.tobytes() for t in want]
+
+
+# -- single sub-steps at admissible dt ------------------------------------
+
+
+@SETTINGS
+@given(densities(), params_st, st.booleans(),
+       st.floats(0.0, 0.5, exclude_min=True) | st.just(0.5))
+def test_sub_steps_conserve_mass_and_stay_nonnegative(f, params, frozen, safety):
+    # admissible: dt = safety * cfl_limit with safety <= 0.5, the bound the
+    # auto-dt SolverConfig enforces; coefficients of f or of its reflection.
+    # Tolerances: mass to 1e-14 relative and cells above -1e-15 max f (in
+    # 20,000 random cases the worst mass drift was 7.8e-16 and no cell went
+    # below zero).
+    mu = f.copy_with(f.values[::-1, ::-1].copy()) if frozen else f
+    coeff = ek.a_field(mu, params)
+    limit = ek.cfl_limit(coeff, f.grid, params)
+    assume(np.isfinite(limit))
+    dt = safety * limit
+    for new in (ek.step_advect_R(f, coeff, dt), ek.step_drift_diffuse_rho(f, coeff, dt, params)):
+        assert abs(new.mass() - f.mass()) <= 1e-14 * f.mass()
+        assert new.values.min() >= -1e-15 * f.values.max()
+
+
+# -- the folded match update against the two copies it replaced ------------
+
+interaction_st = st.builds(
+    ek.InteractionParams,
+    K=st.sampled_from([0.01, 0.5, 1.0]),
+    gamma_micro=st.sampled_from([0.0, 0.5, 1.0]),
+    sigma_micro=st.sampled_from([0.0, 0.1, 1.0]),
+    alpha_learn=st.sampled_from([0.0, 1.0, 2.0]),
+    epsilon=st.sampled_from([1.0, 0.3, 0.01]),
+)
+
+
+@st.composite
+def populations(draw):
+    """An even population (n = 2 included) whose coordinates are drawn from
+    1-3 levels, so that agents coincide, or are all distinct; large scales
+    saturate tanh."""
+    n = draw(st.sampled_from([2, 4, 10, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 30.0]))
+    if draw(st.booleans()):
+        levels = scale * rng.normal(size=draw(st.integers(1, 3)))
+        rho, R = rng.choice(levels, size=n), rng.choice(levels, size=n)
+    else:
+        rho, R = scale * rng.normal(size=n), scale * rng.normal(size=n)
+    return ek.AgentPopulation(rho, R, draw(st.integers(0, 2**32 - 1)))
+
+
+PAIR = ek.AgentPopulation([0.3, 0.3], [0.7, 0.7], 5)  # n = 2, coincident
+GAME = ek.InteractionParams(K=0.5, gamma_micro=1.0, sigma_micro=0.1, alpha_learn=1.0)
+
+
+@SETTINGS
+@given(populations(), interaction_st, params_st, st.integers(0, 3))
+@example(PAIR, GAME, ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.TANH), 3)
+@example(PAIR, GAME, ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.LINEAR), 3)
+def test_tournament_matches_reference(pop, p, params, rounds):
+    new = ek.run_tournament(pop, rounds, p, params)
+    old = ref.run_tournament(pop, rounds, p, params)
+    assert new.rho.tobytes() == old.rho.tobytes()
+    assert new.R.tobytes() == old.R.tobytes()
+
+
+@SETTINGS
+@given(populations(), interaction_st, params_st, st.integers(0, 2**32 - 1))
+@example(PAIR, GAME, ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.TANH), 0)
+@example(PAIR, GAME, ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.LINEAR), 0)
+def test_play_match_matches_reference(pop, p, params, seed):
+    i, j = np.random.default_rng(seed).choice(pop.n, size=2, replace=False)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = ek.play_match(i, j, pop, p, params, rng_new)
+    old = ref.play_match(i, j, pop, p, params, rng_old)
+    assert [type(x) for x in new] == [type(x) for x in old]
+    assert np.array(new).tobytes() == np.array(old).tobytes()
+    assert rng_new.random() == rng_old.random()  # the same draws were taken
