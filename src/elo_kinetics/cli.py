@@ -177,23 +177,43 @@ def _population(cfg: dict[str, str]) -> AgentPopulation:
                   _get(cfg, "run.seed", int))
 
 
-def _initial_density(cfg: dict[str, str], grid: Grid2D) -> DensityField:
+_FILE_BOUND_TOL = 1e-3  # cells; from_csv rebuilds a file's bounds from its centers
+
+
+def _initial_density(cfg: dict[str, str]) -> DensityField:
+    """run.initial: the uniform density on the grid.* grid, or a CSV file
+    whose grid is its own and must agree with every grid.* key given."""
     init = cfg.get("run.initial", "uniform")
     if init == "uniform":
-        return DensityField.uniform(grid)
-    if init.startswith("file:"):
-        return _build(DensityField.from_csv, init[5:])
-    raise ConfigError(f"unknown run.initial '{init}'")
+        return DensityField.uniform(build_grid(cfg))
+    if not init.startswith("file:"):
+        raise ConfigError(f"unknown run.initial '{init}'")
+    path = init[5:]
+    f = _build(DensityField.from_csv, path)
+    g = f.grid
+    for key, cast, value, tol in (
+        ("grid.n_rho", int, g.n_rho, 0),
+        ("grid.n_R", int, g.n_R, 0),
+        ("grid.rho_min", float, g.rho_min, _FILE_BOUND_TOL * g.h_rho),
+        ("grid.rho_max", float, g.rho_max, _FILE_BOUND_TOL * g.h_rho),
+        ("grid.R_min", float, g.R_min, _FILE_BOUND_TOL * g.h_R),
+        ("grid.R_max", float, g.R_max, _FILE_BOUND_TOL * g.h_R),
+    ):
+        if key in cfg and not abs(_get(cfg, key, cast) - value) <= tol:
+            raise ConfigError(f"{key}={cfg[key]} disagrees with the grid of {path} ({value!r})")
+    if f.values.min() < 0 or f.mass() <= 0:
+        raise ConfigError(f"{path}: initial density has negative cells or zero mass")
+    return f
 
 
 def _pde_inputs(
     cfg: dict[str, str],
 ) -> tuple[KernelParams, SolverConfig, DensityField, float | None]:
-    """Model parameters, solver config, run.initial on the grid, and the
+    """Model parameters, solver config, run.initial, and the
     snapshot interval run.snapshot_every (None if unset)."""
     params = build_params(cfg)
     solver_cfg = build_solver_config(cfg)
-    f0 = _initial_density(cfg, build_grid(cfg))
+    f0 = _initial_density(cfg)
     snap = _get(cfg, "run.snapshot_every", float) if cfg.get("run.snapshot_every") else None
     return params, solver_cfg, f0, snap
 
@@ -230,7 +250,7 @@ def _fp_config(cfg: dict[str, str]) -> FixedPointConfig:
 def cmd_steady(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
     fp_cfg = _fp_config(cfg)
-    f0 = _initial_density(cfg, build_grid(cfg))
+    f0 = _initial_density(cfg)
     try:
         result = nonlinear_equilibrate(f0, fp_cfg, params)
     except NonConvergenceError as exc:
@@ -257,7 +277,7 @@ def _write_fixedpoint_log(result: SteadyStateResult, path: Path) -> None:
 def cmd_fixedpoint(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
     fp_cfg = _fp_config(cfg)
-    f0 = _initial_density(cfg, build_grid(cfg))
+    f0 = _initial_density(cfg)
     try:
         result = fixed_point_iterate(f0, fp_cfg, params)
     except NonConvergenceError as exc:
@@ -368,6 +388,8 @@ def _fig_config(cfg: dict[str, str], full: bool) -> dict[str, str]:
     else:
         base.update({"grid.n_rho": "200", "grid.n_R": "200",
                      "solver.dt": "auto", "solver.t_final": "0.8"})
+    if cfg.get("run.initial", "").startswith("file:"):  # the file's grid is the run's
+        base = {k: v for k, v in base.items() if not k.startswith("grid.")}
     base.update(cfg)
     return parse_config(None, [f"{k}={v}" for k, v in base.items()])
 

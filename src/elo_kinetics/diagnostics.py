@@ -196,11 +196,15 @@ def confinement_radii(
 
 
 def _along(f: DensityField, axis: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """(marginal, faces, spacing) of f along axis "rho" or "R"."""
+    """(marginal, faces, spacing) of f along axis "rho" or "R"; the marginal
+    must have positive mass."""
     k, g = {"rho": 0, "R": 1}.get(axis), f.grid
     if k is None:
         raise ValueError("axis must be 'rho' or 'R'")
-    return f.marginals()[k], (g.rho_faces, g.R_faces)[k], (g.h_rho, g.h_R)[k]
+    m = f.marginals()[k]
+    if not m.sum() > 0:
+        raise ValueError("zero-mass marginal")
+    return m, (g.rho_faces, g.R_faces)[k], (g.h_rho, g.h_R)[k]
 
 
 def wasserstein1_marginal(f: DensityField, g: DensityField, axis: str) -> float:
@@ -212,11 +216,8 @@ def wasserstein1_marginal(f: DensityField, g: DensityField, axis: str) -> float:
         raise ValueError("grid mismatch")
     mf, _, h = _along(f, axis)
     mg, _, _ = _along(g, axis)
-    sf, sg = mf.sum(), mg.sum()
-    if sf <= 0 or sg <= 0:
-        raise ValueError("zero-mass marginal")
-    cdf_f = np.cumsum(mf) / sf
-    cdf_g = np.cumsum(mg) / sg
+    cdf_f = np.cumsum(mf) / mf.sum()
+    cdf_g = np.cumsum(mg) / mg.sum()
     return float(np.sum(np.abs(cdf_f - cdf_g))) * h
 
 

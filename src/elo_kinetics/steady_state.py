@@ -1,33 +1,51 @@
 """Steady states of the rating model, three ways.
 
-G(mu) is realized by time-marching the frozen-coefficient linear equation
-to stationarity (the semigroup viewpoint; positivity and mass are inherited
-from the solver). Fixed points of G are steady states of the nonlinear
-equation; the fixed-point iteration is reported honestly when it does not
-converge, since the existence proof is non-constructive.
+G(mu) is the stationary state of the linear equation with coefficients
+frozen at mu, found directly: ordered by rho-row, the frozen semi-discrete
+generator is block tridiagonal, and block elimination gives its null vector
+(the hypocoercive equation's unique equilibrium, scaled to mu's mass).
+Fixed points of G are steady states of the nonlinear equation, which is
+also equilibrated directly by time-marching; the fixed-point iteration is
+reported honestly when it does not converge, since the existence proof is
+non-constructive.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import beta_norm, beta_norm_diff
-from .fv_solver import SolverConfig, cfl_limit, evolve
+from .fv_solver import (
+    PositivityError,
+    SolverConfig,
+    _bernoulli,
+    cfl_limit,
+    enforce_positivity,
+    evolve,
+    step_advect_R,
+    step_drift_diffuse_rho,
+)
 from .grid import DensityField
 from .kernels import CoefficientField, KernelParams, a_field
 
 # Unused here; bench/test_bench.py checks that the tracer patches these
 # copied bindings, so they stay bound until that list changes.
-from .fv_solver import enforce_positivity, strang_step  # noqa: F401
+from .fv_solver import strang_step  # noqa: F401
 from .kernels import phi_beta  # noqa: F401
 
 _CHECK_EVERY = 100  # steps per residual check: Delta = _CHECK_EVERY * dt
+# Relative roundoff level of the direct solve: a second singular value of the
+# last Schur complement below _ROUNDOFF times its largest means a null space
+# of dimension > 1 (G(mu) is not unique), and negative mass above _ROUNDOFF
+# times the mass is not roundoff.
+_ROUNDOFF = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
-    """`history` holds the residuals or map differences up to the failure;
-    `result` the partial result, where there is one."""
+    """`history` holds the residuals, map differences or singular values up
+    to the failure; `result` the partial result, where there is one."""
 
     def __init__(self, message: str, history: list[float],
                  result: SteadyStateResult | None = None):
@@ -38,11 +56,11 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class FixedPointConfig:
-    tol_state: float = 5e-4   # stationarity residual ||f_{t+D}-f_t||_beta / D
+    tol_state: float = 5e-4   # stationarity residual, ||L_mu f||_beta for G(mu)
     tol_map: float = 2e-3     # fixed-point tolerance ||mu_{k+1}-mu_k||_beta
     max_outer: int = 40
     beta: float = 0.1
-    t_max: float = 20.0       # equilibration horizon per map evaluation
+    t_max: float = 20.0       # equilibration horizon of nonlinear_equilibrate
     theta: float = 1.0        # damping: mu_{k+1} = (1-theta) mu_k + theta G(mu_k)
 
     def __post_init__(self):
@@ -62,23 +80,136 @@ class SteadyStateResult:
     moment_history: list[float] = field(default_factory=list)
 
 
-def _equilibrate(
-    f0: DensityField,
-    cfg: FixedPointConfig,
-    params: KernelParams,
-    frozen: CoefficientField | None,
+def _generator_blocks(coeff: CoefficientField, params: KernelParams):
+    """The frozen semi-discrete generator L, block row i of (L f) being
+    up[i-1] f[i-1] + A_i f[i] + down[i] f[i+1] over rho-rows f[i].
+
+    up[i] (down[i]) is the rate from rho-row i to i+1 (i+1 to i) of the
+    Scharfetter-Gummel flux of step_drift_diffuse_rho (donor-cell when
+    sigma = 0); A_i is the R-upwind tridiagonal of step_advect_R for row i
+    minus the row's rho out-rates, given as its diagonal, super- and
+    subdiagonal, one row of each array per rho-row.
+    """
+    grid = coeff.grid
+    D = 0.5 * params.sigma**2
+    v = -params.gamma * coeff.a1_at_rho_faces[1:-1]
+    if D > 0:
+        P = v * grid.h_rho / D
+        up, down = (D / grid.h_rho**2) * _bernoulli(-P), (D / grid.h_rho**2) * _bernoulli(P)
+    else:
+        up, down = np.maximum(v, 0.0) / grid.h_rho, np.maximum(-v, 0.0) / grid.h_rho
+    vR = coeff.a1_at_rho_centers[:, None] - coeff.a2_at_R_faces[None, 1:-1]
+    right, left = np.maximum(vR, 0.0) / grid.h_R, np.maximum(-vR, 0.0) / grid.h_R
+    diag = np.zeros((grid.n_rho, grid.n_R))
+    diag[:, :-1] -= right
+    diag[:, 1:] -= left
+    diag[:-1] -= up[:, None]
+    diag[1:] -= down[:, None]
+    return up, down, diag, left, right
+
+
+def _null_vector(coeff: CoefficientField,
+                 params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Null vector of the frozen generator, shape (n_rho, n_R), and the
+    singular values of the last Schur complement (descending).
+
+    Forward elimination S_0 = A_0, S_i = A_i - up[i-1] down[i-1] S_{i-1}^{-1}
+    leaves S_{n-1} f[n-1] = 0; back-substitution is
+    f[i] = -down[i] S_i^{-1} f[i+1]. Only every k-th S_i^{-1}, k ~ sqrt(n_rho),
+    is kept from the forward pass; each segment between two is recomputed
+    in the back pass, so memory is O(sqrt(n_rho) n_R^2) for twice the flops.
+    """
+    up, down, diag, left, right = _generator_blocks(coeff, params)
+    n, m = coeff.grid.n_rho, coeff.grid.n_R
+
+    def schur(i: int, prev_inv: np.ndarray | None) -> np.ndarray:
+        S = np.zeros((m, m)) if i == 0 else (-up[i - 1] * down[i - 1]) * prev_inv
+        S.flat[::m + 1] += diag[i]
+        S.flat[1::m + 1] += left[i]
+        S.flat[m::m + 1] += right[i]
+        return S
+
+    def schur_inv(i: int, prev_inv: np.ndarray | None) -> np.ndarray:
+        S = schur(i, prev_inv)
+        try:
+            return np.linalg.inv(S)
+        except np.linalg.LinAlgError:
+            raise NonConvergenceError(
+                f"frozen generator is reducible: Schur complement {i} is singular",
+                np.linalg.svd(S, compute_uv=False).tolist()) from None
+
+    k = max(1, math.isqrt(n))
+    saved: list[np.ndarray] = []  # S_i^{-1} for i = 0, k, 2k, ...
+    inv = None
+    for i in range(n - 1):
+        inv = schur_inv(i, inv)
+        if i % k == 0:
+            saved.append(inv)
+    _, sv, vt = np.linalg.svd(schur(n - 1, inv))
+    f = np.empty((n, m))
+    f[-1] = vt[-1]
+    while saved:
+        start = (len(saved) - 1) * k
+        invs = [saved.pop()]
+        for i in range(start + 1, min(start + k, n - 1)):
+            invs.append(schur_inv(i, invs[-1]))
+        for i in reversed(range(start, start + len(invs))):
+            f[i] = -down[i] * (invs[i - start] @ f[i + 1])
+    return f, sv
+
+
+def _generator_residual(f: DensityField, coeff: CoefficientField, beta: float,
+                        params: KernelParams) -> float:
+    """||L_mu f||_beta, with L_mu applied through the sub-step kernels as
+    (step(f, dt) - f) / dt, each an exact forward-Euler step of its part."""
+    dt = SolverConfig.cfl_safety * cfl_limit(coeff, f.grid, params)
+    Lf = step_advect_R(f, coeff, dt).values - f.values
+    Lf += step_drift_diffuse_rho(f, coeff, dt, params).values - f.values
+    return beta_norm(f.copy_with(Lf / dt), beta, params.gamma)
+
+
+def map_G(mu: DensityField, cfg: FixedPointConfig,
+          params: KernelParams) -> SteadyStateResult:
+    """Steady state of the linear equation with coefficients frozen at mu,
+    scaled to mu's mass; `residual` is ||L_mu G(mu)||_beta.
+
+    Raises NonConvergenceError when the stationary state is not unique (a
+    second near-zero singular value of the last Schur complement, as for a
+    reducible generator, e.g. sigma = 0), has negative mass beyond roundoff,
+    or misses tol_state.
+    """
+    coeff = a_field(mu, params)
+    x, sv = _null_vector(coeff, params)
+    if sv[-2] <= _ROUNDOFF * sv[0]:
+        raise NonConvergenceError(
+            "frozen generator is reducible: its null space has dimension > 1", sv.tolist())
+    x *= mu.mass() / (x.sum() * mu.grid.cell_area)
+    try:
+        f, _, _ = enforce_positivity(mu.copy_with(x), _ROUNDOFF * mu.mass())
+    except PositivityError as exc:
+        raise NonConvergenceError(
+            f"stationary state has negative mass: {exc}", sv.tolist()) from exc
+    res = _generator_residual(f, coeff, cfg.beta, params)
+    if not res < cfg.tol_state:
+        raise NonConvergenceError(
+            f"stationary residual {res:.3e} misses tol_state={cfg.tol_state}", [res])
+    return SteadyStateResult(f, res, beta_norm(f, cfg.beta, params.gamma), 0)
+
+
+def nonlinear_equilibrate(
+    f0: DensityField, cfg: FixedPointConfig, params: KernelParams
 ) -> SteadyStateResult:
-    """March blocks of _CHECK_EVERY steps (the CFL step at the block's start)
-    until the discrete d_t proxy drops below tol_state."""
+    """Reference steady state f_inf: direct equilibration of the nonlinear
+    equation from f0, marching blocks of _CHECK_EVERY steps (the CFL step at
+    the block's start) until the discrete d_t proxy
+    ||f_{t+Delta} - f_t||_beta / Delta drops below tol_state."""
     f = f0
     t = 0.0
     history: list[float] = []
     while t < cfg.t_max:
-        coeff = frozen if frozen is not None else a_field(f, params)
-        dt = SolverConfig.cfl_safety * cfl_limit(coeff, f.grid, params)
+        dt = SolverConfig.cfl_safety * cfl_limit(a_field(f, params), f.grid, params)
         delta = _CHECK_EVERY * dt
-        block = SolverConfig(t_final=delta, dt=dt)
-        f_next = evolve(f, block, params, frozen=frozen).final
+        f_next = evolve(f, SolverConfig(t_final=delta, dt=dt), params).final
         t += delta
         res = beta_norm_diff(f_next, f, cfg.beta, params.gamma) / delta
         history.append(res)
@@ -90,33 +221,14 @@ def _equilibrate(
     )
 
 
-def map_G(
-    mu: DensityField,
-    cfg: FixedPointConfig,
-    params: KernelParams,
-    initial_guess: DensityField | None = None,
-) -> SteadyStateResult:
-    """Steady state of the linear equation with coefficients frozen at mu."""
-    guess = initial_guess if initial_guess is not None else mu
-    return _equilibrate(guess, cfg, params, a_field(mu, params, guess.grid))
-
-
-def nonlinear_equilibrate(
-    f0: DensityField, cfg: FixedPointConfig, params: KernelParams
-) -> SteadyStateResult:
-    """Reference steady state f_inf: direct equilibration of the nonlinear
-    equation from f0."""
-    return _equilibrate(f0, cfg, params, None)
-
-
 def fixed_point_iterate(
     mu0: DensityField, cfg: FixedPointConfig, params: KernelParams
 ) -> SteadyStateResult:
     """Iterate mu_{k+1} = (1-theta) mu_k + theta G(mu_k) until the beta-norm
     difference falls below tol_map.
 
-    A NonConvergenceError, from the outer loop or from an inner
-    equilibration, carries the outer history so far as its `result`.
+    A NonConvergenceError, from the outer loop or from a map G, carries
+    the outer history so far as its `result`.
     """
     mu = mu0
     diffs: list[float] = []

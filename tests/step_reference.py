@@ -8,7 +8,10 @@ bitwise oracles (see test_step_oracle.py):
   `a1_of_density`, `a2_of_density` and the SDE's `_empirical_coefficient`;
 - the scalar game `play_match` and the vectorized tournament round of
   `run_tournament`, each with its own copy of the match update, before both
-  were folded into one update.
+  were folded into one update;
+- the map G as a march of the frozen-coefficient equation to stationarity
+  (`map_G`), before the direct block-tridiagonal solve replaced it; the
+  step's safety factor is an argument here, for dt-refinement.
 """
 import numpy as np
 
@@ -128,6 +131,38 @@ def evolve_auto(f, cfg, params):
         t += dt
         times.append(t)
     return times, f
+
+
+_CHECK_EVERY = 100  # steps per residual check: Delta = _CHECK_EVERY * dt
+
+
+def _equilibrate(f0, cfg, params, frozen, cfl_safety=ek.SolverConfig.cfl_safety):
+    """March blocks of _CHECK_EVERY steps (the CFL step at the block's start)
+    until the discrete d_t proxy drops below tol_state."""
+    f = f0
+    t = 0.0
+    history = []
+    while t < cfg.t_max:
+        coeff = frozen if frozen is not None else ek.a_field(f, params)
+        dt = cfl_safety * ek.cfl_limit(coeff, f.grid, params)
+        delta = _CHECK_EVERY * dt
+        block = ek.SolverConfig(t_final=delta, dt=dt)
+        f_next = ek.evolve(f, block, params, frozen=frozen).final
+        t += delta
+        res = ek.beta_norm_diff(f_next, f, cfg.beta, params.gamma) / delta
+        history.append(res)
+        f = f_next
+        if res < cfg.tol_state:
+            return ek.SteadyStateResult(f, res, ek.beta_norm(f, cfg.beta, params.gamma), 0)
+    raise ek.NonConvergenceError(
+        f"no stationarity within horizon t_max={cfg.t_max}", history
+    )
+
+
+def map_G(mu, cfg, params, initial_guess=None, cfl_safety=ek.SolverConfig.cfl_safety):
+    """Steady state of the linear equation with coefficients frozen at mu."""
+    guess = initial_guess if initial_guess is not None else mu
+    return _equilibrate(guess, cfg, params, ek.a_field(mu, params, guess.grid), cfl_safety)
 
 
 def play_match(

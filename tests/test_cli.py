@@ -84,6 +84,45 @@ def test_rejected_value_or_input_is_config_error(tmp_path, monkeypatch, capsys, 
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "fixedpoint"])
+@pytest.mark.parametrize("values", [np.zeros((8, 8)), np.eye(8) - 0.01],
+                         ids=["zero_mass", "negative_cell"])
+def test_unusable_initial_density_file_is_config_error(tmp_path, monkeypatch, capsys,
+                                                        command, values):
+    path = tmp_path / "f0.csv"
+    ek.DensityField(ek.Grid2D.unit_square(8), values).to_csv(path)
+    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
+                        "--set", f"run.initial=file:{path}",
+                        "--set", "grid.n_rho=8", "--set", "grid.n_R=8",
+                        "--set", "solver.t_final=0.01", command)
+    assert code == cli.EXIT_CONFIG
+    assert "negative cells or zero mass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, grid_keys, expected", [
+    ("solve", (), cli.EXIT_OK),  # the file's grid is the run's
+    ("repro-fig1", (), cli.EXIT_OK),  # and replaces the figure's default grid
+    ("solve", ("grid.n_rho=8", "grid.n_R=6", "grid.R_max=2"), cli.EXIT_OK),
+    ("solve", ("grid.n_rho=5",), cli.EXIT_CONFIG),
+    ("solve", ("grid.R_max=1",), cli.EXIT_CONFIG),
+    ("solve", ("grid.rho_min=0.01",), cli.EXIT_CONFIG),  # a tenth of a cell
+], ids=["no_keys", "no_keys_figure", "agreeing_keys", "other_count", "other_bound",
+        "bound_off_by_a_tenth_cell"])
+def test_grid_keys_must_agree_with_an_initial_density_file(tmp_path, monkeypatch, capsys,
+                                                            command, grid_keys, expected):
+    path = tmp_path / "f0.csv"
+    ek.DensityField.uniform(ek.Grid2D(0.0, 1.0, 0.0, 2.0, 8, 6)).to_csv(path)
+    overrides = [a for key in grid_keys for a in ("--set", key)]
+    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
+                        "--set", f"run.initial=file:{path}",
+                        "--set", "solver.t_final=0.01", *overrides, command)
+    assert code == expected
+    if expected == cli.EXIT_CONFIG:
+        assert "disagrees with the grid of" in capsys.readouterr().err
+    else:
+        assert ek.DensityField.from_csv(out / "final.csv").values.shape == (8, 6)
+
+
 def test_unstable_dt_is_cfl_abort(tmp_path, monkeypatch):
     code, _ = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
                       "--set", "solver.dt=1.0", "solve")
@@ -112,11 +151,12 @@ def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert log[0] == "outer_iter,norm_diff_beta,moment_beta,residual"
     assert len(log) == 1 + 2
     assert not (out / "fixed_point.csv").exists()
-    # an inner equilibration that fails keeps the (here empty) outer history
+    # a map G that fails (sigma = 0: the frozen generator is reducible)
+    # keeps the (here empty) outer history
     code, out = run_cli(tmp_path / "inner", monkeypatch,
                         "--set", "defaults.accept=true",
                         "--set", "grid.n_rho=20", "--set", "grid.n_R=20",
-                        "--set", "fixedpoint.t_max=0.05",
+                        "--set", "model.sigma=0",
                         "fixedpoint")
     assert code == cli.EXIT_NONCONV
     log = (out / "fixedpoint_log.csv").read_text().splitlines()

@@ -223,6 +223,17 @@ def test_w1_rejects_an_unknown_axis(axis):
         ek.wasserstein1_samples_vs_marginal(np.array([0.3, 0.6]), f, axis)
 
 
+@pytest.mark.parametrize("axis", ["rho", "R"])
+def test_w1_rejects_a_zero_mass_marginal(axis):
+    g = ek.Grid2D.unit_square(4)
+    zero, f = ek.DensityField(g, np.zeros((4, 4))), ek.DensityField.uniform(g)
+    for a, b in ((zero, f), (f, zero)):
+        with pytest.raises(ValueError, match="zero-mass marginal"):
+            ek.wasserstein1_marginal(a, b, axis)
+    with pytest.raises(ValueError, match="zero-mass marginal"):
+        ek.wasserstein1_samples_vs_marginal(np.array([0.3]), zero, axis)
+
+
 def test_coefficient_continuity_bound(params):
     # ||a1[mu1]-a1[mu2]||_inf <= ||b||_inf * ||mu1-mu2||_TV, ||b||_inf = 1
     g = ek.Grid2D.unit_square(25)

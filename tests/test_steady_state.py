@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import elo_kinetics as ek
+import step_reference
 from conftest import gaussian_blob
 
 
@@ -42,11 +43,32 @@ def test_map_g_uniqueness_two_guesses(params):
     g = ek.Grid2D.unit_square(50)
     mu = gaussian_blob(g, (0.4, 0.6), 0.16)
     cfg = ek.FixedPointConfig()
-    from_mu = ek.map_G(mu, cfg, params)
-    from_uniform = ek.map_G(mu, cfg, params,
-                            initial_guess=ek.DensityField.uniform(g))
+    # the frozen generator's null space is one-dimensional
+    _, sv = ek.steady_state._null_vector(ek.a_field(mu, params), params)
+    assert sv[-1] < 1e-12 * sv[0] and sv[-2] > 1e-3 * sv[0]
+    # the marched oracle reaches it from two initial guesses, up to O(dt)
+    direct = ek.map_G(mu, cfg, params).density
+    from_mu = step_reference.map_G(mu, cfg, params)
+    from_uniform = step_reference.map_G(mu, cfg, params,
+                                        initial_guess=ek.DensityField.uniform(g))
     d = ek.beta_norm_diff(from_mu.density, from_uniform.density, cfg.beta, params.gamma)
     assert d < 2.0 * cfg.tol_state
+    dt = ek.SolverConfig.cfl_safety * ek.cfl_limit(ek.a_field(mu, params), g, params)
+    for marched in (from_mu, from_uniform):
+        assert ek.beta_norm_diff(marched.density, direct, cfg.beta, params.gamma) < dt
+
+
+def test_map_g_marched_oracle_converges_at_first_order(params):
+    # halving dt halves the gap between the marched G and the direct solve
+    g = ek.Grid2D.unit_square(20)
+    mu = gaussian_blob(g, (0.4, 0.6), 0.16)
+    cfg = ek.FixedPointConfig(tol_state=1e-5, t_max=200.0)
+    direct = ek.map_G(mu, cfg, params).density
+    gaps = [ek.beta_norm_diff(step_reference.map_G(mu, cfg, params, cfl_safety=s).density,
+                              direct, cfg.beta, params.gamma)
+            for s in (0.45, 0.225, 0.1125)]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.8 < coarse / fine < 2.2
 
 
 def test_map_g_mass_and_moment_bounded(params):
@@ -73,6 +95,39 @@ def test_map_g_nonconvergence_reports_history(params):
     assert len(exc.value.history) >= 1
 
 
+@pytest.mark.parametrize("mu, reason", [
+    # rho-drift towards the middle rows from both sides: the middle row is
+    # closed, so its Schur complement is singular
+    (ek.DensityField.uniform(ek.Grid2D.unit_square(20)), r"Schur complement \d+ is singular"),
+    # all mass in the top row, symmetric in R: rho-drift up into that row,
+    # R-drift from both sides towards its middle face, whose velocity is 0
+    (ek.DensityField(ek.Grid2D.unit_square(20),
+                     np.outer(np.eye(20)[-1], np.r_[np.arange(1, 11), np.arange(10, 0, -1)])),
+     "null space has dimension > 1"),
+], ids=["singular_schur_complement", "two_null_vectors"])
+def test_map_g_without_diffusion_is_nonconvergence(mu, reason):
+    # sigma = 0: the frozen generator is reducible and G(mu) is not unique
+    params = ek.KernelParams(1.0, 1.0, 0.0)
+    with pytest.raises(ek.NonConvergenceError, match=reason) as exc:
+        ek.map_G(mu.normalized(), ek.FixedPointConfig(), params)
+    assert len(exc.value.history) == mu.grid.n_R  # the singular values
+
+
+def test_map_g_negative_stationary_state_is_nonconvergence(params, monkeypatch):
+    g = ek.Grid2D.unit_square(10)
+    real = ek.steady_state._null_vector
+
+    def sign_flipped(*args):
+        x, sv = real(*args)
+        x[:2] *= -1.0  # a few percent of the mass
+        return x, sv
+
+    monkeypatch.setattr(ek.steady_state, "_null_vector", sign_flipped)
+    with pytest.raises(ek.NonConvergenceError, match="negative mass") as exc:
+        ek.map_G(ek.DensityField.uniform(g), ek.FixedPointConfig(), params)
+    assert len(exc.value.history) == g.n_R
+
+
 def test_map_g_continuity_in_mu(params):
     g = ek.Grid2D.unit_square(50)
     mu1 = gaussian_blob(g, (0.5, 0.5), 0.14)
@@ -84,7 +139,7 @@ def test_map_g_continuity_in_mu(params):
     for eps in (1e-1, 1e-2, 1e-3):
         mu2 = mu1.copy_with(
             np.maximum(mu1.values + eps * zeta * mu1.values.max(), 0.0)).normalized()
-        G2 = ek.map_G(mu2, cfg, params, initial_guess=G1).density
+        G2 = ek.map_G(mu2, cfg, params).density
         diffs.append(ek.beta_norm_diff(G1, G2, cfg.beta, params.gamma))
     assert diffs[0] > diffs[1] > diffs[2]
 
