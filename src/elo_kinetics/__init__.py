@@ -17,11 +17,11 @@ from .kernels import (
     quadratic_form,
 )
 from .fv_solver import (
+    CFL_SAFETY,
     CFLError,
     EvolutionTrace,
     PositivityError,
     SolverConfig,
-    Splitting,
     cfl_limit,
     evolve,
     step_advect_R,

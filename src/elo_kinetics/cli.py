@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from .diagnostics import (
     relative_energy,
     wasserstein1_samples_vs_marginal,
 )
-from .fv_solver import CFLError, PositivityError, SolverConfig, Splitting, evolve
+from .fv_solver import CFLError, PositivityError, SolverConfig, evolve
 from .grid import DensityField, Grid2D
 from .kernels import KernelKind, KernelParams, LyapunovWeight
 from .particles import AgentPopulation, InteractionParams, run_tournament, simulate_mean_field
@@ -42,15 +43,15 @@ EXIT_CONFIG = 2
 EXIT_CFL = 3
 EXIT_NONCONV = 4
 
+_SDE_DT = 0.01  # sde.dt when unset
+
 # documented defaults, applied only when the config opts in (defaults.accept)
 DEFAULTS = {
     "model.c": "1.0",
     "model.gamma": "1.0",
     "model.sigma": repr(math.sqrt(0.1)),  # sigma^2/2 = 0.05
-    "model.beta": "0.1",
+    "model.beta": repr(FixedPointConfig.beta),
     "model.kernel": "tanh",
-    "solver.cfl_safety": "0.45",
-    "solver.splitting": "rho_first",
 }
 
 
@@ -83,6 +84,11 @@ def parse_config(path: str | None, overrides: list[str]) -> dict[str, str]:
             raise ConfigError(f"override '{item}': expected key=value")
         key, _, value = item.partition("=")
         cfg[key.strip()] = value.strip()
+    # checked for every command, so that no manifest records a solver key that nothing reads
+    unknown = sorted({k for k in cfg if k.startswith("solver.")} - {"solver.t_final", "solver.dt"})
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(unknown)}: "
+                          "the solver reads only solver.t_final and solver.dt")
     if cfg.get("defaults.accept", "false").lower() in ("1", "true", "yes"):
         for key, value in DEFAULTS.items():
             cfg.setdefault(key, value)
@@ -128,8 +134,6 @@ def build_solver_config(cfg: dict[str, str]) -> SolverConfig:
         SolverConfig,
         t_final=_get(cfg, "solver.t_final", float),
         dt=None if auto else _get(cfg, "solver.dt", float),
-        cfl_safety=_get(cfg, "solver.cfl_safety", float, 0.45),
-        splitting=_get(cfg, "solver.splitting", Splitting, Splitting.RHO_FIRST),
     )
 
 
@@ -236,15 +240,14 @@ def cmd_solve(cfg: dict[str, str], outdir: Path) -> int:
 
 
 def _fp_config(cfg: dict[str, str]) -> FixedPointConfig:
-    return _build(
-        FixedPointConfig,
-        tol_state=_get(cfg, "fixedpoint.tol_state", float, 5e-4),
-        tol_map=_get(cfg, "fixedpoint.tol_map", float, 2e-3),
-        max_outer=_get(cfg, "fixedpoint.max_outer", int, 40),
-        beta=_get(cfg, "model.beta", float, 0.1),
-        t_max=_get(cfg, "fixedpoint.t_max", float, 20.0),
-        theta=_get(cfg, "fixedpoint.theta", float, 1.0),
-    )
+    """Field `beta` from model.beta, every other field x from fixedpoint.x;
+    a field whose key is unset keeps its default."""
+    given = {}
+    for fld in dataclasses.fields(FixedPointConfig):
+        key = "model.beta" if fld.name == "beta" else f"fixedpoint.{fld.name}"
+        if key in cfg:
+            given[fld.name] = _get(cfg, key, type(fld.default))
+    return _build(FixedPointConfig, **given)
 
 
 def cmd_steady(cfg: dict[str, str], outdir: Path) -> int:
@@ -296,7 +299,7 @@ def _interaction(cfg: dict[str, str], params: KernelParams) -> InteractionParams
         gamma_micro=_get(cfg, "particles.gamma_micro", float, params.gamma),
         sigma_micro=_get(cfg, "particles.sigma_micro", float, params.sigma),
         alpha_learn=_get(cfg, "particles.alpha_learn", float, params.gamma),
-        epsilon=_get(cfg, "particles.epsilon", float, 1.0),
+        epsilon=_get(cfg, "particles.epsilon", float, InteractionParams.epsilon),
     )
 
 
@@ -318,7 +321,7 @@ def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
     pop0 = _population(cfg)
     t_final = _get(cfg, "sde.t_final", float)
-    dt = _get(cfg, "sde.dt", float, 0.01)
+    dt = _get(cfg, "sde.dt", float, _SDE_DT)
     pop = _build(simulate_mean_field, pop0, t_final, dt, params)
     write_agents_csv(pop, outdir / "agents.csv")
     (outdir / "run_metadata.json").write_text(json.dumps({
@@ -329,7 +332,7 @@ def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
 
 def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
-    beta = _get(cfg, "model.beta", float, 0.1)
+    beta = _get(cfg, "model.beta", float, FixedPointConfig.beta)
     f = _build(DensityField.from_csv, _get(cfg, "diagnose.f", str))
     f_inf = _build(DensityField.from_csv, _get(cfg, "diagnose.f_inf", str))
     if f.grid != f_inf.grid:
@@ -364,7 +367,7 @@ def cmd_compare(cfg: dict[str, str], outdir: Path) -> int:
     params, solver_cfg, f0, snap = _pde_inputs(cfg)
     # the SDE runs first, so that a horizon off its step exits before the PDE is paid for
     pop = _build(simulate_mean_field, _population(cfg), solver_cfg.t_final,
-                 _get(cfg, "sde.dt", float, 0.01), params)
+                 _get(cfg, "sde.dt", float, _SDE_DT), params)
     trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     w1_rho = wasserstein1_samples_vs_marginal(pop.rho, trace.final, "rho")
     w1_R = wasserstein1_samples_vs_marginal(pop.R, trace.final, "R")
@@ -399,7 +402,7 @@ def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> int:
     cfg.setdefault("run.snapshot_every", "0.02")
     params, solver_cfg, f0, snap = _pde_inputs(cfg)
     trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
-    weight = LyapunovWeight(_get(cfg, "model.beta", float, 0.1), params.gamma)
+    weight = LyapunovWeight(_get(cfg, "model.beta", float, FixedPointConfig.beta), params.gamma)
     f_inf = trace.final
     _write_csv(outdir / "energies.csv", ["t", "E_phi_beta", "E_inv_finf"], (
         [f"{t:.17g}",

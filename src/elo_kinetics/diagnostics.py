@@ -116,8 +116,10 @@ def lyapunov_drift_check(
     """Fit the drift inequality L* phi <= -lambda phi + A 1_{|(rho,R)| <= B}.
 
     B_hat is the smallest tabulated radius outside of which the generator
-    ratio is strictly negative; lambda_hat the margin there. Violations are
-    cells outside exterior_ball where the ratio is nonnegative.
+    ratio is strictly negative; lambda_hat the margin there. Where no such
+    radius is tabulated, B_hat is the outermost one and lambda_hat is 0.
+    Violations are cells outside exterior_ball where the ratio is
+    nonnegative.
     """
     g = eval_grid if eval_grid is not None else mu.grid
     P, Q = np.meshgrid(g.rho_centers, g.R_centers, indexing="ij")
@@ -128,19 +130,17 @@ def lyapunov_drift_check(
     order = np.argsort(r_flat)
     r_sorted = r_flat[order]
     g_sorted = g_flat[order]
-    # suffix max of the generator ratio over cells at radius >= r
-    suffix_max = np.maximum.accumulate(g_sorted[::-1])[::-1]
-    outside_neg = np.empty_like(suffix_max)
-    outside_neg[:-1] = suffix_max[1:]
-    outside_neg[-1] = -np.inf
-    negative = outside_neg < 0
+    # max of the generator ratio over the cells sorted after each one (the
+    # outermost cell has none)
+    outside_max = np.maximum.accumulate(g_sorted[::-1])[::-1][1:]
+    negative = outside_max < 0
     if not negative.any():
         B_hat = float(r_sorted[-1])
         lambda_hat = 0.0
     else:
         idx = int(np.argmax(negative))
         B_hat = float(r_sorted[idx])
-        lambda_hat = float(-outside_neg[idx])
+        lambda_hat = float(-outside_max[idx])
     phi = phi_beta(P, Q, w)
     A_hat = float(np.max((ratio + lambda_hat) * phi))
     exterior = radius > exterior_ball

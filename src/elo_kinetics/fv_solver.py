@@ -9,18 +9,12 @@ exactly per step.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import DensityField, Grid2D
 from .kernels import CoefficientField, KernelParams, a_field
-
-
-class Splitting(enum.Enum):
-    RHO_FIRST = "rho_first"
-    R_FIRST = "R_first"
 
 
 class CFLError(RuntimeError):
@@ -32,21 +26,18 @@ class PositivityError(RuntimeError):
 
 
 _CLIP_BUDGET = 1e-8  # clipped mass per step above which evolve aborts
+# Fraction of cfl_limit taken as the automatic step. It must stay <= 0.5:
+# Scharfetter-Gummel positivity needs dt*(2D/h^2 + |v|/h) <= 1, and
+# cfl_limit bounds the parabolic and the drift term separately.
+CFL_SAFETY = 0.45
 
 
 @dataclass
 class SolverConfig:
     t_final: float
-    dt: float | None = None  # None: pick from the CFL bound each step
-    cfl_safety: float = 0.45
-    splitting: Splitting = Splitting.RHO_FIRST
+    dt: float | None = None  # None: CFL_SAFETY times the CFL bound, each step
 
     def __post_init__(self):
-        if not (0 < self.cfl_safety <= 1.0):
-            raise ValueError("cfl_safety must be in (0, 1]")
-        if self.cfl_safety > 0.5 and self.dt is None:
-            # SG positivity needs dt*(2D/h^2 + |v|/h) <= 1; safety <= 0.5 guarantees it
-            raise ValueError("cfl_safety above 0.5 is not positivity-safe")
         if not self.t_final >= 0:
             raise ValueError("t_final must be nonnegative")
         if self.dt is not None and not self.dt > 0:
@@ -117,7 +108,8 @@ def _bernoulli(x: np.ndarray) -> np.ndarray:
     small = np.abs(x) < 1e-10
     out[small] = 1.0 - 0.5 * x[small]
     xs = x[~small]
-    out[~small] = xs / np.expm1(xs)
+    with np.errstate(over="ignore"):  # x > ~709: expm1 is inf and B is 0, as it should be
+        out[~small] = xs / np.expm1(xs)
     return out
 
 
@@ -153,19 +145,19 @@ def step_drift_diffuse_rho(
 def strang_step(
     f: DensityField,
     dt: float,
-    cfg: SolverConfig,
     params: KernelParams,
     frozen: CoefficientField | None = None,
     *,
     _coeff: CoefficientField | None = None,
 ) -> DensityField:
-    """Symmetric split step: half A, full B, half A.
+    """Symmetric split step: half rho, full R, half rho (the stiff rho
+    operator takes the halves).
 
-    Default order puts the stiff rho operator in the halves. Coefficients
-    are recomputed from the current state before every sub-step, unless
-    `frozen` supplies them (the linear equation with coefficients frozen at
-    a measure). `_coeff` is private to `evolve`: the coefficients it already
-    tabulated from this `f` to choose `dt`, reused by the first sub-step.
+    Coefficients are recomputed from the current state before every
+    sub-step, unless `frozen` supplies them (the linear equation with
+    coefficients frozen at a measure). `_coeff` is private to `evolve`: the
+    coefficients it already tabulated from this `f` to choose `dt`, reused
+    by the first sub-step.
     """
     if dt == 0:
         return f
@@ -173,16 +165,9 @@ def strang_step(
     def coeff(g: DensityField) -> CoefficientField:
         return frozen if frozen is not None else a_field(g, params)
 
-    first = _coeff if _coeff is not None else coeff(f)
-    if cfg.splitting is Splitting.RHO_FIRST:
-        f = step_drift_diffuse_rho(f, first, dt / 2, params)
-        f = step_advect_R(f, coeff(f), dt)
-        f = step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
-    else:
-        f = step_advect_R(f, first, dt / 2)
-        f = step_drift_diffuse_rho(f, coeff(f), dt, params)
-        f = step_advect_R(f, coeff(f), dt / 2)
-    return f
+    f = step_drift_diffuse_rho(f, _coeff if _coeff is not None else coeff(f), dt / 2, params)
+    f = step_advect_R(f, coeff(f), dt)
+    return step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
 
 
 def enforce_positivity(f: DensityField, clip_budget: float) -> tuple[DensityField, float, float]:
@@ -237,10 +222,10 @@ def evolve(
     n_whole = _whole_steps(cfg)
     while (len(trace.times) < n_whole) if n_whole else (t < cfg.t_final - 1e-15):
         coeff = frozen if frozen is not None else a_field(f, params)
-        dt = cfg.dt if cfg.dt is not None else cfg.cfl_safety * cfl_limit(coeff, f.grid, params)
+        dt = cfg.dt if cfg.dt is not None else CFL_SAFETY * cfl_limit(coeff, f.grid, params)
         if not n_whole:
             dt = min(dt, cfg.t_final - t)
-        f = strang_step(f, dt, cfg, params, frozen, _coeff=coeff)
+        f = strang_step(f, dt, params, frozen, _coeff=coeff)
         f, min_val, clipped = enforce_positivity(f, _CLIP_BUDGET)
         t += dt
         trace.times.append(t)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .diagnostics import beta_norm, beta_norm_diff
 from .fv_solver import (
+    CFL_SAFETY,
     PositivityError,
     SolverConfig,
     _bernoulli,
@@ -162,7 +163,7 @@ def _generator_residual(f: DensityField, coeff: CoefficientField, beta: float,
                         params: KernelParams) -> float:
     """||L_mu f||_beta, with L_mu applied through the sub-step kernels as
     (step(f, dt) - f) / dt, each an exact forward-Euler step of its part."""
-    dt = SolverConfig.cfl_safety * cfl_limit(coeff, f.grid, params)
+    dt = CFL_SAFETY * cfl_limit(coeff, f.grid, params)
     Lf = step_advect_R(f, coeff, dt).values - f.values
     Lf += step_drift_diffuse_rho(f, coeff, dt, params).values - f.values
     return beta_norm(f.copy_with(Lf / dt), beta, params.gamma)
@@ -207,7 +208,7 @@ def nonlinear_equilibrate(
     t = 0.0
     history: list[float] = []
     while t < cfg.t_max:
-        dt = SolverConfig.cfl_safety * cfl_limit(a_field(f, params), f.grid, params)
+        dt = CFL_SAFETY * cfl_limit(a_field(f, params), f.grid, params)
         delta = _CHECK_EVERY * dt
         f_next = evolve(f, SolverConfig(t_final=delta, dt=dt), params).final
         t += delta
@@ -271,17 +272,17 @@ def fixed_point_iterate(
 
 def moment_map_exponent(
     family: list[DensityField],
-    beta: float,
     params: KernelParams,
     cfg: FixedPointConfig,
 ) -> float:
-    """Empirical exponent eta_hat: slope of log moment(G(mu)) vs log moment(mu).
+    """Empirical exponent eta_hat: slope of log moment(G(mu)) vs log moment(mu),
+    both moments the cfg.beta-norm.
 
     eta_hat < 1 is the preserved-moment-set mechanism.
     """
     if len(family) < 3:
         raise ValueError("family must have at least 3 members")
-    Ms = np.array([beta_norm(mu, beta, params.gamma) for mu in family])
+    Ms = np.array([beta_norm(mu, cfg.beta, params.gamma) for mu in family])
     logM = np.log(Ms)
     if np.ptp(logM) < 1e-8:
         raise ValueError("degenerate family: moments are not distinct")

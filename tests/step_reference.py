@@ -3,7 +3,8 @@ bitwise oracles (see test_step_oracle.py):
 
 - the Strang step as first written: eager four-array coefficient tabulation
   before every sub-step and upwind/Scharfetter-Gummel kernels built from
-  vp/vm temporaries;
+  vp/vm temporaries; it keeps the R-first order (half R, full rho, half R)
+  that the package no longer offers, for comparing the two orders;
 - the direct kernel sums before they were folded into `kernels.kernel_sum`:
   `a1_of_density`, `a2_of_density` and the SDE's `_empirical_coefficient`;
 - the scalar game `play_match` and the vectorized tournament round of
@@ -102,14 +103,14 @@ def step_drift_diffuse_rho(f, coeff, dt, params):
     return f.copy_with(new)
 
 
-def strang_step(f, dt, cfg, params, frozen=None):
+def strang_step(f, dt, params, frozen=None, r_first=False):
     if dt == 0:
         return f
 
     def coeff(g):
         return frozen if frozen is not None else a_field(g, params)
 
-    if cfg.splitting is ek.Splitting.RHO_FIRST:
+    if not r_first:
         f = step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
         f = step_advect_R(f, coeff(f), dt)
         f = step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
@@ -125,8 +126,8 @@ def evolve_auto(f, cfg, params):
     t, times = 0.0, []
     while t < cfg.t_final - 1e-15:
         limit = ek.cfl_limit(a_field(f, params), f.grid, params)
-        dt = min(cfg.cfl_safety * limit, cfg.t_final - t)
-        f = strang_step(f, dt, cfg, params)
+        dt = min(ek.CFL_SAFETY * limit, cfg.t_final - t)
+        f = strang_step(f, dt, params)
         f, _, _ = ek.fv_solver.enforce_positivity(f, ek.fv_solver._CLIP_BUDGET)
         t += dt
         times.append(t)
@@ -136,7 +137,7 @@ def evolve_auto(f, cfg, params):
 _CHECK_EVERY = 100  # steps per residual check: Delta = _CHECK_EVERY * dt
 
 
-def _equilibrate(f0, cfg, params, frozen, cfl_safety=ek.SolverConfig.cfl_safety):
+def _equilibrate(f0, cfg, params, frozen, cfl_safety=ek.CFL_SAFETY):
     """March blocks of _CHECK_EVERY steps (the CFL step at the block's start)
     until the discrete d_t proxy drops below tol_state."""
     f = f0
@@ -159,7 +160,7 @@ def _equilibrate(f0, cfg, params, frozen, cfl_safety=ek.SolverConfig.cfl_safety)
     )
 
 
-def map_G(mu, cfg, params, initial_guess=None, cfl_safety=ek.SolverConfig.cfl_safety):
+def map_G(mu, cfg, params, initial_guess=None, cfl_safety=ek.CFL_SAFETY):
     """Steady state of the linear equation with coefficients frozen at mu."""
     guess = initial_guess if initial_guess is not None else mu
     return _equilibrate(guess, cfg, params, ek.a_field(mu, params, guess.grid), cfl_safety)

@@ -147,12 +147,11 @@ def test_criterion_06_fixed_point_consistency(fig_run, f_inf, params_base, grid2
         cfg = ek.FixedPointConfig(t_max=25.0)
         # the shared run is a valid nonlinear_equilibrate output: verify its
         # stationarity residual meets tol_state before using it as reference
-        solver_cfg = ek.SolverConfig(t_final=np.inf)
         f = f_inf
         coeff = ek.a_field(f, params_base)
         dt = 0.45 * ek.cfl_limit(coeff, grid200, params_base)
         for _ in range(100):
-            f = ek.strang_step(f, dt, solver_cfg, params_base)
+            f = ek.strang_step(f, dt, params_base)
         residual = ek.beta_norm_diff(f, f_inf, cfg.beta, params_base.gamma) / (100 * dt)
         assert residual < cfg.tol_state
 

@@ -61,6 +61,8 @@ def test_bad_value_is_config_error(tmp_path, monkeypatch):
 @pytest.mark.parametrize("override", [
     "solver.dt=abc",
     "solver.splitting=xx",
+    "solver.splitting=rho_first",  # no solver key but t_final and dt is read
+    "solver.cfl_safety=0.45",
     "model.c=-1",
     "grid.n_rho=0",
     "run.initial=file:{tmp}/missing.csv",
@@ -82,6 +84,16 @@ def test_rejected_value_or_input_is_config_error(tmp_path, monkeypatch, capsys, 
                       "--set", override.format(tmp=tmp_path), command)
     assert code == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_unknown_solver_key_is_config_error_for_every_command(tmp_path, monkeypatch, capsys,
+                                                               command):
+    code, out = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
+                        "--set", "solver.cfl_safety=0.3", command)
+    assert code == cli.EXIT_CONFIG
+    assert "config error: unknown key solver.cfl_safety" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the manifest is written
 
 
 @pytest.mark.parametrize("command", ["solve", "fixedpoint"])
@@ -226,6 +238,25 @@ def test_diagnose_on_steady_state_is_zero(tmp_path, monkeypatch):
     assert float(row["E_inv_finf"]) == 0.0
     assert float(row["beta_norm_diff"]) == 0.0
     assert float(row["mass"]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_diagnose_drift_check_writes_finite_json(tmp_path, monkeypatch):
+    # on this small box around the origin the generator ratio is nonnegative
+    # out to the outermost cell, so no radius has a negative exterior
+    path = tmp_path / "f.csv"
+    ek.DensityField.uniform(ek.Grid2D(-0.05, 0.05, -0.05, 0.05, 5, 5)).to_csv(path)
+    code, out = run_cli(tmp_path, monkeypatch,
+                        "--set", "defaults.accept=true",
+                        "--set", f"diagnose.f={path}", "--set", f"diagnose.f_inf={path}",
+                        "--set", "diagnose.drift_check=true", "diagnose")
+    assert code == cli.EXIT_OK
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    result = json.loads((out / "drift_check.json").read_text(), parse_constant=reject)
+    assert result["lambda_hat"] == 0.0
+    assert result["B_hat"] == pytest.approx(np.hypot(0.04, 0.04))
 
 
 def test_diagnose_rejects_densities_on_different_grids(tmp_path, monkeypatch, capsys):

@@ -125,6 +125,23 @@ def test_drift_check_far_field_negative(params):
     assert res.B_hat > 0.0
 
 
+def test_drift_check_without_a_negative_exterior(params):
+    # uniform mu, evaluated near the origin: the generator ratio is
+    # nonnegative out to the outermost cell, so B_hat is that cell's radius
+    # and no margin is left
+    mu = ek.DensityField.uniform(ek.Grid2D.unit_square(20))
+    w = ek.LyapunovWeight(0.1, 1.0)
+    eval_grid = ek.Grid2D(-0.05, 0.05, -0.05, 0.05, 5, 5)
+    P, Q = np.meshgrid(eval_grid.rho_centers, eval_grid.R_centers, indexing="ij")
+    ratio = ek.generator_on_weight(mu, w, params, P, Q)
+    assert ratio[0, 0] >= 0.0  # a corner cell, at the outermost radius
+    res = ek.lyapunov_drift_check(mu, w, params, exterior_ball=1.0, eval_grid=eval_grid)
+    assert res.lambda_hat == 0.0
+    assert res.B_hat == np.hypot(P, Q).max()
+    assert res.A_hat == np.max(ratio * ek.phi_beta(P, Q, w))
+    assert res.violation_fraction == 0.0  # no cell lies outside the ball
+
+
 def test_drift_check_fitted_lambda_shrinks_with_beta(params):
     g = ek.Grid2D.centered_box(3.0, 40)
     mu = gaussian_blob(g, (0.0, 0.0), 0.4)

@@ -53,7 +53,7 @@ def test_map_g_uniqueness_two_guesses(params):
                                         initial_guess=ek.DensityField.uniform(g))
     d = ek.beta_norm_diff(from_mu.density, from_uniform.density, cfg.beta, params.gamma)
     assert d < 2.0 * cfg.tol_state
-    dt = ek.SolverConfig.cfl_safety * ek.cfl_limit(ek.a_field(mu, params), g, params)
+    dt = ek.CFL_SAFETY * ek.cfl_limit(ek.a_field(mu, params), g, params)
     for marched in (from_mu, from_uniform):
         assert ek.beta_norm_diff(marched.density, direct, cfg.beta, params.gamma) < dt
 
@@ -233,7 +233,7 @@ def test_nonlinear_equilibrate_stationarity(params):
     # one further step moves the state by less than tol_state * dt in L1
     coeff = ek.a_field(f, params)
     dt = 0.45 * ek.cfl_limit(coeff, g, params)
-    stepped = ek.strang_step(f, dt, ek.SolverConfig(t_final=dt), params)
+    stepped = ek.strang_step(f, dt, params)
     l1 = np.abs(stepped.values - f.values).sum() * g.cell_area
     assert l1 < cfg.tol_state * dt
 
@@ -254,21 +254,21 @@ def test_moment_exponent_rejects_small_family(params):
     g = ek.Grid2D.unit_square(20)
     fam = [ek.DensityField.uniform(g)] * 2
     with pytest.raises(ValueError):
-        ek.moment_map_exponent(fam, 0.1, params, ek.FixedPointConfig())
+        ek.moment_map_exponent(fam, params, ek.FixedPointConfig())
 
 
 def test_moment_exponent_rejects_degenerate_family(params):
     g = ek.Grid2D.unit_square(20)
     fam = [ek.DensityField.uniform(g) for _ in range(3)]  # identical moments
     with pytest.raises(ValueError):
-        ek.moment_map_exponent(fam, 0.1, params, ek.FixedPointConfig())
+        ek.moment_map_exponent(fam, params, ek.FixedPointConfig())
 
 
 def test_moment_exponent_linear_mode_near_zero(linear_params):
     g = ek.Grid2D(-2.0, 2.0, -2.0, 2.0, 80, 80)
     fam = [gaussian_blob(g, (0.0, 0.0), s) for s in (0.2, 0.4, 0.6, 0.8)]
     cfg = ek.FixedPointConfig(tol_state=2e-4, t_max=40.0)
-    eta = ek.moment_map_exponent(fam, 0.1, linear_params, cfg)
+    eta = ek.moment_map_exponent(fam, linear_params, cfg)
     assert abs(eta) < 0.05
 
 
@@ -278,5 +278,5 @@ def test_moment_exponent_tanh_below_one(params):
         g, lambda r, R, s=s: np.exp(-(np.abs(r) + np.abs(R)) / s), normalize=True)
         for s in (0.3, 0.6, 1.0, 1.5)]
     cfg = ek.FixedPointConfig(tol_state=2e-4, t_max=40.0)
-    eta = ek.moment_map_exponent(fam, 0.1, params, cfg)
+    eta = ek.moment_map_exponent(fam, params, cfg)
     assert eta < 1.0

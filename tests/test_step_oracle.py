@@ -100,23 +100,22 @@ def test_rho_step_matches_reference(f, params, measured, seed, scale):
 
 
 @SETTINGS
-@given(densities(), params_st, st.sampled_from(list(ek.Splitting)), st.booleans(), dt_scale_st)
-def test_strang_step_matches_reference(f, params, splitting, frozen, scale):
+@given(densities(), params_st, st.booleans(), dt_scale_st)
+def test_strang_step_matches_reference(f, params, frozen, scale):
     # frozen: the coefficients of the reflected measure
     coeff = ek.a_field(f.copy_with(f.values[::-1, ::-1].copy()), params) if frozen else None
     limit = ek.cfl_limit(coeff if frozen else ek.a_field(f, params), f.grid, params)
     dt = scale * (limit if np.isfinite(limit) else 1.0)
-    cfg = ek.SolverConfig(t_final=1.0, dt=dt, splitting=splitting)
-    assert_same_outcome(lambda: ek.strang_step(f, dt, cfg, params, frozen=coeff),
-                        lambda: ref.strang_step(f, dt, cfg, params, frozen=coeff))
+    assert_same_outcome(lambda: ek.strang_step(f, dt, params, frozen=coeff),
+                        lambda: ref.strang_step(f, dt, params, frozen=coeff))
 
 
 @settings(max_examples=25, deadline=None)
-@given(densities(), params_st, st.sampled_from(list(ek.Splitting)), st.integers(1, 4))
-def test_evolve_matches_reference_march(f, params, splitting, n_steps):
+@given(densities(), params_st, st.integers(1, 4))
+def test_evolve_matches_reference_march(f, params, n_steps):
     limit = ek.cfl_limit(ek.a_field(f, params), f.grid, params)
     t_final = n_steps * 0.45 * (limit if np.isfinite(limit) else 0.01)
-    cfg = ek.SolverConfig(t_final=t_final, splitting=splitting)
+    cfg = ek.SolverConfig(t_final=t_final)
     trace = ek.evolve(f, cfg, params)
     times, final = ref.evolve_auto(f, cfg, params)
     assert trace.times == times
@@ -133,11 +132,7 @@ def test_a_field_keeps_the_measure_it_was_given():
     assert [t.tobytes() for t in tables(coeff)] == [t.tobytes() for t in expected]
 
 
-@pytest.mark.parametrize("splitting, per_step", [
-    (ek.Splitting.RHO_FIRST, 5),  # CFL: a1, a2 faces; advect: a1 centers, a2 faces; rho: a1 faces
-    (ek.Splitting.R_FIRST, 6),    # the first advection also reads a1 at centers
-])
-def test_convolutions_per_nonlinear_step(monkeypatch, splitting, per_step):
+def test_convolutions_per_nonlinear_step(monkeypatch):
     params = ek.KernelParams(1.0, 1.0, np.sqrt(0.1))
     f = gaussian_blob(ek.Grid2D.unit_square(24), (0.45, 0.55), 0.12)
     calls = []
@@ -148,9 +143,10 @@ def test_convolutions_per_nonlinear_step(monkeypatch, splitting, per_step):
         return real(z, p)
 
     monkeypatch.setattr(ek.kernels, "b_eval", counting)
-    trace = ek.evolve(f, ek.SolverConfig(t_final=0.05, splitting=splitting), params)
+    trace = ek.evolve(f, ek.SolverConfig(t_final=0.05), params)
     assert len(trace.times) >= 5
-    assert len(calls) <= per_step * len(trace.times)
+    # CFL: a1, a2 faces; advect: a1 centers, a2 faces; rho: a1 faces
+    assert len(calls) <= 5 * len(trace.times)
 
 
 # -- kernel_sum against the direct sums it replaced ----------------------
