@@ -427,6 +427,10 @@ COMMANDS = {
                    {"full": "full-resolution grid (h=1/800, dt=2e-6); not a CI target"}),
 }
 
+# fixedpoint solves without a time step and steady marches at CFL_SAFETY to
+# fixedpoint.t_max: a solver.* key would be recorded in the manifest, unread
+NO_SOLVER_KEYS = ("steady", "fixedpoint")
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -446,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config, args.overrides)
+        solver_keys = sorted(k for k in cfg if k.startswith("solver."))
+        if args.command in NO_SOLVER_KEYS and solver_keys:
+            raise ConfigError(f"{args.command} reads no solver key, got {', '.join(solver_keys)}")
         outdir = resolve_outdir(cfg)
         write_manifest(outdir, cfg, args.command)
         return handler(cfg, outdir, **{flag: getattr(args, flag) for flag in flags})

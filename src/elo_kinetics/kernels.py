@@ -172,9 +172,6 @@ class CoefficientField:
         a2_lo, a2_hi = self.a2_at_R_faces[0], self.a2_at_R_faces[-1]
         return max(abs(a1_hi - a2_lo), abs(a2_hi - a1_lo))
 
-    def max_abs_a1(self) -> float:
-        return float(np.max(np.abs(self.a1_at_rho_faces)))
-
 
 def _coeff_uniform(masses: np.ndarray, centers: np.ndarray, query0: float,
                    n_query: int, h: float, params: KernelParams) -> np.ndarray:

@@ -21,12 +21,11 @@ from .fv_solver import (
     CFL_SAFETY,
     PositivityError,
     SolverConfig,
-    _bernoulli,
+    _rho_rates,
     cfl_limit,
     enforce_positivity,
     evolve,
     step_advect_R,
-    step_drift_diffuse_rho,
 )
 from .grid import DensityField
 from .kernels import CoefficientField, KernelParams, a_field
@@ -85,20 +84,13 @@ def _generator_blocks(coeff: CoefficientField, params: KernelParams):
     """The frozen semi-discrete generator L, block row i of (L f) being
     up[i-1] f[i-1] + A_i f[i] + down[i] f[i+1] over rho-rows f[i].
 
-    up[i] (down[i]) is the rate from rho-row i to i+1 (i+1 to i) of the
-    Scharfetter-Gummel flux of step_drift_diffuse_rho (donor-cell when
-    sigma = 0); A_i is the R-upwind tridiagonal of step_advect_R for row i
+    up[i] (down[i]) is the rate from rho-row i to i+1 (i+1 to i) of
+    _rho_rates; A_i is the R-upwind tridiagonal of step_advect_R for row i
     minus the row's rho out-rates, given as its diagonal, super- and
     subdiagonal, one row of each array per rho-row.
     """
     grid = coeff.grid
-    D = 0.5 * params.sigma**2
-    v = -params.gamma * coeff.a1_at_rho_faces[1:-1]
-    if D > 0:
-        P = v * grid.h_rho / D
-        up, down = (D / grid.h_rho**2) * _bernoulli(-P), (D / grid.h_rho**2) * _bernoulli(P)
-    else:
-        up, down = np.maximum(v, 0.0) / grid.h_rho, np.maximum(-v, 0.0) / grid.h_rho
+    up, down = _rho_rates(coeff, params)
     vR = coeff.a1_at_rho_centers[:, None] - coeff.a2_at_R_faces[None, 1:-1]
     right, left = np.maximum(vR, 0.0) / grid.h_R, np.maximum(-vR, 0.0) / grid.h_R
     diag = np.zeros((grid.n_rho, grid.n_R))
@@ -161,12 +153,16 @@ def _null_vector(coeff: CoefficientField,
 
 def _generator_residual(f: DensityField, coeff: CoefficientField, beta: float,
                         params: KernelParams) -> float:
-    """||L_mu f||_beta, with L_mu applied through the sub-step kernels as
-    (step(f, dt) - f) / dt, each an exact forward-Euler step of its part."""
-    dt = CFL_SAFETY * cfl_limit(coeff, f.grid, params)
-    Lf = step_advect_R(f, coeff, dt).values - f.values
-    Lf += step_drift_diffuse_rho(f, coeff, dt, params).values - f.values
-    return beta_norm(f.copy_with(Lf / dt), beta, params.gamma)
+    """||L_mu f||_beta, with the R part of L_mu applied as
+    (step_advect_R(f, dt) - f) / dt, an exact forward-Euler step of it, and
+    the rho part as the divergence of the face fluxes of _rho_rates."""
+    dt = CFL_SAFETY * cfl_limit(coeff, f.grid)
+    Lf = (step_advect_R(f, coeff, dt).values - f.values) / dt
+    up, down = _rho_rates(coeff, params)
+    flux = up[:, None] * f.values[:-1] - down[:, None] * f.values[1:]
+    Lf[:-1] -= flux
+    Lf[1:] += flux
+    return beta_norm(f.copy_with(Lf), beta, params.gamma)
 
 
 def map_G(mu: DensityField, cfg: FixedPointConfig,
@@ -208,7 +204,7 @@ def nonlinear_equilibrate(
     t = 0.0
     history: list[float] = []
     while t < cfg.t_max:
-        dt = CFL_SAFETY * cfl_limit(a_field(f, params), f.grid, params)
+        dt = CFL_SAFETY * cfl_limit(a_field(f, params), f.grid)
         delta = _CHECK_EVERY * dt
         f_next = evolve(f, SolverConfig(t_final=delta, dt=dt), params).final
         t += delta

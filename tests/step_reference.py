@@ -1,10 +1,16 @@
 """Reference versions of code the package has since rewritten, kept as
-bitwise oracles (see test_step_oracle.py):
+oracles (see test_step_oracle.py):
 
 - the Strang step as first written: eager four-array coefficient tabulation
   before every sub-step and upwind/Scharfetter-Gummel kernels built from
   vp/vm temporaries; it keeps the R-first order (half R, full rho, half R)
-  that the package no longer offers, for comparing the two orders;
+  that the package no longer offers, for comparing the two orders, and
+  takes the rho sub-step as an argument, so that it also composes the
+  package's implicit one;
+- the explicit (forward-Euler) Scharfetter-Gummel rho sub-step and the CFL
+  bound it needs, with its parabolic and rho-drift terms, before the
+  backward-Euler sub-step replaced them; and that backward-Euler sub-step
+  as a dense solve;
 - the direct kernel sums before they were folded into `kernels.kernel_sum`:
   `a1_of_density`, `a2_of_density` and the SDE's `_empirical_coefficient`;
 - the scalar game `play_match` and the vectorized tournament round of
@@ -17,7 +23,7 @@ bitwise oracles (see test_step_oracle.py):
 import numpy as np
 
 import elo_kinetics as ek
-from elo_kinetics.fv_solver import CFLError, _bernoulli
+from elo_kinetics.fv_solver import CFLError, _bernoulli, _rho_rates
 from elo_kinetics.kernels import KernelParams, _coeff_uniform, _validate_measure, b_eval, h1_eval
 from elo_kinetics.particles import AgentPopulation, InteractionParams
 
@@ -67,6 +73,21 @@ def a_field(f, params):
     )
 
 
+def cfl_limit(coeff, grid, params):
+    """min(h_R/max|a|, h_rho/(gamma max|a1|), h_rho^2/sigma^2): the bound of
+    the explicit Strang step."""
+    bounds = []
+    max_a = coeff.max_abs_a()
+    if max_a > 0:
+        bounds.append(grid.h_R / max_a)
+    max_a1 = float(np.max(np.abs(coeff.a1_at_rho_faces)))
+    if max_a1 > 0:
+        bounds.append(grid.h_rho / (params.gamma * max_a1))
+    if params.sigma > 0:
+        bounds.append(grid.h_rho**2 / params.sigma**2)
+    return min(bounds) if bounds else np.inf
+
+
 def step_advect_R(f, coeff, dt):
     g = f.grid
     v = coeff.a1_at_rho_centers[:, None] - coeff.a2_at_R_faces[None, 1:-1]
@@ -103,7 +124,21 @@ def step_drift_diffuse_rho(f, coeff, dt, params):
     return f.copy_with(new)
 
 
-def strang_step(f, dt, params, frozen=None, r_first=False):
+def rho_step_dense(f, coeff, dt, params):
+    """The backward-Euler rho sub-step as np.linalg.solve(I - dt A, f), A the
+    rate matrix of the face rates."""
+    up, down = _rho_rates(coeff, params)
+    n = f.grid.n_rho
+    i = np.arange(n - 1)
+    A = np.zeros((n, n))
+    A[i + 1, i] += up
+    A[i, i] -= up
+    A[i, i + 1] += down
+    A[i + 1, i + 1] -= down
+    return f.copy_with(np.linalg.solve(np.eye(n) - dt * A, f.values))
+
+
+def strang_step(f, dt, params, frozen=None, r_first=False, rho_step=step_drift_diffuse_rho):
     if dt == 0:
         return f
 
@@ -111,23 +146,24 @@ def strang_step(f, dt, params, frozen=None, r_first=False):
         return frozen if frozen is not None else a_field(g, params)
 
     if not r_first:
-        f = step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
+        f = rho_step(f, coeff(f), dt / 2, params)
         f = step_advect_R(f, coeff(f), dt)
-        f = step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
+        f = rho_step(f, coeff(f), dt / 2, params)
     else:
         f = step_advect_R(f, coeff(f), dt / 2)
-        f = step_drift_diffuse_rho(f, coeff(f), dt, params)
+        f = rho_step(f, coeff(f), dt, params)
         f = step_advect_R(f, coeff(f), dt / 2)
     return f
 
 
 def evolve_auto(f, cfg, params):
-    """(times, final) of a nonlinear march with the CFL-chosen step."""
+    """(times, final) of a nonlinear march with the CFL-chosen step and the
+    package's rho sub-step."""
     t, times = 0.0, []
     while t < cfg.t_final - 1e-15:
-        limit = ek.cfl_limit(a_field(f, params), f.grid, params)
+        limit = ek.cfl_limit(a_field(f, params), f.grid)
         dt = min(ek.CFL_SAFETY * limit, cfg.t_final - t)
-        f = strang_step(f, dt, params)
+        f = strang_step(f, dt, params, rho_step=ek.step_drift_diffuse_rho)
         f, _, _ = ek.fv_solver.enforce_positivity(f, ek.fv_solver._CLIP_BUDGET)
         t += dt
         times.append(t)
@@ -145,7 +181,7 @@ def _equilibrate(f0, cfg, params, frozen, cfl_safety=ek.CFL_SAFETY):
     history = []
     while t < cfg.t_max:
         coeff = frozen if frozen is not None else ek.a_field(f, params)
-        dt = cfl_safety * ek.cfl_limit(coeff, f.grid, params)
+        dt = cfl_safety * ek.cfl_limit(coeff, f.grid)
         delta = _CHECK_EVERY * dt
         block = ek.SolverConfig(t_final=delta, dt=dt)
         f_next = ek.evolve(f, block, params, frozen=frozen).final

@@ -96,6 +96,19 @@ def test_unknown_solver_key_is_config_error_for_every_command(tmp_path, monkeypa
     assert not out.exists()  # rejected before the manifest is written
 
 
+@pytest.mark.parametrize("command", ["steady", "fixedpoint"])
+@pytest.mark.parametrize("key", ["solver.t_final=0.001", "solver.dt=1e-9"])
+def test_solver_key_is_config_error_where_nothing_reads_it(tmp_path, monkeypatch, capsys,
+                                                          command, key):
+    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
+                        "--set", "grid.n_rho=12", "--set", "grid.n_R=12",
+                        "--set", key, command)
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {command} reads no solver key, got {key.split('=')[0]}" \
+        in capsys.readouterr().err
+    assert not out.exists()  # rejected before the manifest is written
+
+
 @pytest.mark.parametrize("command", ["solve", "fixedpoint"])
 @pytest.mark.parametrize("values", [np.zeros((8, 8)), np.eye(8) - 0.01],
                          ids=["zero_mass", "negative_cell"])
@@ -103,10 +116,10 @@ def test_unusable_initial_density_file_is_config_error(tmp_path, monkeypatch, ca
                                                         command, values):
     path = tmp_path / "f0.csv"
     ek.DensityField(ek.Grid2D.unit_square(8), values).to_csv(path)
+    horizon = ("--set", "solver.t_final=0.01") if command == "solve" else ()
     code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
                         "--set", f"run.initial=file:{path}",
-                        "--set", "grid.n_rho=8", "--set", "grid.n_R=8",
-                        "--set", "solver.t_final=0.01", command)
+                        "--set", "grid.n_rho=8", "--set", "grid.n_R=8", *horizon, command)
     assert code == cli.EXIT_CONFIG
     assert "negative cells or zero mass" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 """Finite-volume solver tests: sub-step stencils, conservation, positivity,
-splitting structure, and convergence order."""
+splitting structure, and convergence order. Properties of the explicit rho
+sub-step and its CFL bound are pinned on the copy in step_reference.py."""
 import warnings
 
 import numpy as np
@@ -77,7 +78,7 @@ def test_rho_step_heat_stencil(params):
     f = ek.DensityField.point_mass(g, 0.45, 0.45)
     dt = 1e-3
     lam = 0.5 * params.sigma ** 2 * dt / g.h_rho ** 2
-    out = ek.step_drift_diffuse_rho(f, zero_coefficients(g), dt, params)
+    out = step_reference.step_drift_diffuse_rho(f, zero_coefficients(g), dt, params)
     peak = f.values[4, 4]
     assert out.values[4, 4] == pytest.approx((1.0 - 2.0 * lam) * peak, rel=1e-12)
     assert out.values[3, 4] == pytest.approx(lam * peak, rel=1e-12)
@@ -92,8 +93,9 @@ def test_rho_step_ou_steady_state():
     coeff = ek.CoefficientField(
         g, g.rho_faces.copy(), np.zeros(2), g.rho_centers.copy(), np.zeros(1))
     f = ek.DensityField.uniform(g)
-    dt = 0.45 * min(g.h_rho ** 2 / p.sigma ** 2,
-                    g.h_rho / np.max(np.abs(g.rho_faces)))
+    # backward Euler's fixed point is the null vector of the rate matrix at
+    # any dt; this one is 100 times the step the explicit sub-step took here
+    dt = 0.1
     for _ in range(int(15.0 / dt)):
         f = ek.step_drift_diffuse_rho(f, coeff, dt, p)
     marg, _ = f.marginals()
@@ -108,7 +110,7 @@ def test_rho_step_cfl_violation_raises(params):
     g = ek.Grid2D.unit_square(50)
     f = ek.DensityField.uniform(g)
     with pytest.raises(ek.CFLError):
-        ek.step_drift_diffuse_rho(f, zero_coefficients(g), 1.0, params)
+        step_reference.step_drift_diffuse_rho(f, zero_coefficients(g), 1.0, params)
 
 
 def test_bernoulli_overflow_is_silent():
@@ -120,7 +122,7 @@ def test_bernoulli_overflow_is_silent():
     coeff = ek.a_field(f, p)
     P = p.gamma * coeff.a1_at_rho_faces[1:-1] * g.h_rho / (0.5 * p.sigma**2)
     assert np.abs(P).max() > 709
-    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff, g, p)
+    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff, g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stepped = ek.step_drift_diffuse_rho(f, coeff, dt, p)
@@ -173,9 +175,35 @@ def test_splitting_orders_agree_to_first_order(params):
     g = ek.Grid2D.unit_square(40)
     f = gaussian_blob(g, (0.45, 0.55), 0.12)
     dt = 2e-4
-    a = ek.strang_step(f, dt, params)
+    a = step_reference.strang_step(f, dt, params)
     b = step_reference.strang_step(f, dt, params, r_first=True)
     assert np.abs(a.values - b.values).sum() * g.cell_area < 10.0 * dt ** 2
+
+
+def test_implicit_march_steady_state_converges_to_explicit_at_first_order(params):
+    # The steady state of a march with frozen coefficients is the fixed point
+    # of its step map, here the null vector of S - I for the map's matrix S.
+    # Backward and forward Euler rho halves put it O(dt) apart, so halving
+    # dt (from 0.45 of the explicit step's bound) halves the shift.
+    g = ek.Grid2D.unit_square(16)
+    mu = gaussian_blob(g, (0.4, 0.6), 0.16)
+    frozen = ek.a_field(mu, params)
+
+    def steady(step, dt):
+        cells = np.eye(g.n_rho * g.n_R).reshape(-1, g.n_rho, g.n_R)
+        S = np.stack([step(mu.copy_with(e), dt).values.ravel() for e in cells], axis=1)
+        x = np.linalg.svd(S - np.eye(len(S)))[2][-1]
+        return x.reshape(g.n_rho, g.n_R) / (x.sum() * g.cell_area)
+
+    def shift(dt):
+        implicit = steady(lambda f, d: ek.strang_step(f, d, params, frozen=frozen), dt)
+        explicit = steady(lambda f, d: step_reference.strang_step(f, d, params, frozen=frozen), dt)
+        return np.abs(implicit - explicit).sum() * g.cell_area
+
+    dt = 0.45 * step_reference.cfl_limit(frozen, g, params)
+    shifts = [shift(dt), shift(dt / 2), shift(dt / 4)]
+    for coarse, fine in zip(shifts, shifts[1:]):
+        assert 1.8 < coarse / fine < 2.2
 
 
 def test_frozen_consistency_second_order(params):
@@ -249,7 +277,8 @@ def test_evolve_fixed_dt_takes_whole_steps(params):
     g = ek.Grid2D.unit_square(30)
     f = gaussian_blob(g, (0.4, 0.6), 0.15)
     frozen = ek.a_field(f, params)
-    dt = 0.45 * ek.cfl_limit(frozen, g, params)  # 100 of these sum to 3.8e-16 short of 100*dt
+    # the explicit step's bound: 100 of these dt sum to 3.8e-16 short of 100*dt
+    dt = 0.45 * step_reference.cfl_limit(frozen, g, params)
     cfg = ek.SolverConfig(t_final=100 * dt, dt=dt)
     trace = ek.evolve(f, cfg, params, frozen=frozen)
     stepped = f
@@ -279,13 +308,16 @@ def test_cfl_limit_formula(params):
     g = ek.Grid2D.unit_square(20)
     f = gaussian_blob(g, (0.5, 0.5), 0.2)
     coeff = ek.a_field(f, params)
-    limit = ek.cfl_limit(coeff, g, params)
+    limit = step_reference.cfl_limit(coeff, g, params)
     expected = min(
         g.h_R / coeff.max_abs_a(),
-        g.h_rho / (params.gamma * coeff.max_abs_a1()),
+        g.h_rho / (params.gamma * np.max(np.abs(coeff.a1_at_rho_faces))),
         g.h_rho ** 2 / params.sigma ** 2,
     )
     assert limit == pytest.approx(expected, rel=1e-14)
+    # the implicit rho sub-step leaves the R-advection bound alone
+    assert ek.cfl_limit(coeff, g) == pytest.approx(g.h_R / coeff.max_abs_a(), rel=1e-14)
+    assert ek.cfl_limit(coeff, g) > limit
 
 
 def test_enforce_positivity():

@@ -53,7 +53,7 @@ def test_map_g_uniqueness_two_guesses(params):
                                         initial_guess=ek.DensityField.uniform(g))
     d = ek.beta_norm_diff(from_mu.density, from_uniform.density, cfg.beta, params.gamma)
     assert d < 2.0 * cfg.tol_state
-    dt = ek.CFL_SAFETY * ek.cfl_limit(ek.a_field(mu, params), g, params)
+    dt = ek.CFL_SAFETY * ek.cfl_limit(ek.a_field(mu, params), g)
     for marched in (from_mu, from_uniform):
         assert ek.beta_norm_diff(marched.density, direct, cfg.beta, params.gamma) < dt
 
@@ -232,7 +232,7 @@ def test_nonlinear_equilibrate_stationarity(params):
     assert com[1] == pytest.approx(0.5, abs=0.02)
     # one further step moves the state by less than tol_state * dt in L1
     coeff = ek.a_field(f, params)
-    dt = 0.45 * ek.cfl_limit(coeff, g, params)
+    dt = 0.45 * ek.cfl_limit(coeff, g)
     stepped = ek.strang_step(f, dt, params)
     l1 = np.abs(stepped.values - f.values).sum() * g.cell_area
     assert l1 < cfg.tol_state * dt

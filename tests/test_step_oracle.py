@@ -2,8 +2,9 @@
 against the references in step_reference.py: the same bits for random
 densities, coefficients, time steps, query shapes, agent clouds and games,
 the CFL error on the same side of its threshold, and the convolutions a step
-makes. Also: single sub-steps at admissible time steps conserve mass and
-stay nonnegative to roundoff."""
+makes. The backward-Euler rho sub-step against a dense solve of its system.
+Also: single sub-steps at admissible time steps conserve mass and stay
+nonnegative to roundoff, the rho sub-step at any time step."""
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -86,17 +87,41 @@ def test_advect_R_matches_reference(f, params, measured, seed, scale):
                         lambda: ref.step_advect_R(f, coeff, dt))
 
 
-@SETTINGS
-@given(densities(), params_st, st.booleans(), st.integers(0, 2**32 - 1), dt_scale_st)
-def test_rho_step_matches_reference(f, params, measured, seed, scale):
+def explicit_rho_bound(f, coeff, params):
+    """The time step at which the explicit rho sub-step reaches its CFL bound."""
     g = f.grid
-    coeff = ref.a_field(f, params) if measured else random_coefficients(g, seed)
     v = params.gamma * coeff.a1_at_rho_faces[1:-1]
     max_v = float(np.max(np.abs(v))) if v.size else 0.0
     rate = params.sigma**2 / g.h_rho**2 + max_v / g.h_rho
-    dt = scale / rate if rate > 0 else scale
-    assert_same_outcome(lambda: ek.step_drift_diffuse_rho(f, coeff, dt, params),
-                        lambda: ref.step_drift_diffuse_rho(f, coeff, dt, params))
+    return 1.0 / rate if rate > 0 else 1.0
+
+
+@SETTINGS
+@given(densities(), params_st, st.booleans(), st.integers(0, 2**32 - 1),
+       st.floats(0.01, 10.0) | dt_scale_st)
+def test_rho_step_matches_reference(f, params, measured, seed, scale):
+    # the Thomas sweeps against np.linalg.solve(I - dt A, f), sigma > 0 and
+    # sigma = 0, at up to 10 times the explicit step's bound
+    coeff = ref.a_field(f, params) if measured else random_coefficients(f.grid, seed)
+    dt = scale * explicit_rho_bound(f, coeff, params)
+    want = ref.rho_step_dense(f, coeff, dt, params).values
+    got = ek.step_drift_diffuse_rho(f, coeff, dt, params).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@SETTINGS
+@given(densities(), st.sampled_from([0.0, 1e-3, np.sqrt(0.1), 1.0]), st.booleans(),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1000.0, exclude_min=True))
+@example(ek.DensityField.point_mass(ek.Grid2D.unit_square(8), 0.3, 0.6), 1e-3, True, 0, 1000.0)
+def test_rho_step_is_positive_and_conservative_at_any_dt(f, sigma, measured, seed, scale):
+    # up to 1000 times the explicit bound; sigma = 1e-3 puts |P| = |v| h_rho / D
+    # past 709, where one of the two Bernoulli rates of a face is exactly 0
+    params = ek.KernelParams(1.0, 1.0, sigma)
+    coeff = ref.a_field(f, params) if measured else random_coefficients(f.grid, seed)
+    dt = scale * explicit_rho_bound(f, coeff, params)
+    new = ek.step_drift_diffuse_rho(f, coeff, dt, params)
+    assert new.values.min() >= 0.0
+    assert abs(new.mass() - f.mass()) <= 1e-14 * f.mass()
 
 
 @SETTINGS
@@ -104,16 +129,17 @@ def test_rho_step_matches_reference(f, params, measured, seed, scale):
 def test_strang_step_matches_reference(f, params, frozen, scale):
     # frozen: the coefficients of the reflected measure
     coeff = ek.a_field(f.copy_with(f.values[::-1, ::-1].copy()), params) if frozen else None
-    limit = ek.cfl_limit(coeff if frozen else ek.a_field(f, params), f.grid, params)
+    limit = ek.cfl_limit(coeff if frozen else ek.a_field(f, params), f.grid)
     dt = scale * (limit if np.isfinite(limit) else 1.0)
     assert_same_outcome(lambda: ek.strang_step(f, dt, params, frozen=coeff),
-                        lambda: ref.strang_step(f, dt, params, frozen=coeff))
+                        lambda: ref.strang_step(f, dt, params, frozen=coeff,
+                                                rho_step=ek.step_drift_diffuse_rho))
 
 
 @settings(max_examples=25, deadline=None)
 @given(densities(), params_st, st.integers(1, 4))
 def test_evolve_matches_reference_march(f, params, n_steps):
-    limit = ek.cfl_limit(ek.a_field(f, params), f.grid, params)
+    limit = ek.cfl_limit(ek.a_field(f, params), f.grid)
     t_final = n_steps * 0.45 * (limit if np.isfinite(limit) else 0.01)
     cfg = ek.SolverConfig(t_final=t_final)
     trace = ek.evolve(f, cfg, params)
@@ -143,7 +169,7 @@ def test_convolutions_per_nonlinear_step(monkeypatch):
         return real(z, p)
 
     monkeypatch.setattr(ek.kernels, "b_eval", counting)
-    trace = ek.evolve(f, ek.SolverConfig(t_final=0.05), params)
+    trace = ek.evolve(f, ek.SolverConfig(t_final=0.15), params)
     assert len(trace.times) >= 5
     # CFL: a1, a2 faces; advect: a1 centers, a2 faces; rho: a1 faces
     assert len(calls) <= 5 * len(trace.times)
@@ -232,14 +258,15 @@ def test_a_field_picks_a_back_end_per_axis(f, params, s_rho, s_R, shift):
 @given(densities(), params_st, st.booleans(),
        st.floats(0.0, 0.5, exclude_min=True) | st.just(0.5))
 def test_sub_steps_conserve_mass_and_stay_nonnegative(f, params, frozen, safety):
-    # admissible: dt = safety * cfl_limit with safety <= 0.5, the bound the
-    # auto-dt SolverConfig enforces; coefficients of f or of its reflection.
+    # admissible: dt = safety * cfl_limit with safety <= 0.5, the R-advection
+    # bound the auto-dt SolverConfig enforces (the rho sub-step has none);
+    # coefficients of f or of its reflection.
     # Tolerances: mass to 1e-14 relative and cells above -1e-15 max f (in
     # 20,000 random cases the worst mass drift was 7.8e-16 and no cell went
     # below zero).
     mu = f.copy_with(f.values[::-1, ::-1].copy()) if frozen else f
     coeff = ek.a_field(mu, params)
-    limit = ek.cfl_limit(coeff, f.grid, params)
+    limit = ek.cfl_limit(coeff, f.grid)
     assume(np.isfinite(limit))
     dt = safety * limit
     for new in (ek.step_advect_R(f, coeff, dt), ek.step_drift_diffuse_rho(f, coeff, dt, params)):
