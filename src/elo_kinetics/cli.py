@@ -219,6 +219,8 @@ def _pde_inputs(
     solver_cfg = build_solver_config(cfg)
     f0 = _initial_density(cfg)
     snap = _get(cfg, "run.snapshot_every", float) if cfg.get("run.snapshot_every") else None
+    if snap is not None and not snap > 0:
+        raise ConfigError(f"run.snapshot_every must be positive, got {cfg['run.snapshot_every']}")
     return params, solver_cfg, f0, snap
 
 
@@ -332,18 +334,18 @@ def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
 
 def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
-    beta = _get(cfg, "model.beta", float, FixedPointConfig.beta)
+    weight = _build(LyapunovWeight, _get(cfg, "model.beta", float, FixedPointConfig.beta),
+                    params.gamma)
     f = _build(DensityField.from_csv, _get(cfg, "diagnose.f", str))
     f_inf = _build(DensityField.from_csv, _get(cfg, "diagnose.f_inf", str))
     if f.grid != f_inf.grid:
         raise ConfigError("diagnose.f and diagnose.f_inf are on different grids")
-    weight = LyapunovWeight(beta, params.gamma)
     com = f.center_of_mass()
     row = {
         "t": _get(cfg, "diagnose.t", float, 0.0),
         "E_phi_beta": relative_energy(f, f_inf, weight),
         "E_inv_finf": relative_energy(f, f_inf, InverseSteadyStateWeight()),
-        "beta_norm_diff": beta_norm_diff(f, f_inf, beta, params.gamma),
+        "beta_norm_diff": beta_norm_diff(f, f_inf, weight.beta, weight.gamma),
         "mass": f.mass(),
         "com_rho": com[0],
         "com_R": com[1],
@@ -384,13 +386,12 @@ def _fig_config(cfg: dict[str, str], full: bool) -> dict[str, str]:
         "grid.rho_min": "0", "grid.rho_max": "1",
         "grid.R_min": "0", "grid.R_max": "1",
         "run.initial": "uniform",
+        "solver.dt": "auto",
     }
     if full:
-        base.update({"grid.n_rho": "800", "grid.n_R": "800",
-                     "solver.dt": "2e-6", "solver.t_final": "0.4"})
+        base.update({"grid.n_rho": "800", "grid.n_R": "800", "solver.t_final": "0.4"})
     else:
-        base.update({"grid.n_rho": "200", "grid.n_R": "200",
-                     "solver.dt": "auto", "solver.t_final": "0.8"})
+        base.update({"grid.n_rho": "200", "grid.n_R": "200", "solver.t_final": "0.8"})
     if cfg.get("run.initial", "").startswith("file:"):  # the file's grid is the run's
         base = {k: v for k, v in base.items() if not k.startswith("grid.")}
     base.update(cfg)
@@ -401,8 +402,9 @@ def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> int:
     cfg = _fig_config(cfg, full=False)
     cfg.setdefault("run.snapshot_every", "0.02")
     params, solver_cfg, f0, snap = _pde_inputs(cfg)
+    weight = _build(LyapunovWeight, _get(cfg, "model.beta", float, FixedPointConfig.beta),
+                    params.gamma)
     trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
-    weight = LyapunovWeight(_get(cfg, "model.beta", float, FixedPointConfig.beta), params.gamma)
     f_inf = trace.final
     _write_csv(outdir / "energies.csv", ["t", "E_phi_beta", "E_inv_finf"], (
         [f"{t:.17g}",
@@ -424,7 +426,7 @@ COMMANDS = {
     "compare": (cmd_compare, {}),
     "repro-fig2": (cmd_repro_fig2, {}),
     "repro-fig1": (lambda cfg, outdir, full: cmd_solve(_fig_config(cfg, full), outdir),
-                   {"full": "full-resolution grid (h=1/800, dt=2e-6); not a CI target"}),
+                   {"full": "full-resolution grid (h=1/800, automatic step); not a CI target"}),
 }
 
 # fixedpoint solves without a time step and steady marches at CFL_SAFETY to

@@ -13,6 +13,7 @@ from .fv_solver import SolverConfig, evolve
 from .grid import DensityField, Grid2D
 from .kernels import (
     AssumptionConstants,
+    CoefficientField,
     KernelParams,
     LyapunovWeight,
     a1_of_density,
@@ -247,15 +248,11 @@ def wasserstein1_samples_vs_marginal(
     return float(np.sum(np.abs(emp_seg - grid_seg) * dx))
 
 
-def coefficient_gap(mu1: DensityField, mu2: DensityField, params: KernelParams,
-                    grid: Grid2D) -> float:
-    """||a1[mu1]-a1[mu2]||_inf + ||a2[mu1]-a2[mu2]||_inf on a grid's faces."""
-    d1 = np.max(np.abs(
-        a1_of_density(mu1, grid.rho_faces, params) - a1_of_density(mu2, grid.rho_faces, params)
-    ))
-    d2 = np.max(np.abs(
-        a2_of_density(mu1, grid.R_faces, params) - a2_of_density(mu2, grid.R_faces, params)
-    ))
+def coefficient_gap(c1: CoefficientField, c2: CoefficientField) -> float:
+    """||a1[mu1]-a1[mu2]||_inf + ||a2[mu1]-a2[mu2]||_inf on the faces, from
+    the tabulations c1 = a_field(mu1) and c2 = a_field(mu2) on one grid."""
+    d1 = np.max(np.abs(c1.a1_at_rho_faces - c2.a1_at_rho_faces))
+    d2 = np.max(np.abs(c1.a2_at_R_faces - c2.a2_at_R_faces))
     return float(d1 + d2)
 
 
@@ -276,15 +273,16 @@ def semigroup_continuity_probe(
     nu: DensityField,
     t: float,
     params: KernelParams,
-    dt: float | None = None,
 ) -> ContinuityProbeResult:
     """Evolve nu under the two frozen-coefficient equations to time t and
-    compare the marginals; used to check the exp(Ct)-Lipschitz bound shape."""
-    cfg = SolverConfig(t_final=t, dt=dt)
-    f1, f2 = (evolve(nu, cfg, params, frozen=a_field(mu, params, nu.grid)).final
-              for mu in (mu1, mu2))
+    compare the marginals; used to check the exp(Ct)-Lipschitz bound shape.
+    All three measures are on one grid."""
+    if not mu1.grid == mu2.grid == nu.grid:
+        raise ValueError("grid mismatch")
+    c1, c2 = a_field(mu1, params), a_field(mu2, params)
+    f1, f2 = (evolve(nu, SolverConfig(t_final=t), params, frozen=c).final for c in (c1, c2))
     return ContinuityProbeResult(
         w1_rho=wasserstein1_marginal(f1, f2, "rho"),
         w1_R=wasserstein1_marginal(f1, f2, "R"),
-        gap=coefficient_gap(mu1, mu2, params, nu.grid),
+        gap=coefficient_gap(c1, c2),
     )

@@ -41,10 +41,10 @@ class SolverConfig:
     dt: float | None = None  # None: CFL_SAFETY times the CFL bound, each step
 
     def __post_init__(self):
-        if not self.t_final >= 0:
-            raise ValueError("t_final must be nonnegative")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (self.t_final >= 0 and np.isfinite(self.t_final)):
+            raise ValueError("t_final must be nonnegative and finite")
+        if self.dt is not None and not (self.dt > 0 and np.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
 
 
 @dataclass
@@ -200,7 +200,7 @@ def enforce_positivity(f: DensityField, clip_budget: float) -> tuple[DensityFiel
 
 def _whole_steps(cfg: SolverConfig) -> int:
     """n when dt is fixed and t_final is the float product n*dt, else 0."""
-    if cfg.dt is None or cfg.t_final == np.inf:
+    if cfg.dt is None:
         return 0
     n = round(cfg.t_final / cfg.dt)
     return n if n * cfg.dt == cfg.t_final else 0
@@ -219,8 +219,10 @@ def evolve(
     (velocities drift as f evolves unless the coefficients are `frozen`).
     A fixed dt whose float multiple n*dt is t_final gives exactly n steps of
     dt, wherever the summed time rounds to; otherwise the last step is cut
-    to end at t_final.
+    to end at t_final. `frozen` coefficients must be tabulated on f0's grid.
     """
+    if frozen is not None and frozen.grid != f0.grid:
+        raise ValueError("frozen coefficients are tabulated on another grid")
     trace = EvolutionTrace()
     f = f0
     t = 0.0

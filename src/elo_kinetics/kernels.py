@@ -30,12 +30,12 @@ class KernelParams:
     kernel_kind: KernelKind = KernelKind.TANH
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (self.c > 0 and np.isfinite(self.c)):
+            raise ValueError("c must be positive and finite")
+        if not (self.gamma > 0 and np.isfinite(self.gamma)):
+            raise ValueError("gamma must be positive and finite")
+        if not (self.sigma >= 0 and np.isfinite(self.sigma)):
+            raise ValueError("sigma must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,10 @@ class LyapunovWeight:
     gamma: float
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (self.beta >= 0 and np.isfinite(self.beta)):
+            raise ValueError("beta must be nonnegative and finite")
+        if not (self.gamma > 0 and np.isfinite(self.gamma)):
+            raise ValueError("gamma must be positive and finite")
 
 
 def b_eval(z, params: KernelParams):
@@ -137,7 +137,8 @@ def a2_of_density(f: DensityField, R, params: KernelParams):
 
 
 class CoefficientField:
-    """a1, a2 tabulated at the faces and centers the upwind scheme needs.
+    """a1 at rho-faces and centers, a2 at R-faces: the tables the upwind
+    scheme needs.
 
     Monotone nondecreasing arrays, inherited from monotonicity of b. Each
     table is given as an array or, by `a_field`, as a function of no
@@ -145,14 +146,12 @@ class CoefficientField:
     is read, so a sub-step pays only for the tables it reads.
     """
 
-    def __init__(self, grid: Grid2D, a1_at_rho_faces, a2_at_R_faces,
-                 a1_at_rho_centers, a2_at_R_centers):
+    def __init__(self, grid: Grid2D, a1_at_rho_faces, a2_at_R_faces, a1_at_rho_centers):
         self.grid = grid
         self._tables = {
             "a1_at_rho_faces": a1_at_rho_faces,
             "a2_at_R_faces": a2_at_R_faces,
             "a1_at_rho_centers": a1_at_rho_centers,
-            "a2_at_R_centers": a2_at_R_centers,
         }
 
     def _table(self, name: str) -> np.ndarray:
@@ -164,7 +163,6 @@ class CoefficientField:
     a1_at_rho_faces = property(lambda self: self._table("a1_at_rho_faces"))
     a2_at_R_faces = property(lambda self: self._table("a2_at_R_faces"))
     a1_at_rho_centers = property(lambda self: self._table("a1_at_rho_centers"))
-    a2_at_R_centers = property(lambda self: self._table("a2_at_R_centers"))
 
     def max_abs_a(self) -> float:
         """sup |a1(rho) - a2(R)| over the tabulated box (uses monotonicity)."""
@@ -186,27 +184,18 @@ def _coeff_uniform(masses: np.ndarray, centers: np.ndarray, query0: float,
     return np.convolve(masses, kern)[n - 1: n - 1 + n_query]
 
 
-def _lazy_sum(query, h, h_src, centers, masses, params: KernelParams):
-    """sum_j b(q_i - c_j) m_j at uniformly spaced queries, as a function run on
-    first read: Toeplitz when the spacings h and h_src match, else kernel_sum."""
-    if abs(h - h_src) < 1e-12 * h_src:
-        return partial(_coeff_uniform, masses, centers, query[0], len(query), h, params)
-    return partial(kernel_sum, query, centers, masses, params)
-
-
-def a_field(f: DensityField, params: KernelParams, grid: Grid2D | None = None) -> CoefficientField:
-    """Tabulate a[mu] = a1 - a2 on the faces/centers of a target grid (by
-    default f's own); each table is computed the first time it is read."""
-    g, src = (grid if grid is not None else f.grid), f.grid
+def a_field(f: DensityField, params: KernelParams) -> CoefficientField:
+    """Tabulate a[mu] = a1 - a2 on the faces and centers of f's own grid;
+    each table is computed the first time it is read."""
     _validate_measure(f)
+    g = f.grid
     # marginals are taken now, so later changes to f.values do not leak in
-    rho_src, R_src = _marginal(f, 0), _marginal(f, 1)
+    (rho_c, m_rho), (R_c, m_R) = _marginal(f, 0), _marginal(f, 1)
     return CoefficientField(
         g,
-        _lazy_sum(g.rho_faces, g.h_rho, src.h_rho, *rho_src, params),
-        _lazy_sum(g.R_faces, g.h_R, src.h_R, *R_src, params),
-        _lazy_sum(g.rho_centers, g.h_rho, src.h_rho, *rho_src, params),
-        _lazy_sum(g.R_centers, g.h_R, src.h_R, *R_src, params),
+        partial(_coeff_uniform, m_rho, rho_c, g.rho_faces[0], g.n_rho + 1, g.h_rho, params),
+        partial(_coeff_uniform, m_R, R_c, g.R_faces[0], g.n_R + 1, g.h_R, params),
+        partial(_coeff_uniform, m_rho, rho_c, g.rho_centers[0], g.n_rho, g.h_rho, params),
     )
 
 

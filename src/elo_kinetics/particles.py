@@ -55,8 +55,11 @@ class InteractionParams:
     epsilon: float = 1.0     # quasi-invariant scaling parameter
 
     def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError("K must be positive")
+        if not (self.K > 0 and np.isfinite(self.K)):
+            raise ValueError("K must be positive and finite")
+        for name in ("gamma_micro", "sigma_micro", "alpha_learn"):
+            if not (getattr(self, name) >= 0 and np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be nonnegative and finite")
         if not (0 < self.epsilon <= 1):
             raise ValueError("epsilon must be in (0, 1]")
 
@@ -165,10 +168,10 @@ def simulate_mean_field(
 ) -> AgentPopulation:
     """March the mean-field SDE to t_final with fixed-step Euler-Maruyama;
     t_final must be a whole number of steps dt."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not t_final >= 0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (t_final >= 0 and np.isfinite(t_final)):
+        raise ValueError(f"t_final must be nonnegative and finite, got {t_final}")
     steps = t_final / dt
     n_steps = round(steps)
     if abs(steps - n_steps) > 1e-9 * abs(steps):

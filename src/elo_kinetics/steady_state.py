@@ -64,8 +64,10 @@ class FixedPointConfig:
     theta: float = 1.0        # damping: mu_{k+1} = (1-theta) mu_k + theta G(mu_k)
 
     def __post_init__(self):
-        if self.tol_state <= 0 or self.tol_map <= 0 or self.beta <= 0:
-            raise ValueError("tolerances and beta must be positive")
+        if not all(x > 0 and np.isfinite(x) for x in (self.tol_state, self.tol_map, self.beta)):
+            raise ValueError("tolerances and beta must be positive and finite")
+        if not (self.max_outer >= 1 and self.t_max > 0):
+            raise ValueError("max_outer must be at least 1 and t_max positive")
         if not (0 < self.theta <= 1):
             raise ValueError("theta must be in (0, 1]")
 

@@ -31,5 +31,4 @@ def zero_coefficients(grid):
         a1_at_rho_faces=np.zeros(grid.n_rho + 1),
         a2_at_R_faces=np.zeros(grid.n_R + 1),
         a1_at_rho_centers=np.zeros(grid.n_rho),
-        a2_at_R_centers=np.zeros(grid.n_R),
     )

@@ -1,8 +1,8 @@
 """Reference versions of code the package has since rewritten, kept as
 oracles (see test_step_oracle.py):
 
-- the Strang step as first written: eager four-array coefficient tabulation
-  before every sub-step and upwind/Scharfetter-Gummel kernels built from
+- the Strang step as first written: eager tabulation of every coefficient
+  table before every sub-step and upwind/Scharfetter-Gummel kernels built from
   vp/vm temporaries; it keeps the R-first order (half R, full rho, half R)
   that the package no longer offers, for comparing the two orders, and
   takes the rho sub-step as an argument, so that it also composes the
@@ -59,7 +59,7 @@ def _empirical_coefficient(query, source, params, chunk=256):
 
 
 def a_field(f, params):
-    """All four tables of a[f] on f's own grid, computed at once."""
+    """All three tables of a[f] on f's own grid, computed at once."""
     _validate_measure(f)
     g = f.grid
     m_rho = f.values.sum(axis=1) * g.cell_area
@@ -69,7 +69,6 @@ def a_field(f, params):
         _coeff_uniform(m_rho, g.rho_centers, g.rho_faces[0], g.n_rho + 1, g.h_rho, params),
         _coeff_uniform(m_R, g.R_centers, g.R_faces[0], g.n_R + 1, g.h_R, params),
         _coeff_uniform(m_rho, g.rho_centers, g.rho_centers[0], g.n_rho, g.h_rho, params),
-        _coeff_uniform(m_R, g.R_centers, g.R_centers[0], g.n_R, g.h_R, params),
     )
 
 
@@ -199,7 +198,7 @@ def _equilibrate(f0, cfg, params, frozen, cfl_safety=ek.CFL_SAFETY):
 def map_G(mu, cfg, params, initial_guess=None, cfl_safety=ek.CFL_SAFETY):
     """Steady state of the linear equation with coefficients frozen at mu."""
     guess = initial_guess if initial_guess is not None else mu
-    return _equilibrate(guess, cfg, params, ek.a_field(mu, params, guess.grid), cfl_safety)
+    return _equilibrate(guess, cfg, params, ek.a_field(mu, params), cfl_safety)
 
 
 def play_match(

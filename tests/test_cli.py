@@ -1,8 +1,13 @@
 """CLI tests: config parsing, exit codes, artifact emission, determinism."""
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import elo_kinetics as ek
 from elo_kinetics import cli
@@ -349,3 +354,96 @@ def test_parse_config_rejects_garbage(tmp_path):
         cli.parse_config(str(bad), [])
     with pytest.raises(cli.ConfigError):
         cli.parse_config(None, ["no_equals_either"])
+
+
+# -- malformed values: exit 2 before any work -----------------------------
+
+SPELLINGS = {
+    "nan": ["nan", "NaN", "-nan"],
+    "inf": ["inf", "Infinity", "1e999"],
+    "-inf": ["-inf", "-1e999"],
+    "zero": ["0", "0.0"],
+    "negative": ["-1", "-0.5", "-1e-300"],
+    "text": ["abc", "1.0.0", "0x10"],
+}
+
+# (command, key, the kinds of SPELLINGS it accepts); every other kind is malformed
+READERS = [
+    ("solve", "model.c", ()),
+    ("solve", "model.gamma", ()),
+    ("solve", "model.sigma", ("zero",)),  # sigma = 0: donor-cell rho step
+    ("solve", "model.kernel", ()),
+    ("repro-fig2", "model.beta", ("zero",)),
+    ("diagnose", "model.beta", ("zero",)),
+    ("fixedpoint", "model.beta", ()),
+    ("fixedpoint", "fixedpoint.tol_state", ()),
+    ("fixedpoint", "fixedpoint.tol_map", ()),
+    ("fixedpoint", "fixedpoint.max_outer", ()),
+    ("steady", "fixedpoint.t_max", ("inf",)),
+    ("fixedpoint", "fixedpoint.theta", ()),
+    ("solve", "run.snapshot_every", ("inf",)),
+    ("solve", "solver.dt", ()),
+    ("solve", "solver.t_final", ("zero",)),
+    ("sde", "sde.dt", ()),
+    ("sde", "sde.t_final", ("zero",)),
+    ("particles", "particles.n", ()),
+    ("particles", "particles.rounds", ("zero",)),
+    ("particles", "particles.K", ()),
+    ("particles", "particles.gamma_micro", ("zero",)),
+    ("particles", "particles.sigma_micro", ("zero",)),
+    ("particles", "particles.alpha_learn", ("zero",)),
+    ("particles", "particles.epsilon", ()),
+]
+
+
+def small_run(command, tmp):
+    """Overrides for a run of `command` that takes well under a second."""
+    grid = ["grid.n_rho=8", "grid.n_R=8"]
+    if command == "diagnose":
+        path = os.path.join(tmp, "f.csv")
+        ek.DensityField.uniform(ek.Grid2D.unit_square(6)).to_csv(path)
+        return [f"diagnose.f={path}", f"diagnose.f_inf={path}"]
+    return {
+        "solve": grid + ["solver.t_final=0.01"],
+        "repro-fig2": grid + ["solver.t_final=0.01"],
+        "steady": grid,
+        "fixedpoint": grid,
+        "sde": ["run.seed=1", "particles.n=4", "sde.t_final=0.02"],
+        "particles": ["run.seed=1", "particles.n=4", "particles.rounds=1"],
+    }[command]
+
+
+@st.composite
+def malformed_settings(draw):
+    command, key, accepted = draw(st.sampled_from(READERS))
+    kind = draw(st.sampled_from([k for k in SPELLINGS if k not in accepted]))
+    return command, key, draw(st.sampled_from(SPELLINGS[kind]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(malformed_settings())
+@example(("solve", "model.sigma", "nan"))
+@example(("solve", "model.c", "nan"))
+@example(("solve", "model.gamma", "inf"))
+@example(("repro-fig2", "model.beta", "nan"))
+@example(("repro-fig2", "model.beta", "-1"))
+@example(("diagnose", "model.beta", "-1"))
+@example(("fixedpoint", "fixedpoint.max_outer", "-2"))
+@example(("steady", "fixedpoint.t_max", "0"))
+@example(("fixedpoint", "fixedpoint.tol_state", "nan"))
+@example(("solve", "run.snapshot_every", "0"))
+@example(("solve", "run.snapshot_every", "-1"))
+@example(("solve", "run.snapshot_every", "nan"))
+def test_malformed_value_exits_2_before_any_work(case):
+    command, key, value = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        out = os.path.join(tmp, "out")
+        mp.setenv("ELOKIN_OUTDIR", out)
+        args = ["defaults.accept=true", *small_run(command, tmp), f"{key}={value}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([a for item in args for a in ("--set", item)] + [command])
+        assert code == cli.EXIT_CONFIG
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert os.listdir(out) == ["manifest.json"]

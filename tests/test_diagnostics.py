@@ -259,7 +259,7 @@ def test_coefficient_continuity_bound(params):
         mu1 = ek.DensityField(g, rng.random((25, 25))).normalized()
         mu2 = ek.DensityField(g, rng.random((25, 25))).normalized()
         tv = np.abs(mu1.values - mu2.values).sum() * g.cell_area
-        gap = ek.diagnostics.coefficient_gap(mu1, mu2, params, g)
+        gap = ek.diagnostics.coefficient_gap(ek.a_field(mu1, params), ek.a_field(mu2, params))
         assert gap <= 2.0 * tv + 1e-12  # a1 and a2 each bounded by tv
 
 
@@ -276,6 +276,17 @@ def test_continuity_probe_trivials(params):
     zero_t = ek.semigroup_continuity_probe(
         mu, gaussian_blob(g, (0.6, 0.4), 0.15), nu, 0.0, params)
     assert zero_t.total == pytest.approx(0.0, abs=1e-14)
+
+
+def test_continuity_probe_rejects_measures_on_different_grids(params):
+    g = ek.Grid2D.unit_square(12)
+    mu, nu = gaussian_blob(g, (0.4, 0.6), 0.15), gaussian_blob(g, (0.5, 0.5), 0.1)
+    other_box = ek.DensityField(ek.Grid2D(-1.0, 2.0, -1.0, 2.0, 12, 12), mu.values)
+    other_counts = ek.DensityField.uniform(ek.Grid2D(0.0, 1.0, 0.0, 1.0, 12, 14))
+    for moved in (other_box, other_counts):
+        for args in ((moved, mu, nu), (mu, moved, nu), (mu, mu, moved)):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                ek.semigroup_continuity_probe(*args, 0.1, params)
 
 
 def test_continuity_probe_grows_subexponentially(params):

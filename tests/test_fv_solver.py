@@ -31,8 +31,7 @@ def test_advect_point_mass_upwind_stencil():
     coeff = zero_coefficients(g)
     v = 0.3
     coeff = ek.CoefficientField(
-        g, coeff.a1_at_rho_faces, coeff.a2_at_R_faces,
-        np.full(g.n_rho, v), coeff.a2_at_R_centers)
+        g, coeff.a1_at_rho_faces, coeff.a2_at_R_faces, np.full(g.n_rho, v))
     f = ek.DensityField.point_mass(g, 0.45, 0.45)  # cell (4, 4)
     dt = 0.2 * g.h_R / v  # courant number 0.2
     out = ek.step_advect_R(f, coeff, dt)
@@ -46,7 +45,7 @@ def test_advect_conserves_mass(params):
     g = ek.Grid2D(0.0, 1.0, -1.0, 1.0, 15, 25)
     rng = np.random.default_rng(5)
     f = ek.DensityField(g, rng.random((15, 25))).normalized()
-    coeff = ek.a_field(gaussian_blob(g, (0.5, 0.0), 0.3), params, g)
+    coeff = ek.a_field(gaussian_blob(g, (0.5, 0.0), 0.3), params)
     out = ek.step_advect_R(f, coeff, 1e-3)
     assert out.mass() == pytest.approx(f.mass(), rel=1e-14)
 
@@ -55,8 +54,7 @@ def test_advect_cfl_violation_raises():
     g = ek.Grid2D.unit_square(10)
     z = zero_coefficients(g)
     coeff = ek.CoefficientField(
-        g, z.a1_at_rho_faces, z.a2_at_R_faces,
-        np.full(g.n_rho, 2.0), z.a2_at_R_centers)
+        g, z.a1_at_rho_faces, z.a2_at_R_faces, np.full(g.n_rho, 2.0))
     f = ek.DensityField.uniform(g)
     with pytest.raises(ek.CFLError):
         ek.step_advect_R(f, coeff, 1.0)
@@ -91,7 +89,7 @@ def test_rho_step_ou_steady_state():
     p = ek.KernelParams(1.0, 1.0, np.sqrt(0.1), ek.KernelKind.LINEAR)
     g = ek.Grid2D(-1.5, 1.5, 0.0, 1.0, 200, 1)
     coeff = ek.CoefficientField(
-        g, g.rho_faces.copy(), np.zeros(2), g.rho_centers.copy(), np.zeros(1))
+        g, g.rho_faces.copy(), np.zeros(2), g.rho_centers.copy())
     f = ek.DensityField.uniform(g)
     # backward Euler's fixed point is the null vector of the rate matrix at
     # any dt; this one is 100 times the step the explicit sub-step took here
@@ -222,6 +220,18 @@ def test_frozen_consistency_second_order(params):
 # -- evolve ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("box, n", [((-1.0, 2.0), 20), ((0.0, 1.0), 16)],
+                         ids=["other_box", "other_counts"])
+def test_evolve_rejects_frozen_coefficients_of_another_grid(params, box, n):
+    # same cell counts on another box would march at the wrong coordinates
+    mu = gaussian_blob(ek.Grid2D(*box, *box, n, n), (0.5, 0.5), 0.15)
+    f0 = ek.DensityField.uniform(ek.Grid2D.unit_square(20))
+    for t_final in (0.0, 0.05):
+        with pytest.raises(ValueError, match="another grid"):
+            ek.evolve(f0, ek.SolverConfig(t_final=t_final), params,
+                      frozen=ek.a_field(mu, params))
+
+
 def test_evolve_t_zero_trace(params):
     g = ek.Grid2D.unit_square(10)
     f0 = ek.DensityField.uniform(g)
@@ -263,7 +273,7 @@ def test_linear_mode_semigroup_property(params):
     mu = gaussian_blob(g, (0.4, 0.6), 0.15)
     nu = gaussian_blob(g, (0.6, 0.4), 0.12)
     dt = 1.0 / 1024  # exact binary step so time accumulates without roundoff
-    frozen = ek.a_field(mu, params, g)
+    frozen = ek.a_field(mu, params)
 
     def run(f, t):
         return ek.evolve(f, ek.SolverConfig(t_final=t, dt=dt), params, frozen=frozen).final

@@ -151,7 +151,7 @@ def test_frozen_semigroup_contraction(params):
     nu1 = gaussian_blob(g, (0.3, 0.3), 0.1)
     nu2 = gaussian_blob(g, (0.7, 0.7), 0.1)
     cfg = ek.SolverConfig(t_final=1.0, dt=2e-4)
-    frozen = ek.a_field(mu, params, g)
+    frozen = ek.a_field(mu, params)
     tr1 = ek.evolve(nu1, cfg, params, snapshot_every=0.2, frozen=frozen)
     tr2 = ek.evolve(nu2, cfg, params, snapshot_every=0.2, frozen=frozen)
     ts, ys = [], []
