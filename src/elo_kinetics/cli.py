@@ -336,13 +336,16 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
     weight = _build(LyapunovWeight, _get(cfg, "model.beta", float, FixedPointConfig.beta),
                     params.gamma)
+    t = _get(cfg, "diagnose.t", float, 0.0)
+    if not (t >= 0 and math.isfinite(t)):
+        raise ConfigError(f"diagnose.t must be nonnegative and finite, got {cfg['diagnose.t']}")
     f = _build(DensityField.from_csv, _get(cfg, "diagnose.f", str))
     f_inf = _build(DensityField.from_csv, _get(cfg, "diagnose.f_inf", str))
     if f.grid != f_inf.grid:
         raise ConfigError("diagnose.f and diagnose.f_inf are on different grids")
     com = f.center_of_mass()
     row = {
-        "t": _get(cfg, "diagnose.t", float, 0.0),
+        "t": t,
         "E_phi_beta": relative_energy(f, f_inf, weight),
         "E_inv_finf": relative_energy(f, f_inf, InverseSteadyStateWeight()),
         "beta_norm_diff": beta_norm_diff(f, f_inf, weight.beta, weight.gamma),

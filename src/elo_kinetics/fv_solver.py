@@ -43,8 +43,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.t_final >= 0 and np.isfinite(self.t_final)):
             raise ValueError("t_final must be nonnegative and finite")
-        if self.dt is not None and not (self.dt > 0 and np.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
+        if self.dt is not None and not (
+                0 < self.dt < np.inf and np.isfinite(self.t_final / self.dt)):
+            raise ValueError("dt must be positive and finite, and t_final/dt finite")
 
 
 @dataclass

@@ -23,6 +23,8 @@ class Grid2D:
     n_R: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.rho_max - self.rho_min) and np.isfinite(self.R_max - self.R_min)):
+            raise ValueError("grid bounds and box sides must be finite")
         if not (self.rho_max > self.rho_min and self.R_max > self.R_min):
             raise ValueError("degenerate box")
         if self.n_rho < 1 or self.n_R < 1:

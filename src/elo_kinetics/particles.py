@@ -6,12 +6,13 @@ Randomness is drawn from counter-based streams keyed on (seed, round) or
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import DensityField, Grid2D
-from .kernels import KernelParams, b_eval, h1_eval, kernel_sum
+from .kernels import KernelParams, _coeff_uniform, b_eval, h1_eval, kernel_sum
 
 
 @dataclass
@@ -138,6 +139,29 @@ def run_tournament(
     return pop0.copy_with(rho, R)
 
 
+_MESH_CH = 1.0 / 1024  # cap on c*h, the drift mesh's spacing in units of the kernel's width 1/c
+
+
+def _mean_drift(x: np.ndarray, params: KernelParams) -> np.ndarray:
+    """(1/n) sum_j b(x_i - x_j) at every agent, particle-mesh: a cloud-in-cell
+    deposit onto uniform nodes with c*h <= _MESH_CH, the Toeplitz convolution
+    with b, and linear interpolation back (Hockney & Eastwood). The error is
+    at most (c h)^2 max|tanh''|/4 <= 1.84e-7, and roundoff for the linear
+    kernel. The exact sum when all agents coincide (the drift is 0) or when
+    the mesh would have more nodes than there are agents."""
+    n, lo = len(x), x.min()
+    cells = math.ceil(params.c * (x.max() - lo) / _MESH_CH)
+    if cells == 0 or cells + 1 > n:  # up to n nodes, the O(M^2) convolution costs less
+        return kernel_sum(x, x, np.ones(n), params) / n
+    h = (x.max() - lo) / cells
+    s = (x - lo) / h
+    k = np.minimum(s.astype(np.intp), cells - 1)
+    w = s - k
+    mass = np.bincount(k, 1.0 - w, cells + 1) + np.bincount(k + 1, w, cells + 1)
+    nodes = lo + np.arange(cells + 1) * h
+    return np.interp(x, nodes, _coeff_uniform(mass, nodes, lo, cells + 1, h, params)) / n
+
+
 def step_mean_field_sde(
     pop: AgentPopulation,
     dt: float,
@@ -145,12 +169,12 @@ def step_mean_field_sde(
     rng: np.random.Generator,
 ) -> AgentPopulation:
     """Euler-Maruyama step of the self-consistent SDE against the empirical
-    measure: dR = a[mu_n] dt, drho = -gamma a1[mu_n] dt + sigma dB."""
+    measure: dR = a[mu_n] dt, drho = -gamma a1[mu_n] dt + sigma dB, with the
+    drift a1, a2 on a mesh (`_mean_drift`)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ones = np.ones(pop.n)
-    a1 = kernel_sum(pop.rho, pop.rho, ones, params) / pop.n
-    a2 = kernel_sum(pop.R, pop.R, ones, params) / pop.n
+    a1 = _mean_drift(pop.rho, params)
+    a2 = _mean_drift(pop.R, params)
     R_new = pop.R + (a1 - a2) * dt
     rho_new = (
         pop.rho
@@ -168,10 +192,10 @@ def simulate_mean_field(
 ) -> AgentPopulation:
     """March the mean-field SDE to t_final with fixed-step Euler-Maruyama;
     t_final must be a whole number of steps dt."""
-    if not (dt > 0 and np.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
     if not (t_final >= 0 and np.isfinite(t_final)):
         raise ValueError(f"t_final must be nonnegative and finite, got {t_final}")
+    if not (0 < dt < np.inf and np.isfinite(t_final / dt)):
+        raise ValueError(f"dt must be positive and finite, and t_final/dt finite, got {dt}")
     steps = t_final / dt
     n_steps = round(steps)
     if abs(steps - n_steps) > 1e-9 * abs(steps):

@@ -393,6 +393,13 @@ READERS = [
     ("particles", "particles.sigma_micro", ("zero",)),
     ("particles", "particles.alpha_learn", ("zero",)),
     ("particles", "particles.epsilon", ()),
+    ("solve", "grid.rho_min", ("zero", "negative")),
+    ("solve", "grid.rho_max", ()),
+    ("solve", "grid.R_min", ("zero", "negative")),
+    ("solve", "grid.R_max", ()),
+    ("solve", "grid.n_rho", ()),
+    ("solve", "grid.n_R", ()),
+    ("diagnose", "diagnose.t", ("zero",)),
 ]
 
 
@@ -434,6 +441,11 @@ def malformed_settings(draw):
 @example(("solve", "run.snapshot_every", "0"))
 @example(("solve", "run.snapshot_every", "-1"))
 @example(("solve", "run.snapshot_every", "nan"))
+@example(("solve", "solver.dt", "1e-320"))  # t_final/dt overflows to inf steps
+@example(("sde", "sde.dt", "1e-320"))
+@example(("solve", "grid.rho_max", "inf"))
+@example(("solve", "grid.R_min", "-inf"))
+@example(("diagnose", "diagnose.t", "nan"))
 def test_malformed_value_exits_2_before_any_work(case):
     command, key, value = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:

@@ -310,6 +310,8 @@ def test_solver_config_validation(params):
         ek.SolverConfig(t_final=-1.0)
     with pytest.raises(ValueError):
         ek.SolverConfig(t_final=1.0, dt=0.0)  # would never advance
+    with pytest.raises(ValueError, match="t_final/dt"):
+        ek.SolverConfig(t_final=1.0, dt=1e-320)  # the step count overflows
     with pytest.raises(ValueError):
         ek.SolverConfig(t_final=np.nan)
 

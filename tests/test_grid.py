@@ -23,6 +23,10 @@ def test_grid_validation():
         ek.Grid2D(1.0, 0.0, 0.0, 1.0, 10, 10)
     with pytest.raises(ValueError):
         ek.Grid2D(0.0, 1.0, 0.0, 1.0, 0, 10)
+    for bounds in [(0.0, np.inf, 0.0, 1.0), (0.0, 1.0, -np.inf, 1.0), (np.nan, 1.0, 0.0, 1.0),
+                   (-1e308, 1e308, 0.0, 1.0)]:  # the last box's side overflows
+        with pytest.raises(ValueError, match="finite"):
+            ek.Grid2D(*bounds, 10, 10)
 
 
 def test_density_shape_and_finiteness():

@@ -185,6 +185,8 @@ def test_sde_rejects_bad_dt(params):
     pop = ek.AgentPopulation.uniform_box(4, 3)
     with pytest.raises(ValueError):
         ek.step_mean_field_sde(pop, 0.0, params, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="t_final/dt"):
+        ek.simulate_mean_field(pop, 1.0, 1e-320, params)  # the step count overflows
 
 
 def test_simulate_mean_field_deterministic(params):

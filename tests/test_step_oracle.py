@@ -3,14 +3,17 @@ against the references in step_reference.py: the same bits for random
 densities, coefficients, time steps, query shapes, agent clouds and games,
 the CFL error on the same side of its threshold, and the convolutions a step
 makes. The backward-Euler rho sub-step against a dense solve of its system.
-Also: single sub-steps at admissible time steps conserve mass and stay
-nonnegative to roundoff, the rho sub-step at any time step."""
+The SDE's particle-mesh drift against the exact sum, within its error bound,
+and the exact sum itself where the mesh is not taken. Also: single sub-steps
+at admissible time steps conserve mass and stay nonnegative to roundoff, the
+rho sub-step at any time step."""
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import elo_kinetics as ek
 import step_reference as ref
+from elo_kinetics import particles
 from conftest import gaussian_blob
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -215,12 +218,62 @@ def test_sde_step_matches_reference_drift(n, params, seed):
     rho[: n // 3] = rho[0]  # coincident agents: exact b(0) = 0 terms
     pop = ek.AgentPopulation(rho, R, seed)
     dt = 0.01
-    new = ek.step_mean_field_sde(pop, dt, params, np.random.default_rng(7))
+    calls, exact = [], particles.kernel_sum
+    with pytest.MonkeyPatch.context() as mp:  # count the exact sums the step takes
+        mp.setattr(particles, "kernel_sum", lambda *a: calls.append(1) or exact(*a))
+        new = ek.step_mean_field_sde(pop, dt, params, np.random.default_rng(7))
+    assert len(calls) == 2  # these clouds are too wide (or too small) for the mesh
     a1 = ref._empirical_coefficient(rho, rho, params)
     a2 = ref._empirical_coefficient(R, R, params)
     noise = params.sigma * np.sqrt(dt) * np.random.default_rng(7).standard_normal(n)
     assert new.R.tobytes() == (R + (a1 - a2) * dt).tobytes()
     assert new.rho.tobytes() == (rho - params.gamma * a1 * dt + noise).tobytes()
+
+
+def mesh_ch(x, c):
+    """c*h of the drift mesh on x, or None where the exact sum is taken."""
+    cells = int(np.ceil(c * (x.max() - x.min()) / particles._MESH_CH))
+    return c * (x.max() - x.min()) / cells if 0 < cells < len(x) else None
+
+
+def exact_sum_raises(*args):
+    raise AssertionError("the drift took the exact sum")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2000, 4000), params_st, st.floats(0.001, 1.0), st.floats(-2.0, 2.0),
+       st.integers(0, 2**32 - 1))
+def test_mesh_drift_within_its_error_bound(n, params, width, shift, seed):
+    # a cloud narrow enough for the mesh: c*(max - min) <= (n - 1) * _MESH_CH
+    rng = np.random.default_rng(seed)
+    x = shift + width * (n - 1) * particles._MESH_CH / params.c * rng.random(n)
+    x[: n // 4] = x[0]  # coincident agents share one node pair
+    ch = mesh_ch(x, params.c)
+    assert ch is not None and ch <= 1 / 1024  # the documented cap
+    pop = ek.AgentPopulation(x, x[::-1].copy(), seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(particles, "kernel_sum", exact_sum_raises)
+        got = particles._mean_drift(x, params)
+        ek.step_mean_field_sde(pop, 0.01, params, np.random.default_rng(7))
+    err = np.max(np.abs(got - ref._empirical_coefficient(x, x, params)))
+    # |tanh''| <= 4/(3 sqrt 3) = 0.7698; CIC deposit and interpolation each cost h^2/8 of it;
+    # CIC keeps mass and first moment, so the linear kernel is exact to roundoff
+    tanh = params.kernel_kind is ek.KernelKind.TANH
+    assert err <= (0.1925 * ch**2 if tanh else 0.0) + 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 3000), params_st, st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+def test_mesh_drift_falls_back_to_the_exact_sum(n, params, shift, seed):
+    x = np.full(n, shift)  # coincident agents: no mesh, and a drift of exactly 0
+    assert mesh_ch(x, params.c) is None
+    assert particles._mean_drift(x, params).tobytes() == np.zeros(n).tobytes()
+    # a cloud wide enough that the mesh would have more nodes than agents
+    x = shift + (n + 1) * particles._MESH_CH / params.c * np.random.default_rng(seed).random(n)
+    x[:2] = shift, shift + (n + 1) * particles._MESH_CH / params.c
+    assert mesh_ch(x, params.c) is None
+    want = ref._empirical_coefficient(x, x, params)
+    assert particles._mean_drift(x, params).tobytes() == want.tobytes()
 
 
 # -- single sub-steps at admissible dt ------------------------------------
