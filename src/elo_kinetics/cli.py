@@ -168,9 +168,22 @@ def write_trace_csv(trace, path: Path) -> None:
                ([row[0]] + [f"{x:.17g}" for x in row[1:]] for row in trace.summary_rows()))
 
 
+_AGENT_ROWS = 4096  # agents.csv rows formatted per write
+
+
 def write_agents_csv(pop: AgentPopulation, path: Path) -> None:
-    _write_csv(path, ["id", "rho", "R"],
-               ([k, f"{pop.rho[k]:.17g}", f"{pop.R[k]:.17g}"] for k in range(pop.n)))
+    """Header id,rho,R, then one row per agent: the bytes of a csv.writer
+    writing each coordinate as f"{x:.17g}" (CRLF line ends), formatted a
+    block of rows at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write("id,rho,R\r\n")
+        for s in range(0, pop.n, _AGENT_ROWS):
+            e = min(pop.n, s + _AGENT_ROWS)
+            args = [None] * (3 * (e - s))
+            args[0::3] = range(s, e)
+            args[1::3] = pop.rho[s:e].tolist()
+            args[2::3] = pop.R[s:e].tolist()
+            fh.write(("%d,%.17g,%.17g\r\n" * (e - s)) % tuple(args))
 
 
 def _population(cfg: dict[str, str]) -> AgentPopulation:

@@ -160,18 +160,16 @@ class DensityField:
         """Snapshot format: header rho,R,f, row-major over cells.
 
         The bytes are those of a csv.writer writing each value as
-        f"{x:.17g}" (CRLF line ends); written one rho-row at a time.
+        f"{x:.17g}" (CRLF line ends); written one rho-row at a time, from a
+        template with the row's rho and every R already formatted.
         """
         g = self.grid
-        row_format = "%.17g,%.17g,%.17g\r\n" * g.n_R
-        row = np.empty((g.n_R, 3))
-        row[:, 1] = g.R_centers
+        tails = ["," + "%.17g" % R + ",%.17g\r\n" for R in g.R_centers.tolist()]
         with open(path, "w", newline="") as fh:
             fh.write("rho,R,f\r\n")
-            for rho, values in zip(g.rho_centers, self.values):
-                row[:, 0] = rho
-                row[:, 2] = values
-                fh.write(row_format % tuple(row.ravel().tolist()))
+            for rho, values in zip(g.rho_centers.tolist(), self.values):
+                head = "%.17g" % rho
+                fh.write((head + head.join(tails)) % tuple(values.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "DensityField":

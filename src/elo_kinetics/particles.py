@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DensityField, Grid2D
-from .kernels import KernelParams, _coeff_uniform, b_eval, h1_eval, kernel_sum
+from .kernels import KernelParams, _coeff_uniform, b_eval, kernel_sum
 
 
 @dataclass
@@ -78,6 +78,9 @@ class InteractionParams:
         return self.sigma_micro * np.sqrt(self.epsilon)
 
 
+_PAIR_BLOCK = 4096  # pairs per block of a round: 32 KB temporaries, below glibc's mmap threshold
+
+
 def _match_update(rho_i, rho_j, R_i, R_j, u, z, p: InteractionParams, params: KernelParams):
     """(R_i*, R_j*, rho_i*, rho_j*) after games of agents i against j, from
     uniforms u (one per game) drawn before standard normals z (two per game).
@@ -85,14 +88,16 @@ def _match_update(rho_i, rho_j, R_i, R_j, u, z, p: InteractionParams, params: Ke
     The score S in {-1, +1} has mean b(rho_i - rho_j); the rating update is
     zero sum, and both strengths gain the learning term plus a fluctuation.
     """
-    drho = rho_i - rho_j
-    S = np.where(u < 0.5 * (1.0 + b_eval(drho, params)), 1.0, -1.0)
-    bR = b_eval(R_i - R_j, params)
+    bd = b_eval(rho_i - rho_j, params)
+    S = np.where(u < 0.5 * (1.0 + bd), 1.0, -1.0)
+    dR = p.K_eff * (S - b_eval(R_i - R_j, params))
     gain = p.gamma_micro * p.alpha_eff
-    return (R_i + p.K_eff * (S - bR),
-            R_j + p.K_eff * (-S + bR),  # b is odd: b(R_j - R_i) = -b(R_i - R_j)
-            rho_i + gain * h1_eval(-drho, params) + p.sigma_eff * z[0],
-            rho_j + gain * h1_eval(drho, params) + p.sigma_eff * z[1])
+    # b is odd bitwise (np.tanh is), so h1(-drho) = 1 - bd, h1(drho) = 1 + bd
+    # and R_j's step K (-S + b(R_j - R_i)) = -dR, all to the bit
+    return (R_i + dR,
+            R_j - dR,
+            rho_i + gain * (1.0 - bd) + p.sigma_eff * z[0],
+            rho_j + gain * (1.0 + bd) + p.sigma_eff * z[1])
 
 
 def play_match(
@@ -119,8 +124,9 @@ def run_tournament(
     """Play `rounds` rounds of uniformly matched games.
 
     Each round pairs all agents with a uniform random perfect matching and
-    the pairs update simultaneously (vectorized over pairs). Macroscopic
-    time is rounds * epsilon.
+    the pairs update simultaneously (vectorized over pairs, _PAIR_BLOCK pairs
+    at a time: the pairs are disjoint, so the blocks are independent).
+    Macroscopic time is rounds * epsilon.
     """
     if pop0.n % 2 != 0:
         raise ValueError("need an even number of agents for a full matching")
@@ -129,13 +135,25 @@ def run_tournament(
     rho = pop0.rho.copy()
     R = pop0.R.copy()
     n = pop0.n
+    m = n // 2
+    # draw buffers filled in place each round, with the draws of
+    # rng.permutation(n) (arange, then shuffle), rng.random(m) and
+    # rng.standard_normal((2, m))
+    ids = np.arange(n)
+    perm = np.empty(n, dtype=np.intp)
+    u = np.empty(m)
+    z = np.empty((2, m))
     for rnd in range(rounds):
         rng = np.random.default_rng(np.random.SeedSequence([pop0.rng_seed, rnd]))
-        perm = rng.permutation(n)
-        ii, jj = perm[: n // 2], perm[n // 2:]
-        R[ii], R[jj], rho[ii], rho[jj] = _match_update(
-            rho[ii], rho[jj], R[ii], R[jj],
-            rng.random(n // 2), rng.standard_normal((2, n // 2)), p, params)
+        np.copyto(perm, ids)
+        rng.shuffle(perm)
+        rng.random(out=u)
+        rng.standard_normal(out=z)
+        for a in range(0, m, _PAIR_BLOCK):
+            e = min(m, a + _PAIR_BLOCK)
+            ii, jj = perm[a:e], perm[m + a:m + e]
+            R[ii], R[jj], rho[ii], rho[jj] = _match_update(
+                rho[ii], rho[jj], R[ii], R[jj], u[a:e], z[:, a:e], p, params)
     return pop0.copy_with(rho, R)
 
 

@@ -18,8 +18,13 @@ oracles (see test_step_oracle.py):
   were folded into one update;
 - the map G as a march of the frozen-coefficient equation to stationarity
   (`map_G`), before the direct block-tridiagonal solve replaced it; the
-  step's safety factor is an argument here, for dt-refinement.
+  step's safety factor is an argument here, for dt-refinement;
+- the `csv.writer` that wrote `agents.csv` one row at a time
+  (`write_agents_csv`), before rows were formatted in blocks.
 """
+import csv
+from pathlib import Path
+
 import numpy as np
 
 import elo_kinetics as ek
@@ -263,3 +268,15 @@ def run_tournament(
         R[ii], R[jj] = R_i, R_j
         rho[ii], rho[jj] = rho_i, rho_j
     return pop0.copy_with(rho, R)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_agents_csv(pop: AgentPopulation, path: Path) -> None:
+    _write_csv(path, ["id", "rho", "R"],
+               ([k, f"{pop.rho[k]:.17g}", f"{pop.R[k]:.17g}"] for k in range(pop.n)))

@@ -1,5 +1,6 @@
-"""The lean Strang step, the folded kernel sums and the folded match update
-against the references in step_reference.py: the same bits for random
+"""The lean Strang step, the folded kernel sums, the folded match update
+(the tournament in blocks of pairs) and agents.csv written in blocks against
+the references in step_reference.py: the same bits (bytes) for random
 densities, coefficients, time steps, query shapes, agent clouds and games,
 the CFL error on the same side of its threshold, and the convolutions a step
 makes. The backward-Euler rho sub-step against a dense solve of its system.
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import elo_kinetics as ek
 import step_reference as ref
-from elo_kinetics import particles
+from elo_kinetics import cli, particles
 from conftest import gaussian_blob
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -329,12 +330,21 @@ def populations(draw):
 
 PAIR = ek.AgentPopulation([0.3, 0.3], [0.7, 0.7], 5)  # n = 2, coincident
 GAME = ek.InteractionParams(K=0.5, gamma_micro=1.0, sigma_micro=0.1, alpha_learn=1.0)
+TANH = ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.TANH)
+LINEAR = ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.LINEAR)
+# more than one tournament block of pairs: two blocks and 3 pairs; exactly two blocks
+BLOCKS = ek.AgentPopulation.uniform_box(2 * (2 * particles._PAIR_BLOCK + 3), 11)
+WHOLE_BLOCKS = ek.AgentPopulation.uniform_box(2 * (2 * particles._PAIR_BLOCK), 12)
 
 
 @SETTINGS
 @given(populations(), interaction_st, params_st, st.integers(0, 3))
-@example(PAIR, GAME, ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.TANH), 3)
-@example(PAIR, GAME, ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.LINEAR), 3)
+@example(PAIR, GAME, TANH, 3)
+@example(PAIR, GAME, LINEAR, 3)
+@example(BLOCKS, GAME, TANH, 3)
+@example(BLOCKS, GAME, LINEAR, 2)
+@example(WHOLE_BLOCKS, GAME, TANH, 2)
+@example(WHOLE_BLOCKS, GAME, LINEAR, 3)
 def test_tournament_matches_reference(pop, p, params, rounds):
     new = ek.run_tournament(pop, rounds, p, params)
     old = ref.run_tournament(pop, rounds, p, params)
@@ -344,8 +354,8 @@ def test_tournament_matches_reference(pop, p, params, rounds):
 
 @SETTINGS
 @given(populations(), interaction_st, params_st, st.integers(0, 2**32 - 1))
-@example(PAIR, GAME, ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.TANH), 0)
-@example(PAIR, GAME, ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.LINEAR), 0)
+@example(PAIR, GAME, TANH, 0)
+@example(PAIR, GAME, LINEAR, 0)
 def test_play_match_matches_reference(pop, p, params, seed):
     i, j = np.random.default_rng(seed).choice(pop.n, size=2, replace=False)
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -354,3 +364,25 @@ def test_play_match_matches_reference(pop, p, params, seed):
     assert [type(x) for x in new] == [type(x) for x in old]
     assert np.array(new).tobytes() == np.array(old).tobytes()
     assert rng_new.random() == rng_old.random()  # the same draws were taken
+
+
+# -- agents.csv in blocks against the row-at-a-time csv.writer --------------
+
+EDGE_COORDS = [-0.0, 2.0, 5e-324, -7.0, 1e300, -3.25, 1e16, 1e17, 0.1]
+
+
+@pytest.mark.parametrize("n", [1, 2, cli._AGENT_ROWS - 1, cli._AGENT_ROWS,
+                               cli._AGENT_ROWS + 1, 2 * cli._AGENT_ROWS + 3])
+def test_agents_csv_bytes_match_csv_writer(tmp_path, n):
+    """The edge coordinates lead (whole numbers among them from n = 1) and
+    recur at random rows, across block boundaries."""
+    rng = np.random.default_rng(n)
+    coords = 10.0 * rng.normal(size=2 * n)
+    recur = rng.random(2 * n) < 0.125
+    coords[recur] = rng.choice(EDGE_COORDS, size=recur.sum())
+    k = min(2 * n, len(EDGE_COORDS))
+    coords[:k] = EDGE_COORDS[:k]
+    pop = ek.AgentPopulation(coords[0::2], coords[1::2], 0)
+    cli.write_agents_csv(pop, tmp_path / "agents.csv")
+    ref.write_agents_csv(pop, tmp_path / "reference.csv")
+    assert (tmp_path / "agents.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
