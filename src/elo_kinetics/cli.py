@@ -1,10 +1,11 @@
 """Command-line entry points and run orchestration.
 
 Configuration is a flat key=value text file with dotted sections
-(e.g. ``solver.t_final = 0.5``) plus ``--set key=value`` overrides; every
-run writes a manifest with the fully resolved config and a content hash so
-outputs are reproducible. Exit codes: 0 ok, 2 config error, 3 CFL/positivity
-abort, 4 non-convergence.
+(e.g. ``solver.t_final = 0.5``) plus ``--set key=value`` overrides. KEYS
+holds every key's cast, default and readers; a key the command does not
+read is a config error. Every run writes a manifest with the fully resolved
+config and a content hash so outputs are reproducible. Exit codes: 0 ok,
+2 config error, 3 CFL/positivity abort, 4 non-convergence.
 """
 from __future__ import annotations
 
@@ -43,20 +44,68 @@ EXIT_CONFIG = 2
 EXIT_CFL = 3
 EXIT_NONCONV = 4
 
-_SDE_DT = 0.01  # sde.dt when unset
-
-# documented defaults, applied only when the config opts in (defaults.accept)
-DEFAULTS = {
-    "model.c": "1.0",
-    "model.gamma": "1.0",
-    "model.sigma": repr(math.sqrt(0.1)),  # sigma^2/2 = 0.05
-    "model.beta": repr(FixedPointConfig.beta),
-    "model.kernel": "tanh",
-}
-
 
 class ConfigError(ValueError):
     pass
+
+
+REQUIRED = None  # the default of a key that must be set
+
+
+class _Accepted(str):
+    """The default of a key that defaults.accept=true writes; REQUIRED without it."""
+
+
+def _flag(value: str) -> bool:
+    return value.lower() in ("1", "true", "yes")
+
+
+_ALL = ("solve", "steady", "fixedpoint", "particles", "sde", "diagnose", "compare",
+        "repro-fig1", "repro-fig2")
+_MARCH = ("solve", "compare", "repro-fig1", "repro-fig2")  # march the PDE
+_DATUM = _MARCH + ("steady", "fixedpoint")  # start from run.initial on grid.*
+_FP = ("steady", "fixedpoint")  # build and check one FixedPointConfig
+_AGENTS = ("particles", "sde", "compare")  # draw particles.n agents
+
+# every config key: (cast of its value, its default, the commands that read it).
+# A default is REQUIRED, a value, _Accepted(value) or another key, whose value
+# it takes; defaults.accept=true writes every model.* default into the config.
+KEYS = {
+    "defaults.accept": (_flag, "false", _ALL),
+    "run.outdir": (str, "out", _ALL),
+    "run.initial": (str, "uniform", _DATUM),
+    "run.seed": (int, REQUIRED, _AGENTS),
+    "run.snapshot_every": (float, "inf", _MARCH),
+    "model.c": (float, _Accepted("1.0"), _ALL),
+    "model.gamma": (float, _Accepted("1.0"), _ALL),
+    "model.sigma": (float, _Accepted(repr(math.sqrt(0.1))), _ALL),  # sigma^2/2 = 0.05
+    "model.beta": (float, repr(FixedPointConfig.beta), _FP + ("diagnose", "repro-fig2")),
+    "model.kernel": (lambda v: KernelKind(v.lower()), "tanh", _ALL),
+    "grid.rho_min": (float, "0.0", _DATUM),
+    "grid.rho_max": (float, "1.0", _DATUM),
+    "grid.R_min": (float, "0.0", _DATUM),
+    "grid.R_max": (float, "1.0", _DATUM),
+    "grid.n_rho": (int, REQUIRED, _DATUM),
+    "grid.n_R": (int, REQUIRED, _DATUM),
+    "solver.t_final": (float, REQUIRED, _MARCH),
+    "solver.dt": (lambda v: None if v == "auto" else float(v), "auto", _MARCH),
+    **{f"fixedpoint.{fld.name}": (type(fld.default), repr(fld.default), _FP)
+       for fld in dataclasses.fields(FixedPointConfig) if fld.name != "beta"},
+    "particles.n": (int, REQUIRED, _AGENTS),
+    "particles.rounds": (int, REQUIRED, ("particles",)),
+    "particles.K": (float, "1.0", ("particles",)),
+    "particles.gamma_micro": (float, "model.gamma", ("particles",)),
+    "particles.sigma_micro": (float, "model.sigma", ("particles",)),
+    "particles.alpha_learn": (float, "model.gamma", ("particles",)),
+    "particles.epsilon": (float, repr(InteractionParams.epsilon), ("particles",)),
+    "sde.t_final": (float, REQUIRED, ("sde",)),
+    "sde.dt": (float, "0.01", ("sde", "compare")),
+    "diagnose.f": (str, REQUIRED, ("diagnose",)),
+    "diagnose.f_inf": (str, REQUIRED, ("diagnose",)),
+    "diagnose.t": (float, "0.0", ("diagnose",)),
+    "diagnose.drift_check": (_flag, "false", ("diagnose",)),
+    "diagnose.exterior_ball": (float, "1.0", ("diagnose",)),
+}
 
 
 def _build(make, *args, **kwargs):
@@ -69,77 +118,63 @@ def _build(make, *args, **kwargs):
 
 
 def parse_config(path: str | None, overrides: list[str]) -> dict[str, str]:
+    lines = _build(Path(path).read_text).splitlines() if path else []
+    items = [(f"{path}:{lineno}", line.strip()) for lineno, line in enumerate(lines, 1)
+             if line.strip() and not line.strip().startswith("#")]
     cfg: dict[str, str] = {}
-    if path:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
-    for item in overrides:
+    for where, item in items + [(f"override '{item}'", item) for item in overrides]:
         if "=" not in item:
-            raise ConfigError(f"override '{item}': expected key=value")
+            raise ConfigError(f"{where}: expected key=value")
         key, _, value = item.partition("=")
         cfg[key.strip()] = value.strip()
-    # checked for every command, so that no manifest records a solver key that nothing reads
-    unknown = sorted({k for k in cfg if k.startswith("solver.")} - {"solver.t_final", "solver.dt"})
+    unknown = sorted(set(cfg) - set(KEYS))
     if unknown:
-        raise ConfigError(f"unknown key {', '.join(unknown)}: "
-                          "the solver reads only solver.t_final and solver.dt")
-    if cfg.get("defaults.accept", "false").lower() in ("1", "true", "yes"):
-        for key, value in DEFAULTS.items():
-            cfg.setdefault(key, value)
+        raise ConfigError(f"unknown key {', '.join(unknown)}")
     return cfg
 
 
-def _get(cfg: dict[str, str], key: str, cast, default=None):
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing config key '{key}' (set it or defaults.accept=true)")
+def _accept_defaults(cfg: dict[str, str]) -> dict[str, str]:
+    """With defaults.accept=true, every unset model.* key takes its default."""
+    if _get(cfg, "defaults.accept"):
+        cfg.update({key: str(default) for key, (_, default, _) in KEYS.items()
+                    if key.startswith("model.") and key not in cfg})
+    return cfg
+
+
+def _get(cfg: dict[str, str], key: str):
+    """The key's value through its cast, or its default when unset; an empty
+    value is malformed."""
+    cast, default, _ = KEYS[key]
+    if key not in cfg and default in KEYS:
+        return _get(cfg, default)
+    if key not in cfg and (default is REQUIRED or isinstance(default, _Accepted)):
+        hint = " (set it or defaults.accept=true)" if default else ""
+        raise ConfigError(f"missing config key '{key}'{hint}")
+    value = cfg.get(key, default)
     try:
-        return cast(cfg[key])
+        if not value:
+            raise ValueError
+        return cast(value)
     except ValueError as exc:
-        raise ConfigError(f"bad value for '{key}': {cfg[key]}") from exc
+        raise ConfigError(f"bad value for '{key}': {value}") from exc
 
 
 def build_params(cfg: dict[str, str]) -> KernelParams:
-    return _build(
-        KernelParams,
-        c=_get(cfg, "model.c", float),
-        gamma=_get(cfg, "model.gamma", float),
-        sigma=_get(cfg, "model.sigma", float),
-        kernel_kind=_get(cfg, "model.kernel", lambda v: KernelKind(v.lower()), KernelKind.TANH),
-    )
+    return _build(KernelParams, c=_get(cfg, "model.c"), gamma=_get(cfg, "model.gamma"),
+                  sigma=_get(cfg, "model.sigma"), kernel_kind=_get(cfg, "model.kernel"))
 
 
 def build_grid(cfg: dict[str, str]) -> Grid2D:
-    return _build(
-        Grid2D,
-        rho_min=_get(cfg, "grid.rho_min", float, 0.0),
-        rho_max=_get(cfg, "grid.rho_max", float, 1.0),
-        R_min=_get(cfg, "grid.R_min", float, 0.0),
-        R_max=_get(cfg, "grid.R_max", float, 1.0),
-        n_rho=_get(cfg, "grid.n_rho", int),
-        n_R=_get(cfg, "grid.n_R", int),
-    )
+    return _build(Grid2D, **{fld.name: _get(cfg, f"grid.{fld.name}")
+                             for fld in dataclasses.fields(Grid2D)})
 
 
 def build_solver_config(cfg: dict[str, str]) -> SolverConfig:
-    auto = cfg.get("solver.dt", "auto") == "auto"
-    return _build(
-        SolverConfig,
-        t_final=_get(cfg, "solver.t_final", float),
-        dt=None if auto else _get(cfg, "solver.dt", float),
-    )
+    return _build(SolverConfig, t_final=_get(cfg, "solver.t_final"), dt=_get(cfg, "solver.dt"))
 
 
 def resolve_outdir(cfg: dict[str, str]) -> Path:
-    outdir = os.environ.get("ELOKIN_OUTDIR") or cfg.get("run.outdir") or "out"
-    path = Path(outdir)
+    path = Path(os.environ.get("ELOKIN_OUTDIR") or _get(cfg, "run.outdir"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -187,11 +222,8 @@ def write_agents_csv(pop: AgentPopulation, path: Path) -> None:
 
 
 def _population(cfg: dict[str, str]) -> AgentPopulation:
-    """particles.n agents on the unit square, seeded by the mandatory run.seed."""
-    if "run.seed" not in cfg:
-        raise ConfigError("run.seed is mandatory for stochastic modes")
-    return _build(AgentPopulation.uniform_box, _get(cfg, "particles.n", int),
-                  _get(cfg, "run.seed", int))
+    """particles.n agents on the unit square, seeded by run.seed."""
+    return _build(AgentPopulation.uniform_box, _get(cfg, "particles.n"), _get(cfg, "run.seed"))
 
 
 _FILE_BOUND_TOL = 1e-3  # cells; from_csv rebuilds a file's bounds from its centers
@@ -200,7 +232,7 @@ _FILE_BOUND_TOL = 1e-3  # cells; from_csv rebuilds a file's bounds from its cent
 def _initial_density(cfg: dict[str, str]) -> DensityField:
     """run.initial: the uniform density on the grid.* grid, or a CSV file
     whose grid is its own and must agree with every grid.* key given."""
-    init = cfg.get("run.initial", "uniform")
+    init = _get(cfg, "run.initial")
     if init == "uniform":
         return DensityField.uniform(build_grid(cfg))
     if not init.startswith("file:"):
@@ -208,31 +240,26 @@ def _initial_density(cfg: dict[str, str]) -> DensityField:
     path = init[5:]
     f = _build(DensityField.from_csv, path)
     g = f.grid
-    for key, cast, value, tol in (
-        ("grid.n_rho", int, g.n_rho, 0),
-        ("grid.n_R", int, g.n_R, 0),
-        ("grid.rho_min", float, g.rho_min, _FILE_BOUND_TOL * g.h_rho),
-        ("grid.rho_max", float, g.rho_max, _FILE_BOUND_TOL * g.h_rho),
-        ("grid.R_min", float, g.R_min, _FILE_BOUND_TOL * g.h_R),
-        ("grid.R_max", float, g.R_max, _FILE_BOUND_TOL * g.h_R),
-    ):
-        if key in cfg and not abs(_get(cfg, key, cast) - value) <= tol:
+    tol_rho, tol_R = _FILE_BOUND_TOL * g.h_rho, _FILE_BOUND_TOL * g.h_R
+    for key, value, tol in (
+            ("grid.n_rho", g.n_rho, 0), ("grid.n_R", g.n_R, 0),
+            ("grid.rho_min", g.rho_min, tol_rho), ("grid.rho_max", g.rho_max, tol_rho),
+            ("grid.R_min", g.R_min, tol_R), ("grid.R_max", g.R_max, tol_R)):
+        if key in cfg and not abs(_get(cfg, key) - value) <= tol:
             raise ConfigError(f"{key}={cfg[key]} disagrees with the grid of {path} ({value!r})")
     if f.values.min() < 0 or f.mass() <= 0:
         raise ConfigError(f"{path}: initial density has negative cells or zero mass")
     return f
 
 
-def _pde_inputs(
-    cfg: dict[str, str],
-) -> tuple[KernelParams, SolverConfig, DensityField, float | None]:
+def _pde_inputs(cfg: dict[str, str]) -> tuple[KernelParams, SolverConfig, DensityField, float]:
     """Model parameters, solver config, run.initial, and the
-    snapshot interval run.snapshot_every (None if unset)."""
+    snapshot interval run.snapshot_every."""
     params = build_params(cfg)
     solver_cfg = build_solver_config(cfg)
     f0 = _initial_density(cfg)
-    snap = _get(cfg, "run.snapshot_every", float) if cfg.get("run.snapshot_every") else None
-    if snap is not None and not snap > 0:
+    snap = _get(cfg, "run.snapshot_every")
+    if not snap > 0:
         raise ConfigError(f"run.snapshot_every must be positive, got {cfg['run.snapshot_every']}")
     return params, solver_cfg, f0, snap
 
@@ -255,14 +282,10 @@ def cmd_solve(cfg: dict[str, str], outdir: Path) -> int:
 
 
 def _fp_config(cfg: dict[str, str]) -> FixedPointConfig:
-    """Field `beta` from model.beta, every other field x from fixedpoint.x;
-    a field whose key is unset keeps its default."""
-    given = {}
-    for fld in dataclasses.fields(FixedPointConfig):
-        key = "model.beta" if fld.name == "beta" else f"fixedpoint.{fld.name}"
-        if key in cfg:
-            given[fld.name] = _get(cfg, key, type(fld.default))
-    return _build(FixedPointConfig, **given)
+    """Field `beta` from model.beta, every other field x from fixedpoint.x."""
+    return _build(FixedPointConfig, **{
+        fld.name: _get(cfg, "model.beta" if fld.name == "beta" else f"fixedpoint.{fld.name}")
+        for fld in dataclasses.fields(FixedPointConfig)})
 
 
 def cmd_steady(cfg: dict[str, str], outdir: Path) -> int:
@@ -307,22 +330,12 @@ def cmd_fixedpoint(cfg: dict[str, str], outdir: Path) -> int:
     return EXIT_OK
 
 
-def _interaction(cfg: dict[str, str], params: KernelParams) -> InteractionParams:
-    return _build(
-        InteractionParams,
-        K=_get(cfg, "particles.K", float, 1.0),
-        gamma_micro=_get(cfg, "particles.gamma_micro", float, params.gamma),
-        sigma_micro=_get(cfg, "particles.sigma_micro", float, params.sigma),
-        alpha_learn=_get(cfg, "particles.alpha_learn", float, params.gamma),
-        epsilon=_get(cfg, "particles.epsilon", float, InteractionParams.epsilon),
-    )
-
-
 def cmd_particles(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
     pop0 = _population(cfg)
-    rounds = _get(cfg, "particles.rounds", int)
-    p = _interaction(cfg, params)
+    rounds = _get(cfg, "particles.rounds")
+    p = _build(InteractionParams, **{fld.name: _get(cfg, f"particles.{fld.name}")
+                                     for fld in dataclasses.fields(InteractionParams)})
     pop = _build(run_tournament, pop0, rounds, p, params)
     write_agents_csv(pop, outdir / "agents.csv")
     (outdir / "run_metadata.json").write_text(json.dumps({
@@ -335,8 +348,7 @@ def cmd_particles(cfg: dict[str, str], outdir: Path) -> int:
 def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
     pop0 = _population(cfg)
-    t_final = _get(cfg, "sde.t_final", float)
-    dt = _get(cfg, "sde.dt", float, _SDE_DT)
+    t_final, dt = _get(cfg, "sde.t_final"), _get(cfg, "sde.dt")
     pop = _build(simulate_mean_field, pop0, t_final, dt, params)
     write_agents_csv(pop, outdir / "agents.csv")
     (outdir / "run_metadata.json").write_text(json.dumps({
@@ -347,13 +359,14 @@ def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
 
 def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
     params = build_params(cfg)
-    weight = _build(LyapunovWeight, _get(cfg, "model.beta", float, FixedPointConfig.beta),
-                    params.gamma)
-    t = _get(cfg, "diagnose.t", float, 0.0)
-    if not (t >= 0 and math.isfinite(t)):
-        raise ConfigError(f"diagnose.t must be nonnegative and finite, got {cfg['diagnose.t']}")
-    f = _build(DensityField.from_csv, _get(cfg, "diagnose.f", str))
-    f_inf = _build(DensityField.from_csv, _get(cfg, "diagnose.f_inf", str))
+    weight = _build(LyapunovWeight, _get(cfg, "model.beta"), params.gamma)
+    t, ball = _get(cfg, "diagnose.t"), _get(cfg, "diagnose.exterior_ball")
+    for key, x in (("diagnose.t", t), ("diagnose.exterior_ball", ball)):
+        if not (x >= 0 and math.isfinite(x)):
+            raise ConfigError(f"{key} must be nonnegative and finite, got {cfg[key]}")
+    drift_check = _get(cfg, "diagnose.drift_check")
+    f = _build(DensityField.from_csv, _get(cfg, "diagnose.f"))
+    f_inf = _build(DensityField.from_csv, _get(cfg, "diagnose.f_inf"))
     if f.grid != f_inf.grid:
         raise ConfigError("diagnose.f and diagnose.f_inf are on different grids")
     com = f.center_of_mass()
@@ -367,11 +380,8 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
         "com_R": com[1],
     }
     _write_csv(outdir / "diagnostics.csv", list(row), [[f"{v:.17g}" for v in row.values()]])
-    if cfg.get("diagnose.drift_check", "false").lower() in ("1", "true", "yes"):
-        result = lyapunov_drift_check(
-            f_inf, weight, params,
-            exterior_ball=_get(cfg, "diagnose.exterior_ball", float, 1.0),
-        )
+    if drift_check:
+        result = lyapunov_drift_check(f_inf, weight, params, exterior_ball=ball)
         (outdir / "drift_check.json").write_text(json.dumps({
             "lambda_hat": result.lambda_hat,
             "A_hat": result.A_hat,
@@ -385,7 +395,7 @@ def cmd_compare(cfg: dict[str, str], outdir: Path) -> int:
     params, solver_cfg, f0, snap = _pde_inputs(cfg)
     # the SDE runs first, so that a horizon off its step exits before the PDE is paid for
     pop = _build(simulate_mean_field, _population(cfg), solver_cfg.t_final,
-                 _get(cfg, "sde.dt", float, _SDE_DT), params)
+                 _get(cfg, "sde.dt"), params)
     trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     w1_rho = wasserstein1_samples_vs_marginal(pop.rho, trace.final, "rho")
     w1_R = wasserstein1_samples_vs_marginal(pop.R, trace.final, "R")
@@ -408,18 +418,17 @@ def _fig_config(cfg: dict[str, str], full: bool) -> dict[str, str]:
         base.update({"grid.n_rho": "800", "grid.n_R": "800", "solver.t_final": "0.4"})
     else:
         base.update({"grid.n_rho": "200", "grid.n_R": "200", "solver.t_final": "0.8"})
-    if cfg.get("run.initial", "").startswith("file:"):  # the file's grid is the run's
+    if _get(cfg, "run.initial").startswith("file:"):  # the file's grid is the run's
         base = {k: v for k, v in base.items() if not k.startswith("grid.")}
     base.update(cfg)
-    return parse_config(None, [f"{k}={v}" for k, v in base.items()])
+    return _accept_defaults(base)
 
 
 def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> int:
     cfg = _fig_config(cfg, full=False)
     cfg.setdefault("run.snapshot_every", "0.02")
     params, solver_cfg, f0, snap = _pde_inputs(cfg)
-    weight = _build(LyapunovWeight, _get(cfg, "model.beta", float, FixedPointConfig.beta),
-                    params.gamma)
+    weight = _build(LyapunovWeight, _get(cfg, "model.beta"), params.gamma)
     trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     f_inf = trace.final
     _write_csv(outdir / "energies.csv", ["t", "E_phi_beta", "E_inv_finf"], (
@@ -445,10 +454,6 @@ COMMANDS = {
                    {"full": "full-resolution grid (h=1/800, automatic step); not a CI target"}),
 }
 
-# fixedpoint solves without a time step and steady marches at CFL_SAFETY to
-# fixedpoint.t_max: a solver.* key would be recorded in the manifest, unread
-NO_SOLVER_KEYS = ("steady", "fixedpoint")
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -468,13 +473,17 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config, args.overrides)
-        solver_keys = sorted(k for k in cfg if k.startswith("solver."))
-        if args.command in NO_SOLVER_KEYS and solver_keys:
-            raise ConfigError(f"{args.command} reads no solver key, got {', '.join(solver_keys)}")
-        outdir = resolve_outdir(cfg)
+        # checked before the defaults are written: a manifest records no key that nothing reads
+        unread = sorted(k for k in cfg if args.command not in KEYS[k][2])
+        if unread:  # "other s" where the command reads some s.* key
+            read = {k.partition(".")[0] for k, (_, _, by) in KEYS.items() if args.command in by}
+            sections = dict.fromkeys(k.partition(".")[0] for k in unread)
+            sections = " or ".join(f"other {s}" if s in read else s for s in sections)
+            raise ConfigError(f"{args.command} reads no {sections} key, got {', '.join(unread)}")
+        outdir = resolve_outdir(_accept_defaults(cfg))
         write_manifest(outdir, cfg, args.command)
         return handler(cfg, outdir, **{flag: getattr(args, flag) for flag in flags})
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CFLError, PositivityError) as exc:

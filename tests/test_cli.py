@@ -3,7 +3,9 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +65,16 @@ def test_bad_value_is_config_error(tmp_path, monkeypatch):
     assert code == cli.EXIT_CONFIG
 
 
+# each command's config of only keys it reads, which runs and exits 0
+BASE = {
+    "solve": SOLVE_ARGS,
+    "particles": ["--set", "defaults.accept=true", "--set", "run.seed=1",
+                  "--set", "particles.n=10", "--set", "particles.rounds=2"],
+    "sde": ["--set", "defaults.accept=true", "--set", "run.seed=1",
+            "--set", "particles.n=10", "--set", "sde.t_final=0.02"],
+}
+
+
 @pytest.mark.parametrize("override", [
     "solver.dt=abc",
     "solver.splitting=xx",
@@ -83,12 +95,15 @@ def test_rejected_value_or_input_is_config_error(tmp_path, monkeypatch, capsys, 
     # particles.* and sde.* keys are read by the subcommand of that name
     section = override.split(".")[0]
     command = section if section in ("particles", "sde") else "solve"
-    code, _ = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
-                      "--set", "run.seed=1", "--set", "particles.n=10",
-                      "--set", "particles.rounds=2", "--set", "sde.t_final=0.02",
+    code, _ = run_cli(tmp_path / "base", monkeypatch, *BASE[command], command)
+    assert code == cli.EXIT_OK  # so the override alone is what is rejected
+    capsys.readouterr()
+    code, _ = run_cli(tmp_path, monkeypatch, *BASE[command],
                       "--set", override.format(tmp=tmp_path), command)
     assert code == cli.EXIT_CONFIG
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err and "reads no" not in err
+    assert ("unknown key" in err) == override.startswith(("solver.splitting", "solver.cfl"))
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -112,6 +127,93 @@ def test_solver_key_is_config_error_where_nothing_reads_it(tmp_path, monkeypatch
     assert f"config error: {command} reads no solver key, got {key.split('=')[0]}" \
         in capsys.readouterr().err
     assert not out.exists()  # rejected before the manifest is written
+
+
+# -- the config key table: a key no command reads, or this one does not, exits 2
+
+def unread_keys(command):
+    """One key of each section that has a key `command` does not read."""
+    first = {}
+    for key, (_, _, readers) in cli.KEYS.items():
+        if command not in readers:
+            first.setdefault(key.split(".")[0], key)
+    return list(first.values())
+
+
+def small_args(command, tmp):
+    return [a for item in ["defaults.accept=true", *small_run(command, tmp)]
+            for a in ("--set", item)]
+
+
+@pytest.mark.parametrize("key", ["model.sgima", "grid.nrho"])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_misspelled_key_exits_2_for_every_command(tmp_path, monkeypatch, capsys, command, key):
+    code, out = run_cli(tmp_path, monkeypatch, *small_args(command, tmp_path),
+                        "--set", f"{key}=5", command)
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: unknown key {key}" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the manifest is written
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in sorted(cli.COMMANDS)
+                                          for key in unread_keys(command)])
+def test_key_the_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, command, key):
+    code, out = run_cli(tmp_path, monkeypatch, *small_args(command, tmp_path),
+                        "--set", f"{key}=1", command)
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {command} reads no " in err and f"key, got {key}" in err
+    assert not out.exists()  # rejected before the manifest is written
+
+
+def test_unread_keys_cover_every_section_for_some_command():
+    sections = {key.split(".")[0] for key in cli.KEYS}
+    assert {key.split(".")[0] for c in cli.COMMANDS for key in unread_keys(c)} == \
+        sections - {"defaults"}
+    assert unread_keys("solve") == ["run.seed", "model.beta", "fixedpoint.tol_state",
+                                    "particles.n", "sde.t_final", "diagnose.f"]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_key_the_table_lists_for_a_command_is_accepted(tmp_path, monkeypatch, command):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        (lambda cfg, outdir, **flags: seen.append(cfg) or cli.EXIT_OK,
+                         cli.COMMANDS[command][1]))
+    keys = [key for key, (_, _, readers) in cli.KEYS.items() if command in readers]
+    assert keys
+    for key in keys:
+        code, out = run_cli(tmp_path / key, monkeypatch, "--set", f"{key}=1", command)
+        assert code == cli.EXIT_OK, key
+        assert json.loads((out / "manifest.json").read_text())["config"][key] == "1"
+    assert len(seen) == len(keys)  # every run reached the command
+
+
+def numeric(cast):
+    try:
+        return type(cast("1")) in (int, float)
+    except ValueError:
+        return False
+
+
+def test_malformed_value_property_covers_every_numeric_key():
+    numeric_keys = {key for key, (cast, _, _) in cli.KEYS.items() if numeric(cast)}
+    assert {"run.seed", "solver.dt", "diagnose.exterior_ball"} <= numeric_keys
+    assert numeric_keys <= {key for _, key, _ in READERS}
+    for command, key, _ in READERS:
+        assert command in cli.KEYS[key][2], (command, key)
+
+
+def test_readme_config_key_table_lists_exactly_the_table_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Config keys\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|") for line in table.splitlines()[2:]]
+    listed = {row[1].strip().strip("`"): row[3].strip() for row in rows}
+    assert sorted(listed) == sorted(cli.KEYS)
+    for key, readers in listed.items():
+        expected = set(cli.KEYS[key][2])
+        assert (readers == "all" if expected == set(cli.COMMANDS)
+                else set(re.findall(r"`([\w-]+)`", readers)) == expected), key
 
 
 @pytest.mark.parametrize("command", ["solve", "fixedpoint"])
@@ -400,6 +502,8 @@ READERS = [
     ("solve", "grid.n_rho", ()),
     ("solve", "grid.n_R", ()),
     ("diagnose", "diagnose.t", ("zero",)),
+    ("diagnose", "diagnose.exterior_ball", ("zero",)),
+    ("particles", "run.seed", ("zero",)),  # a negative seed fails in SeedSequence
 ]
 
 
@@ -412,7 +516,9 @@ def small_run(command, tmp):
         return [f"diagnose.f={path}", f"diagnose.f_inf={path}"]
     return {
         "solve": grid + ["solver.t_final=0.01"],
+        "repro-fig1": grid + ["solver.t_final=0.01"],
         "repro-fig2": grid + ["solver.t_final=0.01"],
+        "compare": grid + ["solver.t_final=0.02", "run.seed=1", "particles.n=4"],
         "steady": grid,
         "fixedpoint": grid,
         "sde": ["run.seed=1", "particles.n=4", "sde.t_final=0.02"],
@@ -446,6 +552,8 @@ def malformed_settings(draw):
 @example(("solve", "grid.rho_max", "inf"))
 @example(("solve", "grid.R_min", "-inf"))
 @example(("diagnose", "diagnose.t", "nan"))
+@example(("diagnose", "diagnose.exterior_ball", "-1"))
+@example(("particles", "run.seed", "-1"))
 def test_malformed_value_exits_2_before_any_work(case):
     command, key, value = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
