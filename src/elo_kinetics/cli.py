@@ -10,7 +10,6 @@ config and a content hash so outputs are reproducible. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -19,10 +18,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .diagnostics import (
     InverseSteadyStateWeight,
-    beta_norm_diff,
     lyapunov_drift_check,
     relative_energy,
     wasserstein1_samples_vs_marginal,
@@ -57,6 +57,9 @@ class _Accepted(str):
 
 
 def _flag(value: str) -> bool:
+    """1/true/yes or 0/false/no, in any case; any other value is malformed."""
+    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(value)
     return value.lower() in ("1", "true", "yes")
 
 
@@ -75,7 +78,7 @@ KEYS = {
     "run.outdir": (str, "out", _ALL),
     "run.initial": (str, "uniform", _DATUM),
     "run.seed": (int, REQUIRED, _AGENTS),
-    "run.snapshot_every": (float, "inf", _MARCH),
+    "run.snapshot_every": (float, "inf", ("solve", "repro-fig1", "repro-fig2")),
     "model.c": (float, _Accepted("1.0"), _ALL),
     "model.gamma": (float, _Accepted("1.0"), _ALL),
     "model.sigma": (float, _Accepted(repr(math.sqrt(0.1))), _ALL),  # sigma^2/2 = 0.05
@@ -191,34 +194,33 @@ def write_manifest(outdir: Path, cfg: dict[str, str], mode: str) -> None:
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+_BLOCK_ROWS = 4096  # CSV rows formatted per write
+
+
+def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:
+    """The header line, then row k as row_format % (every column's k-th
+    value): the bytes of a csv.writer writing those fields (CRLF line ends),
+    formatted a block of rows at a time. The columns are arrays or lists of
+    one length."""
+    width = len(columns)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(header + "\r\n")
+        for s in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [np.asarray(c[s:s + _BLOCK_ROWS]).tolist() for c in columns]
+            args = [None] * (width * len(block[0]))
+            for i, values in enumerate(block):
+                args[i::width] = values
+            fh.write(((row_format + "\r\n") * len(block[0])) % tuple(args))
 
 
 def write_trace_csv(trace, path: Path) -> None:
-    _write_csv(path, ["step", "t", "mass", "clipped_mass", "max_f"],
-               ([row[0]] + [f"{x:.17g}" for x in row[1:]] for row in trace.summary_rows()))
-
-
-_AGENT_ROWS = 4096  # agents.csv rows formatted per write
+    _write_csv(path, "step,t,mass,clipped_mass,max_f", "%d,%.17g,%.17g,%.17g,%.17g",
+               np.arange(len(trace.times)), trace.times, trace.masses,
+               trace.clipped_masses, trace.max_values)
 
 
 def write_agents_csv(pop: AgentPopulation, path: Path) -> None:
-    """Header id,rho,R, then one row per agent: the bytes of a csv.writer
-    writing each coordinate as f"{x:.17g}" (CRLF line ends), formatted a
-    block of rows at a time."""
-    with open(path, "w", newline="") as fh:
-        fh.write("id,rho,R\r\n")
-        for s in range(0, pop.n, _AGENT_ROWS):
-            e = min(pop.n, s + _AGENT_ROWS)
-            args = [None] * (3 * (e - s))
-            args[0::3] = range(s, e)
-            args[1::3] = pop.rho[s:e].tolist()
-            args[2::3] = pop.R[s:e].tolist()
-            fh.write(("%d,%.17g,%.17g\r\n" * (e - s)) % tuple(args))
+    _write_csv(path, "id,rho,R", "%d,%.17g,%.17g", np.arange(pop.n), pop.rho, pop.R)
 
 
 def _population(cfg: dict[str, str]) -> AgentPopulation:
@@ -252,21 +254,22 @@ def _initial_density(cfg: dict[str, str]) -> DensityField:
     return f
 
 
-def _pde_inputs(cfg: dict[str, str]) -> tuple[KernelParams, SolverConfig, DensityField, float]:
-    """Model parameters, solver config, run.initial, and the
-    snapshot interval run.snapshot_every."""
-    params = build_params(cfg)
-    solver_cfg = build_solver_config(cfg)
-    f0 = _initial_density(cfg)
+def _pde_inputs(cfg: dict[str, str]) -> tuple[KernelParams, SolverConfig, DensityField]:
+    """Model parameters, solver config and run.initial."""
+    return build_params(cfg), build_solver_config(cfg), _initial_density(cfg)
+
+
+def _snapshot_every(cfg: dict[str, str]) -> float:
+    """run.snapshot_every, a positive interval (inf: no snapshots)."""
     snap = _get(cfg, "run.snapshot_every")
     if not snap > 0:
         raise ConfigError(f"run.snapshot_every must be positive, got {cfg['run.snapshot_every']}")
-    return params, solver_cfg, f0, snap
+    return snap
 
 
-def cmd_solve(cfg: dict[str, str], outdir: Path) -> int:
-    params, solver_cfg, f0, snap = _pde_inputs(cfg)
-    trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
+def cmd_solve(cfg: dict[str, str], outdir: Path) -> None:
+    params, solver_cfg, f0 = _pde_inputs(cfg)
+    trace = evolve(f0, solver_cfg, params, snapshot_every=_snapshot_every(cfg))
     write_trace_csv(trace, outdir / "trace.csv")
     trace.final.to_csv(outdir / "final.csv")
     for t, f in trace.snapshots:
@@ -278,7 +281,6 @@ def cmd_solve(cfg: dict[str, str], outdir: Path) -> int:
         "center_of_mass": com,
         "max_f": float(trace.final.values.max()),
     }, indent=2))
-    return EXIT_OK
 
 
 def _fp_config(cfg: dict[str, str]) -> FixedPointConfig:
@@ -288,15 +290,15 @@ def _fp_config(cfg: dict[str, str]) -> FixedPointConfig:
         for fld in dataclasses.fields(FixedPointConfig)})
 
 
-def cmd_steady(cfg: dict[str, str], outdir: Path) -> int:
+def cmd_steady(cfg: dict[str, str], outdir: Path) -> None:
     params = build_params(cfg)
     fp_cfg = _fp_config(cfg)
     f0 = _initial_density(cfg)
     try:
         result = nonlinear_equilibrate(f0, fp_cfg, params)
     except NonConvergenceError as exc:
-        _write_csv(outdir / "steady_log.csv", ["check", "residual"],
-                   ([k, f"{r:.17g}"] for k, r in enumerate(exc.history)))
+        _write_csv(outdir / "steady_log.csv", "check,residual", "%d,%.17g",
+                   np.arange(len(exc.history)), exc.history)
         raise
     result.density.to_csv(outdir / "steady_state.csv")
     (outdir / "steady_summary.json").write_text(json.dumps({
@@ -305,17 +307,16 @@ def cmd_steady(cfg: dict[str, str], outdir: Path) -> int:
         "mass": result.density.mass(),
         "center_of_mass": result.density.center_of_mass(),
     }, indent=2))
-    return EXIT_OK
 
 
 def _write_fixedpoint_log(result: SteadyStateResult, path: Path) -> None:
-    rows = zip(result.norm_diff_history, result.moment_history)
-    _write_csv(path, ["outer_iter", "norm_diff_beta", "moment_beta", "residual"],
-               ([k, f"{d:.17g}", f"{m:.17g}", f"{result.residual:.17g}"]
-                for k, (d, m) in enumerate(rows)))
+    n = len(result.norm_diff_history)
+    _write_csv(path, "outer_iter,norm_diff_beta,moment_beta,residual", "%d,%.17g,%.17g,%.17g",
+               np.arange(n), result.norm_diff_history, result.moment_history,
+               [result.residual] * n)
 
 
-def cmd_fixedpoint(cfg: dict[str, str], outdir: Path) -> int:
+def cmd_fixedpoint(cfg: dict[str, str], outdir: Path) -> None:
     params = build_params(cfg)
     fp_cfg = _fp_config(cfg)
     f0 = _initial_density(cfg)
@@ -327,10 +328,9 @@ def cmd_fixedpoint(cfg: dict[str, str], outdir: Path) -> int:
         raise
     result.density.to_csv(outdir / "fixed_point.csv")
     _write_fixedpoint_log(result, outdir / "fixedpoint_log.csv")
-    return EXIT_OK
 
 
-def cmd_particles(cfg: dict[str, str], outdir: Path) -> int:
+def cmd_particles(cfg: dict[str, str], outdir: Path) -> None:
     params = build_params(cfg)
     pop0 = _population(cfg)
     rounds = _get(cfg, "particles.rounds")
@@ -342,10 +342,9 @@ def cmd_particles(cfg: dict[str, str], outdir: Path) -> int:
         "seed": pop0.rng_seed, "n": pop0.n, "rounds": rounds, "epsilon": p.epsilon,
         "macroscopic_time": rounds * p.epsilon,
     }, indent=2))
-    return EXIT_OK
 
 
-def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
+def cmd_sde(cfg: dict[str, str], outdir: Path) -> None:
     params = build_params(cfg)
     pop0 = _population(cfg)
     t_final, dt = _get(cfg, "sde.t_final"), _get(cfg, "sde.dt")
@@ -354,10 +353,9 @@ def cmd_sde(cfg: dict[str, str], outdir: Path) -> int:
     (outdir / "run_metadata.json").write_text(json.dumps({
         "seed": pop0.rng_seed, "n": pop0.n, "t_final": t_final, "dt": dt,
     }, indent=2))
-    return EXIT_OK
 
 
-def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
+def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> None:
     params = build_params(cfg)
     weight = _build(LyapunovWeight, _get(cfg, "model.beta"), params.gamma)
     t, ball = _get(cfg, "diagnose.t"), _get(cfg, "diagnose.exterior_ball")
@@ -369,17 +367,12 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
     f_inf = _build(DensityField.from_csv, _get(cfg, "diagnose.f_inf"))
     if f.grid != f_inf.grid:
         raise ConfigError("diagnose.f and diagnose.f_inf are on different grids")
-    com = f.center_of_mass()
-    row = {
-        "t": t,
-        "E_phi_beta": relative_energy(f, f_inf, weight),
-        "E_inv_finf": relative_energy(f, f_inf, InverseSteadyStateWeight()),
-        "beta_norm_diff": beta_norm_diff(f, f_inf, weight.beta, weight.gamma),
-        "mass": f.mass(),
-        "com_rho": com[0],
-        "com_R": com[1],
-    }
-    _write_csv(outdir / "diagnostics.csv", list(row), [[f"{v:.17g}" for v in row.values()]])
+    e_beta = relative_energy(f, f_inf, weight)  # the beta-norm distance, in both columns
+    row = (t, e_beta, relative_energy(f, f_inf, InverseSteadyStateWeight()), e_beta, f.mass(),
+           *f.center_of_mass())
+    _write_csv(outdir / "diagnostics.csv",
+               "t,E_phi_beta,E_inv_finf,beta_norm_diff,mass,com_rho,com_R",
+               ",".join(["%.17g"] * len(row)), *([v] for v in row))
     if drift_check:
         result = lyapunov_drift_check(f_inf, weight, params, exterior_ball=ball)
         (outdir / "drift_check.json").write_text(json.dumps({
@@ -388,22 +381,20 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> int:
             "B_hat": result.B_hat,
             "violation_fraction": result.violation_fraction,
         }, indent=2))
-    return EXIT_OK
 
 
-def cmd_compare(cfg: dict[str, str], outdir: Path) -> int:
-    params, solver_cfg, f0, snap = _pde_inputs(cfg)
+def cmd_compare(cfg: dict[str, str], outdir: Path) -> None:
+    params, solver_cfg, f0 = _pde_inputs(cfg)
     # the SDE runs first, so that a horizon off its step exits before the PDE is paid for
     pop = _build(simulate_mean_field, _population(cfg), solver_cfg.t_final,
                  _get(cfg, "sde.dt"), params)
-    trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
+    trace = evolve(f0, solver_cfg, params)
     w1_rho = wasserstein1_samples_vs_marginal(pop.rho, trace.final, "rho")
     w1_R = wasserstein1_samples_vs_marginal(pop.R, trace.final, "R")
-    _write_csv(outdir / "compare.csv", ["t", "n", "w1_rho", "w1_R"],
-               [[solver_cfg.t_final, pop.n, f"{w1_rho:.17g}", f"{w1_R:.17g}"]])
+    _write_csv(outdir / "compare.csv", "t,n,w1_rho,w1_R", "%s,%d,%.17g,%.17g",
+               [solver_cfg.t_final], [pop.n], [w1_rho], [w1_R])
     trace.final.to_csv(outdir / "pde_final.csv")
     write_agents_csv(pop, outdir / "agents.csv")
-    return EXIT_OK
 
 
 def _fig_config(cfg: dict[str, str], full: bool) -> dict[str, str]:
@@ -424,20 +415,19 @@ def _fig_config(cfg: dict[str, str], full: bool) -> dict[str, str]:
     return _accept_defaults(base)
 
 
-def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> int:
+def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> None:
     cfg = _fig_config(cfg, full=False)
     cfg.setdefault("run.snapshot_every", "0.02")
-    params, solver_cfg, f0, snap = _pde_inputs(cfg)
+    params, solver_cfg, f0 = _pde_inputs(cfg)
+    snap = _snapshot_every(cfg)
     weight = _build(LyapunovWeight, _get(cfg, "model.beta"), params.gamma)
     trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     f_inf = trace.final
-    _write_csv(outdir / "energies.csv", ["t", "E_phi_beta", "E_inv_finf"], (
-        [f"{t:.17g}",
-         f"{relative_energy(f, f_inf, weight):.17g}",
-         f"{relative_energy(f, f_inf, InverseSteadyStateWeight()):.17g}"]
-        for t, f in trace.snapshots))
+    snaps = trace.snapshots
+    _write_csv(outdir / "energies.csv", "t,E_phi_beta,E_inv_finf", "%.17g,%.17g,%.17g",
+               [t for t, _ in snaps], [relative_energy(f, f_inf, weight) for _, f in snaps],
+               [relative_energy(f, f_inf, InverseSteadyStateWeight()) for _, f in snaps])
     f_inf.to_csv(outdir / "steady_state.csv")
-    return EXIT_OK
 
 
 # subcommand -> (handler(cfg, outdir, **flags), its boolean flags as {name: help})
@@ -482,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"{args.command} reads no {sections} key, got {', '.join(unread)}")
         outdir = resolve_outdir(_accept_defaults(cfg))
         write_manifest(outdir, cfg, args.command)
-        return handler(cfg, outdir, **{flag: getattr(args, flag) for flag in flags})
+        handler(cfg, outdir, **{flag: getattr(args, flag) for flag in flags})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -492,6 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONV
+    return EXIT_OK
 
 
 if __name__ == "__main__":

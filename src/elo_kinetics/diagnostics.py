@@ -124,7 +124,8 @@ def lyapunov_drift_check(
     """
     g = eval_grid if eval_grid is not None else mu.grid
     P, Q = np.meshgrid(g.rho_centers, g.R_centers, indexing="ij")
-    ratio = generator_on_weight(mu, w, params, P, Q)
+    # a1 depends on rho only and a2 on R only: each is summed on its axis once
+    ratio = generator_on_weight(mu, w, params, g.rho_centers[:, None], g.R_centers[None, :])
     radius = np.hypot(P, Q)
     r_flat = radius.ravel()
     g_flat = ratio.ravel()

@@ -58,11 +58,6 @@ class EvolutionTrace:
     snapshots: list[tuple[float, DensityField]] = field(default_factory=list)
     final: DensityField | None = None
 
-    def summary_rows(self):
-        """Rows for the trace CSV: step,t,mass,clipped_mass,max_f."""
-        for k, t in enumerate(self.times):
-            yield k, t, self.masses[k], self.clipped_masses[k], self.max_values[k]
-
 
 def cfl_limit(coeff: CoefficientField, grid: Grid2D) -> float:
     """h_R/max|a|, the R-advection bound; the implicit rho sub-step has none."""
@@ -211,7 +206,7 @@ def evolve(
     f0: DensityField,
     cfg: SolverConfig,
     params: KernelParams,
-    snapshot_every: float | None = None,
+    snapshot_every: float = np.inf,
     frozen: CoefficientField | None = None,
 ) -> EvolutionTrace:
     """March to t_final, recording mass/positivity data every step.
@@ -221,14 +216,17 @@ def evolve(
     A fixed dt whose float multiple n*dt is t_final gives exactly n steps of
     dt, wherever the summed time rounds to; otherwise the last step is cut
     to end at t_final. `frozen` coefficients must be tabulated on f0's grid.
+    Snapshots are recorded at t = 0 and every `snapshot_every` after it;
+    none when it is inf.
     """
     if frozen is not None and frozen.grid != f0.grid:
         raise ValueError("frozen coefficients are tabulated on another grid")
     trace = EvolutionTrace()
     f = f0
     t = 0.0
-    trace.snapshots.append((0.0, f))
-    next_snap = snapshot_every if snapshot_every is not None else np.inf
+    if snapshot_every < np.inf:
+        trace.snapshots.append((0.0, f))
+    next_snap = snapshot_every
     n_whole = _whole_steps(cfg)
     while (len(trace.times) < n_whole) if n_whole else (t < cfg.t_final - 1e-15):
         coeff = frozen if frozen is not None else a_field(f, params)

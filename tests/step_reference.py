@@ -19,8 +19,9 @@ oracles (see test_step_oracle.py):
 - the map G as a march of the frozen-coefficient equation to stationarity
   (`map_G`), before the direct block-tridiagonal solve replaced it; the
   step's safety factor is an argument here, for dt-refinement;
-- the `csv.writer` that wrote `agents.csv` one row at a time
-  (`write_agents_csv`), before rows were formatted in blocks.
+- the `csv.writer` that wrote the CLI's CSV tables one row at a time
+  (`_write_csv`; `write_agents_csv` for `agents.csv`), before every table
+  was formatted in blocks of rows.
 """
 import csv
 from pathlib import Path

@@ -65,16 +65,6 @@ def test_bad_value_is_config_error(tmp_path, monkeypatch):
     assert code == cli.EXIT_CONFIG
 
 
-# each command's config of only keys it reads, which runs and exits 0
-BASE = {
-    "solve": SOLVE_ARGS,
-    "particles": ["--set", "defaults.accept=true", "--set", "run.seed=1",
-                  "--set", "particles.n=10", "--set", "particles.rounds=2"],
-    "sde": ["--set", "defaults.accept=true", "--set", "run.seed=1",
-            "--set", "particles.n=10", "--set", "sde.t_final=0.02"],
-}
-
-
 @pytest.mark.parametrize("override", [
     "solver.dt=abc",
     "solver.splitting=xx",
@@ -90,15 +80,17 @@ BASE = {
     "sde.dt=0",
     "sde.t_final=-1",
     "sde.t_final=0.025",
+    "defaults.accept=ture",  # not a flag spelling: neither true nor false
+    "diagnose.drift_check=ture",
 ])
 def test_rejected_value_or_input_is_config_error(tmp_path, monkeypatch, capsys, override):
-    # particles.* and sde.* keys are read by the subcommand of that name
+    # particles.*, sde.* and diagnose.* keys are read by the subcommand of that name
     section = override.split(".")[0]
-    command = section if section in ("particles", "sde") else "solve"
-    code, _ = run_cli(tmp_path / "base", monkeypatch, *BASE[command], command)
+    command = section if section in ("particles", "sde", "diagnose") else "solve"
+    code, _ = run_cli(tmp_path / "base", monkeypatch, *small_args(command, tmp_path), command)
     assert code == cli.EXIT_OK  # so the override alone is what is rejected
     capsys.readouterr()
-    code, _ = run_cli(tmp_path, monkeypatch, *BASE[command],
+    code, _ = run_cli(tmp_path, monkeypatch, *small_args(command, tmp_path),
                       "--set", override.format(tmp=tmp_path), command)
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -172,13 +164,14 @@ def test_unread_keys_cover_every_section_for_some_command():
         sections - {"defaults"}
     assert unread_keys("solve") == ["run.seed", "model.beta", "fixedpoint.tol_state",
                                     "particles.n", "sde.t_final", "diagnose.f"]
+    assert "run.snapshot_every" in unread_keys("compare")  # compare writes no snapshot
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_every_key_the_table_lists_for_a_command_is_accepted(tmp_path, monkeypatch, command):
     seen = []
     monkeypatch.setitem(cli.COMMANDS, command,
-                        (lambda cfg, outdir, **flags: seen.append(cfg) or cli.EXIT_OK,
+                        (lambda cfg, outdir, **flags: seen.append(cfg),
                          cli.COMMANDS[command][1]))
     keys = [key for key, (_, _, readers) in cli.KEYS.items() if command in readers]
     assert keys
@@ -377,6 +370,12 @@ def test_diagnose_drift_check_writes_finite_json(tmp_path, monkeypatch):
     result = json.loads((out / "drift_check.json").read_text(), parse_constant=reject)
     assert result["lambda_hat"] == 0.0
     assert result["B_hat"] == pytest.approx(np.hypot(0.04, 0.04))
+    code, out = run_cli(tmp_path / "no", monkeypatch,
+                        "--set", "defaults.accept=true",
+                        "--set", f"diagnose.f={path}", "--set", f"diagnose.f_inf={path}",
+                        "--set", "diagnose.drift_check=No", "diagnose")
+    assert code == cli.EXIT_OK
+    assert not (out / "drift_check.json").exists()
 
 
 def test_diagnose_rejects_densities_on_different_grids(tmp_path, monkeypatch, capsys):

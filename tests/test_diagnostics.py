@@ -142,6 +142,32 @@ def test_drift_check_without_a_negative_exterior(params):
     assert res.violation_fraction == 0.0  # no cell lies outside the ball
 
 
+def test_generator_on_the_axes_is_the_meshgrid_evaluation(params):
+    g = ek.Grid2D(-2.0, 3.0, -1.0, 2.5, 40, 30)
+    mu = gaussian_blob(g, (0.3, 0.9), 0.4)
+    w = ek.LyapunovWeight(0.1, 1.0)
+    P, Q = np.meshgrid(g.rho_centers, g.R_centers, indexing="ij")
+    on_mesh = ek.generator_on_weight(mu, w, params, P, Q)
+    on_axes = ek.generator_on_weight(mu, w, params, g.rho_centers[:, None],
+                                     g.R_centers[None, :])
+    assert on_axes.shape == on_mesh.shape
+    assert on_axes.tobytes() == on_mesh.tobytes()
+
+
+def test_drift_check_sums_each_coefficient_on_its_axis(params, monkeypatch):
+    # a1 depends on rho only and a2 on R only: one sum per axis point
+    queries = {}
+    for name in ("a1_of_density", "a2_of_density"):
+        def counted(f, q, p, name=name, fn=getattr(ek.diagnostics, name)):
+            queries[name] = np.size(q)
+            return fn(f, q, p)
+        monkeypatch.setattr(ek.diagnostics, name, counted)
+    g = ek.Grid2D(-2.0, 2.0, -3.0, 3.0, 12, 17)
+    ek.lyapunov_drift_check(gaussian_blob(g, (0.0, 0.0), 0.5), ek.LyapunovWeight(0.1, 1.0),
+                            params, exterior_ball=1.0)
+    assert queries == {"a1_of_density": 12, "a2_of_density": 17}
+
+
 def test_drift_check_fitted_lambda_shrinks_with_beta(params):
     g = ek.Grid2D.centered_box(3.0, 40)
     mu = gaussian_blob(g, (0.0, 0.0), 0.4)

@@ -237,8 +237,10 @@ def test_evolve_t_zero_trace(params):
     f0 = ek.DensityField.uniform(g)
     trace = ek.evolve(f0, ek.SolverConfig(t_final=0.0), params)
     assert trace.times == []
-    assert trace.snapshots == [(0.0, f0)]
+    assert trace.snapshots == []  # no interval, no snapshots
     assert trace.final is f0
+    trace = ek.evolve(f0, ek.SolverConfig(t_final=0.0), params, snapshot_every=0.1)
+    assert trace.snapshots == [(0.0, f0)]
 
 
 def test_evolve_conservation_and_positivity(params):

@@ -1,6 +1,6 @@
 """The lean Strang step, the folded kernel sums, the folded match update
-(the tournament in blocks of pairs) and agents.csv written in blocks against
-the references in step_reference.py: the same bits (bytes) for random
+(the tournament in blocks of pairs) and the CSV tables written in blocks
+against the references in step_reference.py: the same bits (bytes) for random
 densities, coefficients, time steps, query shapes, agent clouds and games,
 the CFL error on the same side of its threshold, and the convolutions a step
 makes. The backward-Euler rho sub-step against a dense solve of its system.
@@ -366,13 +366,13 @@ def test_play_match_matches_reference(pop, p, params, seed):
     assert rng_new.random() == rng_old.random()  # the same draws were taken
 
 
-# -- agents.csv in blocks against the row-at-a-time csv.writer --------------
+# -- CSV tables in blocks against the row-at-a-time csv.writer --------------
 
 EDGE_COORDS = [-0.0, 2.0, 5e-324, -7.0, 1e300, -3.25, 1e16, 1e17, 0.1]
+BLOCK = cli._BLOCK_ROWS
 
 
-@pytest.mark.parametrize("n", [1, 2, cli._AGENT_ROWS - 1, cli._AGENT_ROWS,
-                               cli._AGENT_ROWS + 1, 2 * cli._AGENT_ROWS + 3])
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_agents_csv_bytes_match_csv_writer(tmp_path, n):
     """The edge coordinates lead (whole numbers among them from n = 1) and
     recur at random rows, across block boundaries."""
@@ -386,3 +386,46 @@ def test_agents_csv_bytes_match_csv_writer(tmp_path, n):
     cli.write_agents_csv(pop, tmp_path / "agents.csv")
     ref.write_agents_csv(pop, tmp_path / "reference.csv")
     assert (tmp_path / "agents.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# the row formats of the CLI's tables: trace, agents, steady_log,
+# fixedpoint_log, diagnostics, energies, compare
+TABLE_FORMATS = [
+    "%d,%.17g,%.17g,%.17g,%.17g",
+    "%d,%.17g,%.17g",
+    "%d,%.17g",
+    "%d,%.17g,%.17g,%.17g",
+    ",".join(["%.17g"] * 7),
+    "%.17g,%.17g,%.17g",
+    "%s,%d,%.17g,%.17g",
+]
+EDGE_VALUES = EDGE_COORDS + [np.nan, np.inf, -np.inf, -5e-324]
+
+
+@pytest.mark.parametrize("row_format", TABLE_FORMATS)
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_csv_table_bytes_match_csv_writer(tmp_path, row_format, n):
+    """Each table as the old call sites gave it to a csv.writer: %d columns
+    as ints, %.17g columns formatted as f"{x:.17g}", the %s column (compare's
+    t) as the float itself. The new writer gets the same columns as numpy
+    arrays (np.int64, np.float64) and as lists of Python numbers in turn;
+    edge values lead and recur at random rows."""
+    rng = np.random.default_rng(n)
+    formats = row_format.split(",")
+    columns, fields = [], []
+    for i, fmt in enumerate(formats):
+        if fmt == "%d":
+            values = rng.integers(-2**62, 2**62, size=n)
+            fields.append([int(v) for v in values])
+        else:
+            values = 10.0 * rng.normal(size=n)
+            recur = rng.random(n) < 0.125
+            values[recur] = rng.choice(EDGE_VALUES, size=recur.sum())
+            k = min(n, len(EDGE_VALUES))
+            values[:k] = np.roll(EDGE_VALUES, i)[:k]
+            fields.append([float(v) if fmt == "%s" else f"{v:.17g}" for v in values])
+        columns.append(values if i % 2 else values.tolist())
+    header = ",".join(f"c{i}" for i in range(len(formats)))
+    cli._write_csv(tmp_path / "table.csv", header, row_format, *columns)
+    ref._write_csv(tmp_path / "reference.csv", header.split(","), zip(*fields))
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
