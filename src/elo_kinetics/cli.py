@@ -228,6 +228,14 @@ def _population(cfg: dict[str, str]) -> AgentPopulation:
     return _build(AgentPopulation.uniform_box, _get(cfg, "particles.n"), _get(cfg, "run.seed"))
 
 
+def _density_file(path: str) -> DensityField:
+    """The density CSV file at path: no negative cell and a positive mass."""
+    f = _build(DensityField.from_csv, path)
+    if f.values.min() < 0 or f.mass() <= 0:
+        raise ConfigError(f"{path}: density has negative cells or zero mass")
+    return f
+
+
 _FILE_BOUND_TOL = 1e-3  # cells; from_csv rebuilds a file's bounds from its centers
 
 
@@ -240,7 +248,7 @@ def _initial_density(cfg: dict[str, str]) -> DensityField:
     if not init.startswith("file:"):
         raise ConfigError(f"unknown run.initial '{init}'")
     path = init[5:]
-    f = _build(DensityField.from_csv, path)
+    f = _density_file(path)
     g = f.grid
     tol_rho, tol_R = _FILE_BOUND_TOL * g.h_rho, _FILE_BOUND_TOL * g.h_R
     for key, value, tol in (
@@ -249,8 +257,6 @@ def _initial_density(cfg: dict[str, str]) -> DensityField:
             ("grid.R_min", g.R_min, tol_R), ("grid.R_max", g.R_max, tol_R)):
         if key in cfg and not abs(_get(cfg, key) - value) <= tol:
             raise ConfigError(f"{key}={cfg[key]} disagrees with the grid of {path} ({value!r})")
-    if f.values.min() < 0 or f.mass() <= 0:
-        raise ConfigError(f"{path}: initial density has negative cells or zero mass")
     return f
 
 
@@ -363,8 +369,7 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> None:
         if not (x >= 0 and math.isfinite(x)):
             raise ConfigError(f"{key} must be nonnegative and finite, got {cfg[key]}")
     drift_check = _get(cfg, "diagnose.drift_check")
-    f = _build(DensityField.from_csv, _get(cfg, "diagnose.f"))
-    f_inf = _build(DensityField.from_csv, _get(cfg, "diagnose.f_inf"))
+    f, f_inf = _density_file(_get(cfg, "diagnose.f")), _density_file(_get(cfg, "diagnose.f_inf"))
     if f.grid != f_inf.grid:
         raise ConfigError("diagnose.f and diagnose.f_inf are on different grids")
     e_beta = relative_energy(f, f_inf, weight)  # the beta-norm distance, in both columns
@@ -420,6 +425,8 @@ def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> None:
     cfg.setdefault("run.snapshot_every", "0.02")
     params, solver_cfg, f0 = _pde_inputs(cfg)
     snap = _snapshot_every(cfg)
+    if snap == math.inf:  # energies.csv has a row per snapshot
+        raise ConfigError(f"repro-fig2 needs a finite run.snapshot_every, got {snap}")
     weight = _build(LyapunovWeight, _get(cfg, "model.beta"), params.gamma)
     trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     f_inf = trace.final

@@ -11,12 +11,12 @@ keeps it to roundoff.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid import DensityField, Grid2D
-from .kernels import CoefficientField, KernelParams, a_field
+from .kernels import CoefficientField, KernelParams, _a1_tables, a_field
 
 
 class CFLError(RuntimeError):
@@ -29,9 +29,9 @@ class PositivityError(RuntimeError):
 
 _CLIP_BUDGET = 1e-8  # clipped mass per step above which evolve aborts
 # Fraction of cfl_limit taken as the automatic step. It must stay below 1:
-# the R sub-step reads coefficients recomputed after the first rho half-step,
-# not those the bound was taken from. Its value also sets the march's O(dt)
-# splitting error, which the committed steady states carry.
+# the R sub-step reads a1 re-tabulated after the first rho half-step, not
+# the a1 the bound was taken from (a2 is the same). Its value also sets the
+# march's O(dt) splitting error, which the committed steady states carry.
 CFL_SAFETY = 0.45
 
 
@@ -156,21 +156,22 @@ def strang_step(
     """Symmetric split step: half rho, full R, half rho (the stiff rho
     operator takes the halves).
 
-    Coefficients are recomputed from the current state before every
-    sub-step, unless `frozen` supplies them (the linear equation with
-    coefficients frozen at a measure). `_coeff` is private to `evolve`: the
-    coefficients it already tabulated from this `f` to choose `dt`, reused
-    by the first sub-step.
+    `frozen` coefficients (the linear equation with coefficients frozen at a
+    measure) serve every sub-step. Otherwise a1 follows the rho-marginal and
+    a2 the R-marginal: the rho sub-step keeps every R-column's mass and the R
+    sub-step every rho-row's, so only a1 is re-tabulated, once, after the
+    first rho half-step. `_coeff` is private to `evolve`: the coefficients it
+    already tabulated from this `f` to choose `dt`.
     """
     if dt == 0:
         return f
-
-    def coeff(g: DensityField) -> CoefficientField:
-        return frozen if frozen is not None else a_field(g, params)
-
-    f = step_drift_diffuse_rho(f, _coeff if _coeff is not None else coeff(f), dt / 2, params)
-    f = step_advect_R(f, coeff(f), dt)
-    return step_drift_diffuse_rho(f, coeff(f), dt / 2, params)
+    coeff = frozen if frozen is not None else _coeff if _coeff is not None else a_field(f, params)
+    f = step_drift_diffuse_rho(f, coeff, dt / 2, params)
+    if frozen is None:
+        a1_faces, a1_centers = _a1_tables(f, params)
+        coeff = replace(coeff, a1_at_rho_faces=a1_faces, a1_at_rho_centers=a1_centers)
+    f = step_advect_R(f, coeff, dt)
+    return step_drift_diffuse_rho(f, coeff, dt / 2, params)
 
 
 def enforce_positivity(f: DensityField, clip_budget: float) -> tuple[DensityField, float, float]:

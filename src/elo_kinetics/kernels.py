@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -136,33 +135,18 @@ def a2_of_density(f: DensityField, R, params: KernelParams):
     return kernel_sum(R, *_marginal(f, 1), params)
 
 
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
     """a1 at rho-faces and centers, a2 at R-faces: the tables the upwind
     scheme needs.
 
-    Monotone nondecreasing arrays, inherited from monotonicity of b. Each
-    table is given as an array or, by `a_field`, as a function of no
-    arguments that computes it; that function runs the first time the table
-    is read, so a sub-step pays only for the tables it reads.
+    Monotone nondecreasing arrays, inherited from monotonicity of b.
     """
 
-    def __init__(self, grid: Grid2D, a1_at_rho_faces, a2_at_R_faces, a1_at_rho_centers):
-        self.grid = grid
-        self._tables = {
-            "a1_at_rho_faces": a1_at_rho_faces,
-            "a2_at_R_faces": a2_at_R_faces,
-            "a1_at_rho_centers": a1_at_rho_centers,
-        }
-
-    def _table(self, name: str) -> np.ndarray:
-        table = self._tables[name]
-        if callable(table):
-            table = self._tables[name] = table()
-        return table
-
-    a1_at_rho_faces = property(lambda self: self._table("a1_at_rho_faces"))
-    a2_at_R_faces = property(lambda self: self._table("a2_at_R_faces"))
-    a1_at_rho_centers = property(lambda self: self._table("a1_at_rho_centers"))
+    grid: Grid2D
+    a1_at_rho_faces: np.ndarray
+    a2_at_R_faces: np.ndarray
+    a1_at_rho_centers: np.ndarray
 
     def max_abs_a(self) -> float:
         """sup |a1(rho) - a2(R)| over the tabulated box (uses monotonicity)."""
@@ -184,19 +168,22 @@ def _coeff_uniform(masses: np.ndarray, centers: np.ndarray, query0: float,
     return np.convolve(masses, kern)[n - 1: n - 1 + n_query]
 
 
-def a_field(f: DensityField, params: KernelParams) -> CoefficientField:
-    """Tabulate a[mu] = a1 - a2 on the faces and centers of f's own grid;
-    each table is computed the first time it is read."""
+def _a1_tables(f: DensityField, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """a1[f] at the rho-faces and the rho-centers of f's own grid."""
     _validate_measure(f)
     g = f.grid
-    # marginals are taken now, so later changes to f.values do not leak in
-    (rho_c, m_rho), (R_c, m_R) = _marginal(f, 0), _marginal(f, 1)
+    rho_c, m_rho = _marginal(f, 0)
+    return (_coeff_uniform(m_rho, rho_c, g.rho_faces[0], g.n_rho + 1, g.h_rho, params),
+            _coeff_uniform(m_rho, rho_c, g.rho_centers[0], g.n_rho, g.h_rho, params))
+
+
+def a_field(f: DensityField, params: KernelParams) -> CoefficientField:
+    """Tabulate a[mu] = a1 - a2 on the faces and centers of f's own grid."""
+    a1_faces, a1_centers = _a1_tables(f, params)
+    g = f.grid
+    R_c, m_R = _marginal(f, 1)
     return CoefficientField(
-        g,
-        partial(_coeff_uniform, m_rho, rho_c, g.rho_faces[0], g.n_rho + 1, g.h_rho, params),
-        partial(_coeff_uniform, m_R, R_c, g.R_faces[0], g.n_R + 1, g.h_R, params),
-        partial(_coeff_uniform, m_rho, rho_c, g.rho_centers[0], g.n_rho, g.h_rho, params),
-    )
+        g, a1_faces, _coeff_uniform(m_R, R_c, g.R_faces[0], g.n_R + 1, g.h_R, params), a1_centers)
 
 
 def quadratic_form(rho, R, gamma: float):

@@ -179,7 +179,8 @@ def map_G(mu: DensityField, cfg: FixedPointConfig,
     """
     coeff = a_field(mu, params)
     x, sv = _null_vector(coeff, params)
-    if sv[-2] <= _ROUNDOFF * sv[0]:
+    # one R cell: the 1x1 complement has one singular value, and nullity <= 1
+    if sv.size > 1 and sv[-2] <= _ROUNDOFF * sv[0]:
         raise NonConvergenceError(
             "frozen generator is reducible: its null space has dimension > 1", sv.tolist())
     x *= mu.mass() / (x.sum() * mu.grid.cell_area)

@@ -209,19 +209,25 @@ def test_readme_config_key_table_lists_exactly_the_table_keys():
                 else set(re.findall(r"`([\w-]+)`", readers)) == expected), key
 
 
-@pytest.mark.parametrize("command", ["solve", "fixedpoint"])
+@pytest.mark.parametrize("command, keys", [
+    ("solve", ("run.initial=file:{bad}", "grid.n_rho=8", "grid.n_R=8", "solver.t_final=0.01")),
+    ("fixedpoint", ("run.initial=file:{bad}", "grid.n_rho=8", "grid.n_R=8")),
+    ("diagnose", ("diagnose.f={bad}", "diagnose.f_inf={good}")),
+    ("diagnose", ("diagnose.f={good}", "diagnose.f_inf={bad}")),
+    ("diagnose", ("diagnose.f={good}", "diagnose.f_inf={bad}", "diagnose.drift_check=true")),
+], ids=["solve", "fixedpoint", "diagnose_f", "diagnose_f_inf", "diagnose_f_inf_drift_check"])
 @pytest.mark.parametrize("values", [np.zeros((8, 8)), np.eye(8) - 0.01],
                          ids=["zero_mass", "negative_cell"])
 def test_unusable_initial_density_file_is_config_error(tmp_path, monkeypatch, capsys,
-                                                        command, values):
-    path = tmp_path / "f0.csv"
-    ek.DensityField(ek.Grid2D.unit_square(8), values).to_csv(path)
-    horizon = ("--set", "solver.t_final=0.01") if command == "solve" else ()
-    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
-                        "--set", f"run.initial=file:{path}",
-                        "--set", "grid.n_rho=8", "--set", "grid.n_R=8", *horizon, command)
+                                                        command, keys, values):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    ek.DensityField(ek.Grid2D.unit_square(8), values).to_csv(bad)
+    ek.DensityField.uniform(ek.Grid2D.unit_square(8)).to_csv(good)
+    overrides = [a for key in keys for a in ("--set", key.format(bad=bad, good=good))]
+    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true", *overrides, command)
     assert code == cli.EXIT_CONFIG
     assert "negative cells or zero mass" in capsys.readouterr().err
+    assert os.listdir(out) == ["manifest.json"]  # rejected before any output
 
 
 @pytest.mark.parametrize("command, grid_keys, expected", [
@@ -252,6 +258,14 @@ def test_unstable_dt_is_cfl_abort(tmp_path, monkeypatch):
     code, _ = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
                       "--set", "solver.dt=1.0", "solve")
     assert code == cli.EXIT_CFL
+
+
+@pytest.mark.parametrize("n_rho", [1, 5])
+def test_fixedpoint_on_one_R_cell_exits_0(tmp_path, monkeypatch, n_rho):
+    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
+                        "--set", f"grid.n_rho={n_rho}", "--set", "grid.n_R=1", "fixedpoint")
+    assert code == cli.EXIT_OK
+    assert ek.DensityField.from_csv(out / "fixed_point.csv").values.shape == (n_rho, 1)
 
 
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):
@@ -483,6 +497,7 @@ READERS = [
     ("steady", "fixedpoint.t_max", ("inf",)),
     ("fixedpoint", "fixedpoint.theta", ()),
     ("solve", "run.snapshot_every", ("inf",)),
+    ("repro-fig2", "run.snapshot_every", ()),  # energies.csv needs snapshots
     ("solve", "solver.dt", ()),
     ("solve", "solver.t_final", ("zero",)),
     ("sde", "sde.dt", ()),
@@ -546,6 +561,7 @@ def malformed_settings(draw):
 @example(("solve", "run.snapshot_every", "0"))
 @example(("solve", "run.snapshot_every", "-1"))
 @example(("solve", "run.snapshot_every", "nan"))
+@example(("repro-fig2", "run.snapshot_every", "inf"))
 @example(("solve", "solver.dt", "1e-320"))  # t_final/dt overflows to inf steps
 @example(("sde", "sde.dt", "1e-320"))
 @example(("solve", "grid.rho_max", "inf"))

@@ -39,6 +39,18 @@ def test_map_g_linear_ou_marginal(linear_params):
     assert np.sum(np.abs(marg - exact)) * g.h_rho < 1e-3
 
 
+@pytest.mark.parametrize("n_rho", [1, 5, 40])
+def test_map_g_on_one_R_cell_balances_the_rho_chain(params, n_rho):
+    # one R cell: the last Schur complement is 1x1, with a single singular
+    # value, and G(mu) is the detailed balance of the rho rates
+    g = ek.Grid2D(0.0, 1.0, 0.0, 1.0, n_rho, 1)
+    mu = ek.DensityField(g, np.linspace(1.0, 2.0, n_rho)[:, None]).normalized()
+    f = ek.map_G(mu, ek.FixedPointConfig(), params).density
+    up, down = ek.fv_solver._rho_rates(ek.a_field(mu, params), params)
+    np.testing.assert_allclose(f.values[1:, 0] * down, f.values[:-1, 0] * up, rtol=1e-12)
+    assert f.mass() == pytest.approx(mu.mass(), rel=1e-14)
+
+
 def test_map_g_uniqueness_two_guesses(params):
     g = ek.Grid2D.unit_square(50)
     mu = gaussian_blob(g, (0.4, 0.6), 0.16)
