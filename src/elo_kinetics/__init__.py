@@ -12,7 +12,6 @@ from .kernels import (
     a2_of_density,
     a_field,
     b_eval,
-    h1_eval,
     phi_beta,
     quadratic_form,
 )
@@ -39,9 +38,7 @@ from .steady_state import (
 )
 from .particles import (
     AgentPopulation,
-    HistogramResult,
     InteractionParams,
-    histogram_density,
     play_match,
     run_tournament,
     simulate_mean_field,

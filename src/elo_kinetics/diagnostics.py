@@ -55,12 +55,6 @@ def relative_energy(f: DensityField, f_inf: DensityField, weight) -> float:
     raise TypeError(f"unknown weight {weight!r}")
 
 
-def excluded_mass(f_inf: DensityField, weight: InverseSteadyStateWeight) -> float:
-    """Mass of f_inf in cells the inverse weight excludes."""
-    floor = weight.floor_ratio * float(f_inf.values.max())
-    return float(f_inf.values[f_inf.values < floor].sum()) * f_inf.grid.cell_area
-
-
 def beta_norm(f: DensityField, beta: float, gamma: float) -> float:
     """Exponentially weighted total variation, integral of phi_beta |f|."""
     phi = _phi_on_grid(f.grid, beta, gamma)

@@ -175,10 +175,14 @@ class DensityField:
     def from_csv(cls, path) -> "DensityField":
         """Read the snapshot format, rows in any order.
 
-        The (rho, R) pairs must form a complete lattice of uniformly spaced
-        cell centers; an axis with one cell gets spacing 1.
+        Every cell must parse as a float. The (rho, R) pairs must form a
+        complete lattice of uniformly spaced cell centers; an axis with one
+        cell gets spacing 1.
         """
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:  # a cell that is not a number, or a ragged row
+            raise ValueError(f"{path}: {exc}") from None
         if data.shape[1] != 3:
             raise ValueError(f"{path}: expected 3 columns rho,R,f")
         data = data[np.lexsort((data[:, 1], data[:, 0]))]

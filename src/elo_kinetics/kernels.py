@@ -86,13 +86,6 @@ def b_eval(z, params: KernelParams):
     return out if out.ndim else float(out)
 
 
-def h1_eval(z, params: KernelParams):
-    """Learning gain 1 + b(z); strictly positive for the tanh kernel."""
-    z = np.asarray(z, dtype=float)
-    out = 1.0 + b_eval(z, params)
-    return out if np.ndim(out) else float(out)
-
-
 def _validate_measure(f: DensityField) -> None:
     if np.any(f.values < 0):
         raise ValueError("density has negative cells")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DensityField, Grid2D
 from .kernels import KernelParams, _coeff_uniform, b_eval, kernel_sum
 
 
@@ -223,27 +222,3 @@ def simulate_mean_field(
         rng = np.random.default_rng(np.random.SeedSequence([pop0.rng_seed, 0x5DE, k]))
         pop = step_mean_field_sde(pop, dt, params, rng)
     return pop
-
-
-@dataclass
-class HistogramResult:
-    density: DensityField
-    in_box_fraction: float
-    out_of_box_warning: bool
-
-
-def histogram_density(pop: AgentPopulation, grid: Grid2D) -> HistogramResult:
-    """Cell-count histogram of the agents, normalized so that the density
-    mass equals the in-box fraction."""
-    counts, _, _ = np.histogram2d(
-        pop.rho, pop.R,
-        bins=[grid.rho_faces, grid.R_faces],
-    )
-    in_box = float(counts.sum())
-    values = counts / (pop.n * grid.cell_area)
-    frac = in_box / pop.n
-    return HistogramResult(
-        density=DensityField(grid, values),
-        in_box_fraction=frac,
-        out_of_box_warning=frac < 0.95,
-    )

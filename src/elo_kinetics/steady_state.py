@@ -41,6 +41,8 @@ _CHECK_EVERY = 100  # steps per residual check: Delta = _CHECK_EVERY * dt
 # of dimension > 1 (G(mu) is not unique), and negative mass above _ROUNDOFF
 # times the mass is not roundoff.
 _ROUNDOFF = 1e-10
+# Rows at or below which _inverse calls np.linalg.inv instead of splitting.
+_LEAF_ROWS = 64
 
 
 class NonConvergenceError(RuntimeError):
@@ -103,6 +105,29 @@ def _generator_blocks(coeff: CoefficientField, params: KernelParams):
     return up, down, diag, left, right
 
 
+def _inverse(S: np.ndarray) -> np.ndarray:
+    """S^{-1} by 2x2 blocks: the leading block A and the Schur complement
+    D - C A^{-1} B of the trailing block D are inverted recursively, and the
+    rest is matmul. There is no pivoting across blocks, which is stable when
+    S is column diagonally dominant (-S is here a nonsingular M-matrix).
+    """
+    m = S.shape[0]
+    if m <= _LEAF_ROWS:
+        return np.linalg.inv(S)
+    h = m // 2
+    A_inv = _inverse(S[:h, :h])
+    A_inv_B = A_inv @ S[:h, h:]
+    C_A_inv = S[h:, :h] @ A_inv
+    X_inv = _inverse(S[h:, h:] - S[h:, :h] @ A_inv_B)
+    top_right = -(A_inv_B @ X_inv)
+    out = np.empty_like(S)
+    out[:h, :h] = A_inv - top_right @ C_A_inv
+    out[:h, h:] = top_right
+    out[h:, :h] = -(X_inv @ C_A_inv)
+    out[h:, h:] = X_inv
+    return out
+
+
 def _null_vector(coeff: CoefficientField,
                  params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
     """Null vector of the frozen generator, shape (n_rho, n_R), and the
@@ -127,7 +152,7 @@ def _null_vector(coeff: CoefficientField,
     def schur_inv(i: int, prev_inv: np.ndarray | None) -> np.ndarray:
         S = schur(i, prev_inv)
         try:
-            return np.linalg.inv(S)
+            return _inverse(S)
         except np.linalg.LinAlgError:
             raise NonConvergenceError(
                 f"frozen generator is reducible: Schur complement {i} is singular",

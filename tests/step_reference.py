@@ -15,22 +15,29 @@ oracles (see test_step_oracle.py):
   `a1_of_density`, `a2_of_density` and the SDE's `_empirical_coefficient`;
 - the scalar game `play_match` and the vectorized tournament round of
   `run_tournament`, each with its own copy of the match update, before both
-  were folded into one update;
+  were folded into one update, and the learning gain `h1_eval` they call,
+  which the package no longer exports;
 - the map G as a march of the frozen-coefficient equation to stationarity
   (`map_G`), before the direct block-tridiagonal solve replaced it; the
   step's safety factor is an argument here, for dt-refinement;
+- the block elimination of that direct solve with every Schur complement
+  inverted by `np.linalg.inv` (`null_vector`), before complements of more
+  than 64 rows were inverted in 2x2 blocks; the inverse is an argument here,
+  for measuring how far another valid roundoff moves the result;
 - the `csv.writer` that wrote the CLI's CSV tables one row at a time
   (`_write_csv`; `write_agents_csv` for `agents.csv`), before every table
   was formatted in blocks of rows.
 """
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
 import elo_kinetics as ek
 from elo_kinetics.fv_solver import CFLError, _bernoulli, _rho_rates
-from elo_kinetics.kernels import KernelParams, _coeff_uniform, _validate_measure, b_eval, h1_eval
+from elo_kinetics.kernels import KernelParams, _coeff_uniform, _validate_measure, b_eval
+from elo_kinetics.steady_state import _generator_blocks
 from elo_kinetics.particles import AgentPopulation, InteractionParams
 
 
@@ -205,6 +212,62 @@ def map_G(mu, cfg, params, initial_guess=None, cfl_safety=ek.CFL_SAFETY):
     """Steady state of the linear equation with coefficients frozen at mu."""
     guess = initial_guess if initial_guess is not None else mu
     return _equilibrate(guess, cfg, params, ek.a_field(mu, params), cfl_safety)
+
+
+def null_vector(coeff, params, invert=np.linalg.inv):
+    """Null vector of the frozen generator, shape (n_rho, n_R), and the
+    singular values of the last Schur complement (descending).
+
+    Forward elimination S_0 = A_0, S_i = A_i - up[i-1] down[i-1] S_{i-1}^{-1}
+    leaves S_{n-1} f[n-1] = 0; back-substitution is
+    f[i] = -down[i] S_i^{-1} f[i+1]. Only every k-th S_i^{-1}, k ~ sqrt(n_rho),
+    is kept from the forward pass; each segment between two is recomputed
+    in the back pass, so memory is O(sqrt(n_rho) n_R^2) for twice the flops.
+    """
+    up, down, diag, left, right = _generator_blocks(coeff, params)
+    n, m = coeff.grid.n_rho, coeff.grid.n_R
+
+    def schur(i, prev_inv):
+        S = np.zeros((m, m)) if i == 0 else (-up[i - 1] * down[i - 1]) * prev_inv
+        S.flat[::m + 1] += diag[i]
+        S.flat[1::m + 1] += left[i]
+        S.flat[m::m + 1] += right[i]
+        return S
+
+    def schur_inv(i, prev_inv):
+        S = schur(i, prev_inv)
+        try:
+            return invert(S)
+        except np.linalg.LinAlgError:
+            raise ek.NonConvergenceError(
+                f"frozen generator is reducible: Schur complement {i} is singular",
+                np.linalg.svd(S, compute_uv=False).tolist()) from None
+
+    k = max(1, math.isqrt(n))
+    saved = []  # S_i^{-1} for i = 0, k, 2k, ...
+    inv = None
+    for i in range(n - 1):
+        inv = schur_inv(i, inv)
+        if i % k == 0:
+            saved.append(inv)
+    _, sv, vt = np.linalg.svd(schur(n - 1, inv))
+    f = np.empty((n, m))
+    f[-1] = vt[-1]
+    while saved:
+        start = (len(saved) - 1) * k
+        invs = [saved.pop()]
+        for i in range(start + 1, min(start + k, n - 1)):
+            invs.append(schur_inv(i, invs[-1]))
+        for i in reversed(range(start, start + len(invs))):
+            f[i] = -down[i] * (invs[i - start] @ f[i + 1])
+    return f, sv
+
+
+def h1_eval(z, params):
+    """Learning gain 1 + b(z); strictly positive for the tanh kernel."""
+    z = np.asarray(z, dtype=float)
+    out = 1.0 + b_eval(z, params)
+    return out if np.ndim(out) else float(out)
 
 
 def play_match(

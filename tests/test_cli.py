@@ -230,6 +230,23 @@ def test_unusable_initial_density_file_is_config_error(tmp_path, monkeypatch, ca
     assert os.listdir(out) == ["manifest.json"]  # rejected before any output
 
 
+@pytest.mark.parametrize("text", [
+    "rho,R,f\n0.25,0.25,1\n0.25,0.75,x\n0.75,0.25,1\n0.75,0.75,1\n",
+    "rho,R,f\n1,2,\n",
+    "rho,R,f\n0.25,0.25,1\n0.25,0.75\n",
+    pytest.param("rho,R,f\r\n", marks=pytest.mark.filterwarnings(
+        "ignore:loadtxt. input contained no data")),
+], ids=["non_numeric_cell", "trailing_comma", "ragged_row", "header_only"])
+def test_malformed_density_file_is_config_error(tmp_path, monkeypatch, capsys, text):
+    path = tmp_path / "f0.csv"
+    path.write_text(text)
+    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
+                        "--set", f"run.initial=file:{path}", "fixedpoint")
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert os.listdir(out) == ["manifest.json"]  # rejected before any output
+
+
 @pytest.mark.parametrize("command, grid_keys, expected", [
     ("solve", (), cli.EXIT_OK),  # the file's grid is the run's
     ("repro-fig1", (), cli.EXIT_OK),  # and replaces the figure's default grid

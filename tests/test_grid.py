@@ -187,6 +187,25 @@ def test_csv_roundtrip_property(tmp_path_factory, f):
         assert abs(lo_back - lo) <= 1e-12 * scale and abs(hi_back - hi) <= 1e-12 * scale
 
 
+def test_csv_roundtrip_is_bitwise_on_extreme_values(tmp_path):
+    """Subnormals, the extremes of the float range and random bit patterns
+    come back with the bits float() gives their %.17g strings."""
+    extremes = [5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, -0.0, 0.0,
+                np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1e-300, 9007199254740993.0]
+    bits = np.random.default_rng(14).integers(0, 2**64, size=40 * 25, dtype=np.uint64)
+    v = bits.view(np.float64).copy()
+    v[~np.isfinite(v)] = 1.0
+    v[:len(extremes)] = extremes
+    f = ek.DensityField(ek.Grid2D(-3.0, 5.0, 0.5, 1.0, 40, 25), v.reshape(40, 25))
+    path = tmp_path / "field.csv"
+    f.to_csv(path)
+    back = ek.DensityField.from_csv(path)
+    assert back.values.tobytes() == f.values.tobytes()
+    parsed = [float(line.rsplit(",", 1)[1]) for line in path.read_text().splitlines()[1:]]
+    assert back.values.tobytes() == np.array(parsed).tobytes()
+
+
 def test_csv_rows_in_any_order(tmp_path):
     g = ek.Grid2D(0.0, 1.0, -1.0, 2.0, 5, 7)
     f = ek.DensityField(g, np.random.default_rng(12).random((5, 7)))

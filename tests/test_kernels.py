@@ -60,14 +60,6 @@ def test_b_oddness_exact(z):
     assert ek.b_eval(-z, p) == -ek.b_eval(z, p)
 
 
-def test_h1_values(params):
-    assert ek.h1_eval(0.0, params) == 1.0
-    assert ek.h1_eval(-2.0, params) == pytest.approx(ONE_MINUS_TANH_2, abs=1e-15)
-    for z in (-3.0, -0.7, 0.3, 5.0):
-        assert ek.h1_eval(z, params) + ek.h1_eval(-z, params) == pytest.approx(2.0, abs=1e-15)
-        assert ek.h1_eval(z, params) > 0.0
-
-
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         ek.KernelParams(0.0, 1.0, 0.1)

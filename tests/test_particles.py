@@ -81,9 +81,9 @@ def test_match_learning_drift_nonnegative(params):
     rng = np.random.default_rng(3)
     _, _, ri, rj = ek.play_match(0, 1, pop, p, params, rng)
     assert ri >= pop.rho[0] and rj >= pop.rho[1]  # both players learn
-    # expected gain is gamma*alpha*h1(opponent - self)
+    # expected gain is gamma*alpha*(1 + b(opponent - self))
     assert ri - pop.rho[0] == pytest.approx(
-        p.gamma_micro * p.alpha_eff * ek.h1_eval(-3.0, params), abs=1e-15)
+        p.gamma_micro * p.alpha_eff * (1.0 + ek.b_eval(-3.0, params)), abs=1e-15)
 
 
 def test_match_self_play_rejected(params, interaction):
@@ -204,35 +204,3 @@ def test_empirical_coefficient_matches_direct(params):
     fast = ek.kernels.kernel_sum(query, src, np.ones(len(src)), params) / len(src)
     direct = np.array([np.mean(np.tanh(q - src)) for q in query])
     assert np.max(np.abs(fast - direct)) < 1e-12
-
-
-# -- histograms --------------------------------------------------------
-
-
-def test_histogram_single_cell():
-    g = ek.Grid2D.unit_square(4)
-    pop = ek.AgentPopulation(np.full(10, 0.6), np.full(10, 0.1), 1)
-    res = ek.histogram_density(pop, g)
-    assert res.in_box_fraction == 1.0
-    assert not res.out_of_box_warning
-    assert res.density.values[2, 0] == pytest.approx(1.0 / g.cell_area)
-    assert res.density.mass() == pytest.approx(1.0)
-
-
-def test_histogram_out_of_box_warning():
-    g = ek.Grid2D.unit_square(4)
-    pop = ek.AgentPopulation(np.linspace(-3.0, 3.0, 20), np.zeros(20), 1)
-    res = ek.histogram_density(pop, g)
-    assert res.in_box_fraction < 0.95
-    assert res.out_of_box_warning
-    assert res.density.mass() == pytest.approx(res.in_box_fraction)
-
-
-def test_histogram_uniform_concentration_trend():
-    g = ek.Grid2D.unit_square(5)
-    devs = []
-    for n in (4000, 64000):
-        pop = ek.AgentPopulation.uniform_box(n, 12)
-        res = ek.histogram_density(pop, g)
-        devs.append(np.max(np.abs(res.density.values - 1.0)))
-    assert devs[1] < devs[0]  # sup deviation shrinks with n

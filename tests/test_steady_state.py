@@ -111,12 +111,16 @@ def test_map_g_nonconvergence_reports_history(params):
     # rho-drift towards the middle rows from both sides: the middle row is
     # closed, so its Schur complement is singular
     (ek.DensityField.uniform(ek.Grid2D.unit_square(20)), r"Schur complement \d+ is singular"),
+    # the same on 80 R cells, where the complements are inverted in 2x2 blocks
+    (ek.DensityField.uniform(ek.Grid2D(0.0, 1.0, 0.0, 1.0, 20, 80)),
+     "Schur complement 10 is singular"),
     # all mass in the top row, symmetric in R: rho-drift up into that row,
     # R-drift from both sides towards its middle face, whose velocity is 0
     (ek.DensityField(ek.Grid2D.unit_square(20),
                      np.outer(np.eye(20)[-1], np.r_[np.arange(1, 11), np.arange(10, 0, -1)])),
      "null space has dimension > 1"),
-], ids=["singular_schur_complement", "two_null_vectors"])
+], ids=["singular_schur_complement", "singular_schur_complement_in_blocks",
+      "two_null_vectors"])
 def test_map_g_without_diffusion_is_nonconvergence(mu, reason):
     # sigma = 0: the frozen generator is reducible and G(mu) is not unique
     params = ek.KernelParams(1.0, 1.0, 0.0)

@@ -10,7 +10,10 @@ of its system.
 The SDE's particle-mesh drift against the exact sum, within its error bound,
 and the exact sum itself where the mesh is not taken. Also: single sub-steps
 at admissible time steps conserve mass and stay nonnegative to roundoff, the
-rho sub-step at any time step, and each keeps the other axis's marginal."""
+rho sub-step at any time step, and each keeps the other axis's marginal.
+The direct solve's block elimination, whose Schur complements are inverted
+in 2x2 blocks, against the same elimination on np.linalg.inv: the same null
+vector and singular values at roundoff, on and off the block path."""
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -423,6 +426,64 @@ def test_play_match_matches_reference(pop, p, params, seed):
     assert [type(x) for x in new] == [type(x) for x in old]
     assert np.array(new).tobytes() == np.array(old).tobytes()
     assert rng_new.random() == rng_old.random()  # the same draws were taken
+
+
+# -- Schur complements inverted in 2x2 blocks against np.linalg.inv ---------
+
+LEAF = ek.steady_state._LEAF_ROWS
+TANH = ek.KernelParams(1.0, 1.0, np.sqrt(0.1))
+
+
+def m_matrix(n, seed):
+    """-S for a nonsingular, column diagonally dominant M-matrix S."""
+    rng = np.random.default_rng(seed)
+    off = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    np.fill_diagonal(off, 0.0)
+    return off - np.diag(off.sum(axis=0) + rng.random(n))
+
+
+@pytest.mark.parametrize("n", [LEAF, LEAF + 1, 100, 2 * LEAF, 2 * LEAF + 1, 200])
+def test_block_inverse_matches_lapack(n):
+    S = m_matrix(n, n)
+    expected = np.linalg.inv(S)
+    err = np.abs(ek.steady_state._inverse(S) - expected).max()
+    assert err <= 1e-13 * np.abs(expected).max()
+
+
+def assert_null_vector_matches_reference(mu, params):
+    """x to 1e-13 max|x| at unit sum; the singular values to 1e-12 of the
+    largest, or, where the forward elimination amplifies roundoff through
+    the far tail (up to ~1e6 on the [-4,4]^2 box), to 10 times what the
+    reference moves by when LAPACK inverts each transposed complement."""
+    coeff = ek.a_field(mu, params)
+    x, sv = ek.steady_state._null_vector(coeff, params)
+    x_ref, sv_ref = ref.null_vector(coeff, params)
+    _, sv_transposed = ref.null_vector(coeff, params, lambda S: np.linalg.inv(S.T).T)
+    x, x_ref = x / x.sum(), x_ref / x_ref.sum()
+    assert np.abs(x - x_ref).max() <= 1e-13 * np.abs(x_ref).max()
+    spread = np.abs(sv_transposed - sv_ref).max()
+    assert np.abs(sv - sv_ref).max() <= max(1e-12 * sv_ref[0], 10.0 * spread)
+
+
+@pytest.mark.parametrize("n_R", [1, 2, LEAF - 1, LEAF, LEAF + 1, 100, 2 * LEAF + 1])
+def test_null_vector_matches_reference(n_R):
+    g = ek.Grid2D(0.0, 1.0, 0.0, 1.0, 24, n_R)
+    assert_null_vector_matches_reference(gaussian_blob(g, (0.4, 0.6), 0.16), TANH)
+
+
+@pytest.mark.parametrize("L", [4.0, 40.0])
+def test_null_vector_matches_reference_on_wide_boxes(L):
+    """Far tails: the last Schur complement shows no null space here."""
+    g = ek.Grid2D.centered_box(L, 80)
+    assert_null_vector_matches_reference(gaussian_blob(g, (0.3, -0.2), 0.5), TANH)
+
+
+def test_null_vector_matches_reference_on_criterion_05_box():
+    params = ek.KernelParams(1.0, 1.0, np.sqrt(0.1), ek.KernelKind.LINEAR)
+    g = ek.Grid2D(-1.5, 1.5, -1.5, 1.5, 200, 60)
+    mu = ek.DensityField.from_function(
+        g, lambda r, R: np.exp(-(r ** 2 + R ** 2) / 0.08), normalize=True)
+    assert_null_vector_matches_reference(mu, params)
 
 
 # -- CSV tables in blocks against the row-at-a-time csv.writer --------------
