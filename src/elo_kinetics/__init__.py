@@ -33,7 +33,6 @@ from .steady_state import (
     SteadyStateResult,
     fixed_point_iterate,
     map_G,
-    moment_map_exponent,
     nonlinear_equilibrate,
 )
 from .particles import (

@@ -319,7 +319,7 @@ def _write_fixedpoint_log(result: SteadyStateResult, path: Path) -> None:
     n = len(result.norm_diff_history)
     _write_csv(path, "outer_iter,norm_diff_beta,moment_beta,residual", "%d,%.17g,%.17g,%.17g",
                np.arange(n), result.norm_diff_history, result.moment_history,
-               [result.residual] * n)
+               result.residual_history)
 
 
 def cmd_fixedpoint(cfg: dict[str, str], outdir: Path) -> None:

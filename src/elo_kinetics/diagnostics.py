@@ -87,8 +87,11 @@ def generator_on_weight(
     Drift part: beta(-3 a1 rho - gamma a2 R - a2 rho)/sqrt(Q); diffusion
     part: sigma^2/2 [beta(3R^2 + 4/gamma)/Q^{3/2} + beta^2 (R + 4rho/gamma)^2/Q]
     with Q the confinement quadratic form. Evaluated in closed form, not by
-    finite-differencing the weight.
+    finite-differencing the weight. The form cancels the model's
+    -gamma a1 d_rho term against the weight's gamma, so the two must agree.
     """
+    if w.gamma != params.gamma:
+        raise ValueError(f"weight gamma {w.gamma} differs from the model's gamma {params.gamma}")
     beta, gamma = w.beta, w.gamma
     a1 = a1_of_density(mu, rho, params)
     a2 = a2_of_density(mu, R, params)

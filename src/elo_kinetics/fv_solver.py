@@ -8,6 +8,10 @@ the drift vanishes and to donor-cell upwind when sigma = 0: one tridiagonal
 M-matrix solve per sub-step, positive at any time step. Both operators have
 zero-flux walls, so the R step telescopes mass exactly and the rho solve
 keeps it to roundoff.
+
+The scheme's rates have one owner: `_generator_blocks` assembles the frozen
+semi-discrete generator L_mu of both sub-steps as blocks over rho-rows, and
+`_apply_generator` multiplies by them.
 """
 from __future__ import annotations
 
@@ -111,6 +115,38 @@ def _rho_rates(coeff: CoefficientField, params: KernelParams) -> tuple[np.ndarra
         P = v * h / D
         return (D / h**2) * _bernoulli(-P), (D / h**2) * _bernoulli(P)
     return np.maximum(v, 0.0) / h, np.maximum(-v, 0.0) / h
+
+
+def _generator_blocks(coeff: CoefficientField, params: KernelParams):
+    """The frozen semi-discrete generator L, block row i of (L f) being
+    up[i-1] f[i-1] + A_i f[i] + down[i] f[i+1] over rho-rows f[i].
+
+    up[i] (down[i]) is the rate from rho-row i to i+1 (i+1 to i) of
+    _rho_rates; A_i is the R-upwind tridiagonal of step_advect_R for row i
+    minus the row's rho out-rates, given as its diagonal, super- and
+    subdiagonal, one row of each array per rho-row.
+    """
+    grid = coeff.grid
+    up, down = _rho_rates(coeff, params)
+    vR = coeff.a1_at_rho_centers[:, None] - coeff.a2_at_R_faces[None, 1:-1]
+    right, left = np.maximum(vR, 0.0) / grid.h_R, np.maximum(-vR, 0.0) / grid.h_R
+    diag = np.zeros((grid.n_rho, grid.n_R))
+    diag[:, :-1] -= right
+    diag[:, 1:] -= left
+    diag[:-1] -= up[:, None]
+    diag[1:] -= down[:, None]
+    return up, down, diag, left, right
+
+
+def _apply_generator(blocks, x: np.ndarray) -> np.ndarray:
+    """L x for x of shape (n_rho, n_R), L given by _generator_blocks."""
+    up, down, diag, left, right = blocks
+    Lx = diag * x
+    Lx[:, :-1] += left * x[:, 1:]
+    Lx[:, 1:] += right * x[:, :-1]
+    Lx[:-1] += down[:, None] * x[1:]
+    Lx[1:] += up[:, None] * x[:-1]
+    return Lx
 
 
 def step_drift_diffuse_rho(

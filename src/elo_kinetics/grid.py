@@ -6,6 +6,7 @@ tails, so the truncation error decays exponentially in the box size.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,9 +181,13 @@ class DensityField:
         cell gets spacing 1.
         """
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():  # no data row is an error below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:  # a cell that is not a number, or a ragged row
             raise ValueError(f"{path}: {exc}") from None
+        if not len(data):
+            raise ValueError(f"{path}: no data rows")
         if data.shape[1] != 3:
             raise ValueError(f"{path}: expected 3 columns rho,R,f")
         data = data[np.lexsort((data[:, 1], data[:, 0]))]

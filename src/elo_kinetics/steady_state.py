@@ -1,13 +1,13 @@
-"""Steady states of the rating model, three ways.
+"""Steady states of the rating model, two ways: fixed points of the map G,
+and direct equilibration of the nonlinear equation by time-marching.
 
 G(mu) is the stationary state of the linear equation with coefficients
 frozen at mu, found directly: ordered by rho-row, the frozen semi-discrete
-generator is block tridiagonal, and block elimination gives its null vector
-(the hypocoercive equation's unique equilibrium, scaled to mu's mass).
-Fixed points of G are steady states of the nonlinear equation, which is
-also equilibrated directly by time-marching; the fixed-point iteration is
-reported honestly when it does not converge, since the existence proof is
-non-constructive.
+generator (assembled by fv_solver._generator_blocks) is block tridiagonal,
+and block elimination gives its null vector (the hypocoercive equation's
+unique equilibrium, scaled to mu's mass); its residual is the same blocks
+applied to it. The fixed-point iteration is reported honestly when it does
+not converge, since the existence proof is non-constructive.
 """
 from __future__ import annotations
 
@@ -21,14 +21,14 @@ from .fv_solver import (
     CFL_SAFETY,
     PositivityError,
     SolverConfig,
-    _rho_rates,
+    _apply_generator,
+    _generator_blocks,
     cfl_limit,
     enforce_positivity,
     evolve,
-    step_advect_R,
 )
 from .grid import DensityField
-from .kernels import CoefficientField, KernelParams, a_field
+from .kernels import KernelParams, a_field
 
 # Unused here; bench/test_bench.py checks that the tracer patches these
 # copied bindings, so they stay bound until that list changes.
@@ -82,27 +82,7 @@ class SteadyStateResult:
     outer_iterations: int
     norm_diff_history: list[float] = field(default_factory=list)
     moment_history: list[float] = field(default_factory=list)
-
-
-def _generator_blocks(coeff: CoefficientField, params: KernelParams):
-    """The frozen semi-discrete generator L, block row i of (L f) being
-    up[i-1] f[i-1] + A_i f[i] + down[i] f[i+1] over rho-rows f[i].
-
-    up[i] (down[i]) is the rate from rho-row i to i+1 (i+1 to i) of
-    _rho_rates; A_i is the R-upwind tridiagonal of step_advect_R for row i
-    minus the row's rho out-rates, given as its diagonal, super- and
-    subdiagonal, one row of each array per rho-row.
-    """
-    grid = coeff.grid
-    up, down = _rho_rates(coeff, params)
-    vR = coeff.a1_at_rho_centers[:, None] - coeff.a2_at_R_faces[None, 1:-1]
-    right, left = np.maximum(vR, 0.0) / grid.h_R, np.maximum(-vR, 0.0) / grid.h_R
-    diag = np.zeros((grid.n_rho, grid.n_R))
-    diag[:, :-1] -= right
-    diag[:, 1:] -= left
-    diag[:-1] -= up[:, None]
-    diag[1:] -= down[:, None]
-    return up, down, diag, left, right
+    residual_history: list[float] = field(default_factory=list)
 
 
 def _inverse(S: np.ndarray) -> np.ndarray:
@@ -128,10 +108,10 @@ def _inverse(S: np.ndarray) -> np.ndarray:
     return out
 
 
-def _null_vector(coeff: CoefficientField,
-                 params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Null vector of the frozen generator, shape (n_rho, n_R), and the
-    singular values of the last Schur complement (descending).
+def _null_vector(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Null vector of the frozen generator given by its _generator_blocks,
+    shape (n_rho, n_R), and the singular values of the last Schur complement
+    (descending).
 
     Forward elimination S_0 = A_0, S_i = A_i - up[i-1] down[i-1] S_{i-1}^{-1}
     leaves S_{n-1} f[n-1] = 0; back-substitution is
@@ -139,8 +119,8 @@ def _null_vector(coeff: CoefficientField,
     is kept from the forward pass; each segment between two is recomputed
     in the back pass, so memory is O(sqrt(n_rho) n_R^2) for twice the flops.
     """
-    up, down, diag, left, right = _generator_blocks(coeff, params)
-    n, m = coeff.grid.n_rho, coeff.grid.n_R
+    up, down, diag, left, right = blocks
+    n, m = diag.shape
 
     def schur(i: int, prev_inv: np.ndarray | None) -> np.ndarray:
         S = np.zeros((m, m)) if i == 0 else (-up[i - 1] * down[i - 1]) * prev_inv
@@ -178,20 +158,6 @@ def _null_vector(coeff: CoefficientField,
     return f, sv
 
 
-def _generator_residual(f: DensityField, coeff: CoefficientField, beta: float,
-                        params: KernelParams) -> float:
-    """||L_mu f||_beta, with the R part of L_mu applied as
-    (step_advect_R(f, dt) - f) / dt, an exact forward-Euler step of it, and
-    the rho part as the divergence of the face fluxes of _rho_rates."""
-    dt = CFL_SAFETY * cfl_limit(coeff, f.grid)
-    Lf = (step_advect_R(f, coeff, dt).values - f.values) / dt
-    up, down = _rho_rates(coeff, params)
-    flux = up[:, None] * f.values[:-1] - down[:, None] * f.values[1:]
-    Lf[:-1] -= flux
-    Lf[1:] += flux
-    return beta_norm(f.copy_with(Lf), beta, params.gamma)
-
-
 def map_G(mu: DensityField, cfg: FixedPointConfig,
           params: KernelParams) -> SteadyStateResult:
     """Steady state of the linear equation with coefficients frozen at mu,
@@ -202,8 +168,8 @@ def map_G(mu: DensityField, cfg: FixedPointConfig,
     reducible generator, e.g. sigma = 0), has negative mass beyond roundoff,
     or misses tol_state.
     """
-    coeff = a_field(mu, params)
-    x, sv = _null_vector(coeff, params)
+    blocks = _generator_blocks(a_field(mu, params), params)
+    x, sv = _null_vector(blocks)
     # one R cell: the 1x1 complement has one singular value, and nullity <= 1
     if sv.size > 1 and sv[-2] <= _ROUNDOFF * sv[0]:
         raise NonConvergenceError(
@@ -214,7 +180,7 @@ def map_G(mu: DensityField, cfg: FixedPointConfig,
     except PositivityError as exc:
         raise NonConvergenceError(
             f"stationary state has negative mass: {exc}", sv.tolist()) from exc
-    res = _generator_residual(f, coeff, cfg.beta, params)
+    res = beta_norm(f.copy_with(_apply_generator(blocks, f.values)), cfg.beta, params.gamma)
     if not res < cfg.tol_state:
         raise NonConvergenceError(
             f"stationary residual {res:.3e} misses tol_state={cfg.tol_state}", [res])
@@ -258,16 +224,17 @@ def fixed_point_iterate(
     mu = mu0
     diffs: list[float] = []
     moments: list[float] = []
-    residual = np.nan
+    residuals: list[float] = []
 
     def outer_result() -> SteadyStateResult:
         return SteadyStateResult(
             density=mu,
-            residual=residual,
+            residual=residuals[-1] if residuals else np.nan,
             moment_beta=beta_norm(mu, cfg.beta, params.gamma),
             outer_iterations=len(diffs),
             norm_diff_history=diffs,
             moment_history=moments,
+            residual_history=residuals,
         )
 
     for _ in range(cfg.max_outer):
@@ -280,7 +247,7 @@ def fixed_point_iterate(
         diff = beta_norm_diff(g, mu, cfg.beta, params.gamma)
         diffs.append(diff)
         moments.append(result.moment_beta)
-        residual = result.residual
+        residuals.append(result.residual)
         mu = g if cfg.theta == 1.0 else mu.copy_with(
             (1.0 - cfg.theta) * mu.values + cfg.theta * g.values
         )
@@ -292,26 +259,3 @@ def fixed_point_iterate(
             f"fixed point not reached in {cfg.max_outer} outer iterations", diffs, out
         )
     return out
-
-
-def moment_map_exponent(
-    family: list[DensityField],
-    params: KernelParams,
-    cfg: FixedPointConfig,
-) -> float:
-    """Empirical exponent eta_hat: slope of log moment(G(mu)) vs log moment(mu),
-    both moments the cfg.beta-norm.
-
-    eta_hat < 1 is the preserved-moment-set mechanism.
-    """
-    if len(family) < 3:
-        raise ValueError("family must have at least 3 members")
-    Ms = np.array([beta_norm(mu, cfg.beta, params.gamma) for mu in family])
-    logM = np.log(Ms)
-    if np.ptp(logM) < 1e-8:
-        raise ValueError("degenerate family: moments are not distinct")
-    logG = np.log([
-        map_G(mu, cfg, params).moment_beta for mu in family
-    ])
-    slope, _ = np.polyfit(logM, logG, 1)
-    return float(slope)

@@ -24,6 +24,9 @@ oracles (see test_step_oracle.py):
   inverted by `np.linalg.inv` (`null_vector`), before complements of more
   than 64 rows were inverted in 2x2 blocks; the inverse is an argument here,
   for measuring how far another valid roundoff moves the result;
+- the residual ||L_mu f||_beta of that solve with the R part of L_mu applied
+  as a forward-Euler R sub-step (`generator_residual`), before it was
+  applied from the same blocks the elimination solves;
 - the `csv.writer` that wrote the CLI's CSV tables one row at a time
   (`_write_csv`; `write_agents_csv` for `agents.csv`), before every table
   was formatted in blocks of rows.
@@ -35,9 +38,8 @@ from pathlib import Path
 import numpy as np
 
 import elo_kinetics as ek
-from elo_kinetics.fv_solver import CFLError, _bernoulli, _rho_rates
+from elo_kinetics.fv_solver import CFLError, _bernoulli, _generator_blocks, _rho_rates
 from elo_kinetics.kernels import KernelParams, _coeff_uniform, _validate_measure, b_eval
-from elo_kinetics.steady_state import _generator_blocks
 from elo_kinetics.particles import AgentPopulation, InteractionParams
 
 
@@ -212,6 +214,19 @@ def map_G(mu, cfg, params, initial_guess=None, cfl_safety=ek.CFL_SAFETY):
     """Steady state of the linear equation with coefficients frozen at mu."""
     guess = initial_guess if initial_guess is not None else mu
     return _equilibrate(guess, cfg, params, ek.a_field(mu, params), cfl_safety)
+
+
+def generator_residual(f, coeff, beta, params):
+    """||L_mu f||_beta, with the R part of L_mu applied as
+    (step_advect_R(f, dt) - f) / dt, an exact forward-Euler step of it, and
+    the rho part as the divergence of the face fluxes of _rho_rates."""
+    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff, f.grid)
+    Lf = (ek.fv_solver.step_advect_R(f, coeff, dt).values - f.values) / dt
+    up, down = _rho_rates(coeff, params)
+    flux = up[:, None] * f.values[:-1] - down[:, None] * f.values[1:]
+    Lf[:-1] -= flux
+    Lf[1:] += flux
+    return ek.beta_norm(f.copy_with(Lf), beta, params.gamma)
 
 
 def null_vector(coeff, params, invert=np.linalg.inv):

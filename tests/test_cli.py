@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,14 +235,17 @@ def test_unusable_initial_density_file_is_config_error(tmp_path, monkeypatch, ca
     "rho,R,f\n0.25,0.25,1\n0.25,0.75,x\n0.75,0.25,1\n0.75,0.75,1\n",
     "rho,R,f\n1,2,\n",
     "rho,R,f\n0.25,0.25,1\n0.25,0.75\n",
-    pytest.param("rho,R,f\r\n", marks=pytest.mark.filterwarnings(
-        "ignore:loadtxt. input contained no data")),
-], ids=["non_numeric_cell", "trailing_comma", "ragged_row", "header_only"])
+    "rho,R,f\r\n",
+    "",
+], ids=["non_numeric_cell", "trailing_comma", "ragged_row", "header_only", "empty"])
 def test_malformed_density_file_is_config_error(tmp_path, monkeypatch, capsys, text):
     path = tmp_path / "f0.csv"
     path.write_text(text)
-    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
-                        "--set", f"run.initial=file:{path}", "fixedpoint")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
+                            "--set", f"run.initial=file:{path}", "fixedpoint")
+    assert not caught
     assert code == cli.EXIT_CONFIG
     assert f"config error: {path}: " in capsys.readouterr().err
     assert os.listdir(out) == ["manifest.json"]  # rejected before any output
@@ -434,6 +438,28 @@ def test_fixedpoint_subcommand(tmp_path, monkeypatch):
     assert log[0] == "outer_iter,norm_diff_beta,moment_beta,residual"
     assert len(log) >= 2
     assert (out / "fixed_point.csv").exists()
+
+
+@pytest.mark.parametrize("keys, expected", [
+    ((), cli.EXIT_OK),
+    (("fixedpoint.tol_map=1e-14", "fixedpoint.max_outer=3"), cli.EXIT_NONCONV),
+], ids=["converged", "exit_4"])
+def test_fixedpoint_log_residual_is_each_iterates_own(tmp_path, monkeypatch, keys, expected):
+    keys = ("defaults.accept=true", "grid.n_rho=30", "grid.n_R=30", *keys)
+    code, out = run_cli(tmp_path, monkeypatch, *(a for k in keys for a in ("--set", k)),
+                        "fixedpoint")
+    assert code == expected
+    log = np.loadtxt(out / "fixedpoint_log.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(log) >= 2
+    # replay the outer iteration (theta = 1: mu_{k+1} = G(mu_k))
+    cfg = cli._accept_defaults(dict(k.split("=", 1) for k in keys))
+    params, fp_cfg, mu = cli.build_params(cfg), cli._fp_config(cfg), cli._initial_density(cfg)
+    assert fp_cfg.theta == 1.0
+    for row in log:
+        g = ek.map_G(mu, fp_cfg, params)
+        assert row[3] == g.residual
+        mu = g.density
+    assert len(set(log[:, 3])) == len(log)
 
 
 def test_compare_subcommand(tmp_path, monkeypatch):

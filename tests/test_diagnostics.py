@@ -110,6 +110,45 @@ def test_generator_positive_at_origin(params):
     assert val[0] > 0.0
 
 
+def generator_ratio_by_differences(mu, w, params, rho, R, h=1e-4):
+    """L* phi / phi by central differences of phi = phi_beta under w, L* the
+    model's adjoint generator (a1 - a2) d_R - gamma a1 d_rho + sigma^2/2 d_rho^2."""
+    def phi(r, q):
+        return ek.phi_beta(r, q, w)
+    a1 = ek.diagnostics.a1_of_density(mu, rho, params)
+    a2 = ek.diagnostics.a2_of_density(mu, R, params)
+    d_R = (phi(rho, R + h) - phi(rho, R - h)) / (2.0 * h)
+    d_rho = (phi(rho + h, R) - phi(rho - h, R)) / (2.0 * h)
+    d_rho2 = (phi(rho + h, R) - 2.0 * phi(rho, R) + phi(rho - h, R)) / h**2
+    return ((a1 - a2) * d_R - params.gamma * a1 * d_rho
+            + 0.5 * params.sigma**2 * d_rho2) / phi(rho, R)
+
+
+GENERATOR_POINTS = (np.array([0.7, -1.5, 2.0, 0.0, -0.4]), np.array([0.3, 1.0, -2.0, 0.0, -1.2]))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_generator_matches_finite_differences(gamma):
+    params = ek.KernelParams(1.0, gamma, 0.5)
+    mu = gaussian_blob(ek.Grid2D.centered_box(3.0, 60), (0.0, 0.0), 0.5)
+    w = ek.LyapunovWeight(0.3, gamma)
+    np.testing.assert_allclose(
+        ek.generator_on_weight(mu, w, params, *GENERATOR_POINTS),
+        generator_ratio_by_differences(mu, w, params, *GENERATOR_POINTS), rtol=0, atol=1e-6)
+
+
+def test_generator_rejects_a_weight_of_another_gamma():
+    # the closed form cancels the model's gamma against the weight's: with
+    # weight gamma 2 on the gamma-1 model it would be the gamma-2 ratio
+    params = ek.KernelParams(1.0, 1.0, 0.5)
+    mu = gaussian_blob(ek.Grid2D.centered_box(3.0, 60), (0.0, 0.0), 0.5)
+    w = ek.LyapunovWeight(0.3, 2.0)
+    with pytest.raises(ValueError, match="gamma"):
+        ek.generator_on_weight(mu, w, params, *GENERATOR_POINTS)
+    with pytest.raises(ValueError, match="gamma"):
+        ek.lyapunov_drift_check(mu, w, params, exterior_ball=1.0)
+
+
 def test_drift_check_far_field_negative(params):
     g = ek.Grid2D.centered_box(3.0, 60)
     mu = gaussian_blob(g, (0.0, 0.0), 0.4)

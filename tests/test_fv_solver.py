@@ -124,7 +124,7 @@ def test_bernoulli_overflow_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stepped = ek.step_drift_diffuse_rho(f, coeff, dt, p)
-        up, down, *_ = ek.steady_state._generator_blocks(coeff, p)
+        up, down, *_ = ek.fv_solver._generator_blocks(coeff, p)
         B = ek.fv_solver._bernoulli(np.array([710.0, 1e4, -710.0, -1e4]))
     assert B.tolist() == [0.0, 0.0, 710.0, 1e4]
     assert np.all(np.isfinite(stepped.values)) and abs(stepped.mass() - 1.0) < 1e-12

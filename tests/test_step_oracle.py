@@ -13,7 +13,10 @@ at admissible time steps conserve mass and stay nonnegative to roundoff, the
 rho sub-step at any time step, and each keeps the other axis's marginal.
 The direct solve's block elimination, whose Schur complements are inverted
 in 2x2 blocks, against the same elimination on np.linalg.inv: the same null
-vector and singular values at roundoff, on and off the block path."""
+vector and singular values at roundoff, on and off the block path. The one
+assembly of the frozen generator: its matvec against a dense L built entry by
+entry, mass conservation, and map G's residual against the forward-Euler form
+it replaced."""
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -456,7 +459,7 @@ def assert_null_vector_matches_reference(mu, params):
     the far tail (up to ~1e6 on the [-4,4]^2 box), to 10 times what the
     reference moves by when LAPACK inverts each transposed complement."""
     coeff = ek.a_field(mu, params)
-    x, sv = ek.steady_state._null_vector(coeff, params)
+    x, sv = ek.steady_state._null_vector(ek.fv_solver._generator_blocks(coeff, params))
     x_ref, sv_ref = ref.null_vector(coeff, params)
     _, sv_transposed = ref.null_vector(coeff, params, lambda S: np.linalg.inv(S.T).T)
     x, x_ref = x / x.sum(), x_ref / x_ref.sum()
@@ -484,6 +487,97 @@ def test_null_vector_matches_reference_on_criterion_05_box():
     mu = ek.DensityField.from_function(
         g, lambda r, R: np.exp(-(r ** 2 + R ** 2) / 0.08), normalize=True)
     assert_null_vector_matches_reference(mu, params)
+
+
+# -- the one assembly of the frozen generator -------------------------------
+
+# (grid, params, mu's center and spread): a non-stationary mu on each box
+GENERATOR_CASES = {
+    "unit_100": (ek.Grid2D.unit_square(100), TANH, (0.4, 0.6), 0.16),
+    "wide_80": (ek.Grid2D.centered_box(4.0, 80), TANH, (0.3, -0.2), 0.5),
+    "no_diffusion_60x90": (ek.Grid2D(-1.0, 2.0, -1.0, 2.0, 60, 90),
+                           ek.KernelParams(4.0, 1.0, 0.0), (0.5, 0.8), 0.4),
+    "linear_7": (ek.Grid2D.unit_square(7), LINEAR, (0.4, 0.6), 0.3),
+}
+
+
+def generator_blocks(case):
+    g, params, center, spread = GENERATOR_CASES[case]
+    mu = gaussian_blob(g, center, spread)
+    coeff = ek.a_field(mu, params)
+    return mu, coeff, params, ek.fv_solver._generator_blocks(coeff, params)
+
+
+def dense_generator(blocks):
+    """L as a dense matrix, entry by entry from the blocks, with cell (i, j)
+    at index i n_R + j."""
+    up, down, diag, left, right = blocks
+    n, m = diag.shape
+    L = np.zeros((n * m, n * m))
+    for i in range(n):
+        for j in range(m):
+            k = i * m + j
+            L[k, k] = diag[i, j]
+            if j + 1 < m:
+                L[k, k + 1] = left[i, j]
+                L[k + 1, k] = right[i, j]
+            if i + 1 < n:
+                L[k, k + m] = down[i]
+                L[k + m, k] = up[i]
+    return L
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 6), (7, 9)])
+@pytest.mark.parametrize("sigma", [0.3, 0.0])
+def test_apply_generator_matches_dense_assembly(shape, sigma):
+    g = ek.Grid2D(-1.0, 2.0, -0.5, 1.5, *shape)
+    params = ek.KernelParams(1.0, 1.0, sigma)
+    blocks = ek.fv_solver._generator_blocks(ek.a_field(gaussian_blob(g, (0.4, 0.6), 0.5),
+                                                       params), params)
+    L = dense_generator(blocks)
+    x = np.random.default_rng(shape[0] * 10 + shape[1]).normal(size=shape)
+    Lx = ek.fv_solver._apply_generator(blocks, x)
+    assert Lx.shape == shape
+    scale = np.abs(L) @ np.abs(x.ravel())
+    assert np.all(np.abs(Lx.ravel() - L @ x.ravel()) <= 1e-15 * scale)
+    # mass conservation: every column of L sums to 0
+    assert np.all(np.abs(L.sum(axis=0)) <= 1e-14 * np.abs(L).sum(axis=0))
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES)
+def test_apply_generator_conserves_mass(case):
+    _, _, _, blocks = generator_blocks(case)
+    up, down, diag, left, right = blocks
+    x = np.random.default_rng(5).random(diag.shape)
+    Lx = ek.fv_solver._apply_generator(blocks, x)
+    # 1^T L x against the sum of the magnitudes of its terms, |L| x
+    magnitudes = ek.fv_solver._apply_generator((up, down, -diag, left, right), x)
+    assert abs(Lx.sum()) <= 1e-14 * magnitudes.sum()
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES)
+def test_generator_residual_matches_forward_euler_reference(case):
+    mu, coeff, params, blocks = generator_blocks(case)
+    beta = ek.FixedPointConfig().beta
+    blocked = ek.beta_norm(mu.copy_with(ek.fv_solver._apply_generator(blocks, mu.values)),
+                           beta, params.gamma)
+    reference = ref.generator_residual(mu, coeff, beta, params)
+    assert reference > 1e-3  # mu is not stationary
+    assert abs(blocked - reference) <= 1e-13 * reference
+
+
+def test_map_g_assembles_the_generator_once(monkeypatch):
+    calls = []
+    real = ek.steady_state._generator_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ek.steady_state, "_generator_blocks", counted)
+    g = ek.Grid2D.unit_square(20)
+    ek.map_G(gaussian_blob(g, (0.4, 0.6), 0.16), ek.FixedPointConfig(), TANH)
+    assert len(calls) == 1
 
 
 # -- CSV tables in blocks against the row-at-a-time csv.writer --------------
