@@ -68,6 +68,9 @@ _ALL = ("solve", "steady", "fixedpoint", "particles", "sde", "diagnose", "compar
 _MARCH = ("solve", "compare", "repro-fig1", "repro-fig2")  # march the PDE
 _DATUM = _MARCH + ("steady", "fixedpoint")  # start from run.initial on grid.*
 _FP = ("steady", "fixedpoint")  # build and check one FixedPointConfig
+# FixedPointConfig fields of the outer iteration, which steady does not run;
+# fixedpoint still accepts t_max, so that one command line serves both
+_OUTER = ("tol_map", "max_outer")
 _AGENTS = ("particles", "sde", "compare")  # draw particles.n agents
 
 # every config key: (cast of its value, its default, the commands that read it).
@@ -92,7 +95,8 @@ KEYS = {
     "grid.n_R": (int, REQUIRED, _DATUM),
     "solver.t_final": (float, REQUIRED, _MARCH),
     "solver.dt": (lambda v: None if v == "auto" else float(v), "auto", _MARCH),
-    **{f"fixedpoint.{fld.name}": (type(fld.default), repr(fld.default), _FP)
+    **{f"fixedpoint.{fld.name}": (type(fld.default), repr(fld.default),
+                                  ("fixedpoint",) if fld.name in _OUTER else _FP)
        for fld in dataclasses.fields(FixedPointConfig) if fld.name != "beta"},
     "particles.n": (int, REQUIRED, _AGENTS),
     "particles.rounds": (int, REQUIRED, ("particles",)),
@@ -316,9 +320,8 @@ def cmd_steady(cfg: dict[str, str], outdir: Path) -> None:
 
 
 def _write_fixedpoint_log(result: SteadyStateResult, path: Path) -> None:
-    n = len(result.norm_diff_history)
     _write_csv(path, "outer_iter,norm_diff_beta,moment_beta,residual", "%d,%.17g,%.17g,%.17g",
-               np.arange(n), result.norm_diff_history, result.moment_history,
+               np.arange(result.outer_iterations), result.norm_diff_history, result.moment_history,
                result.residual_history)
 
 

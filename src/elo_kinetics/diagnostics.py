@@ -24,12 +24,13 @@ from .kernels import (
 )
 
 
+_INV_FLOOR_RATIO = 1e-12
+
+
 @dataclass(frozen=True)
 class InverseSteadyStateWeight:
-    """phi = 1/f_inf; cells below floor_ratio * max(f_inf) are excluded
+    """phi = 1/f_inf; cells below _INV_FLOOR_RATIO * max(f_inf) are excluded
     (the weight blows up in the tails of the discrete steady state)."""
-
-    floor_ratio: float = 1e-12
 
 
 def _phi_on_grid(grid: Grid2D, beta: float, gamma: float) -> np.ndarray:
@@ -49,7 +50,7 @@ def relative_energy(f: DensityField, f_inf: DensityField, weight) -> float:
         return beta_norm_diff(f, f_inf, weight.beta, weight.gamma)
     if isinstance(weight, InverseSteadyStateWeight):
         diff = np.abs(f.values - f_inf.values)
-        floor = weight.floor_ratio * float(f_inf.values.max())
+        floor = _INV_FLOOR_RATIO * float(f_inf.values.max())
         mask = f_inf.values >= floor
         return float(np.sum(diff[mask] / f_inf.values[mask])) * f.grid.cell_area
     raise TypeError(f"unknown weight {weight!r}")

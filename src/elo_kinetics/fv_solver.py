@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import DensityField, Grid2D
+from .grid import DensityField
 from .kernels import CoefficientField, KernelParams, _a1_tables, a_field
 
 
@@ -63,10 +63,10 @@ class EvolutionTrace:
     final: DensityField | None = None
 
 
-def cfl_limit(coeff: CoefficientField, grid: Grid2D) -> float:
+def cfl_limit(coeff: CoefficientField) -> float:
     """h_R/max|a|, the R-advection bound; the implicit rho sub-step has none."""
     max_a = coeff.max_abs_a()
-    return grid.h_R / max_a if max_a > 0 else np.inf
+    return coeff.grid.h_R / max_a if max_a > 0 else np.inf
 
 
 def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float) -> DensityField:
@@ -267,7 +267,7 @@ def evolve(
     n_whole = _whole_steps(cfg)
     while (len(trace.times) < n_whole) if n_whole else (t < cfg.t_final - 1e-15):
         coeff = frozen if frozen is not None else a_field(f, params)
-        dt = cfg.dt if cfg.dt is not None else CFL_SAFETY * cfl_limit(coeff, f.grid)
+        dt = cfg.dt if cfg.dt is not None else CFL_SAFETY * cfl_limit(coeff)
         if not n_whole:
             dt = min(dt, cfg.t_final - t)
         f = strang_step(f, dt, params, frozen, _coeff=coeff)

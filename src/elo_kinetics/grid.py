@@ -124,9 +124,9 @@ class DensityField:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def uniform(cls, grid: Grid2D, mass: float = 1.0) -> "DensityField":
+    def uniform(cls, grid: Grid2D) -> "DensityField":
         area = (grid.rho_max - grid.rho_min) * (grid.R_max - grid.R_min)
-        return cls(grid, np.full((grid.n_rho, grid.n_R), mass / area))
+        return cls(grid, np.full((grid.n_rho, grid.n_R), 1.0 / area))
 
     @classmethod
     def from_function(cls, grid: Grid2D, fn, normalize: bool = False) -> "DensityField":

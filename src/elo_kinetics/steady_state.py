@@ -60,18 +60,15 @@ class NonConvergenceError(RuntimeError):
 class FixedPointConfig:
     tol_state: float = 5e-4   # stationarity residual, ||L_mu f||_beta for G(mu)
     tol_map: float = 2e-3     # fixed-point tolerance ||mu_{k+1}-mu_k||_beta
-    max_outer: int = 40
+    max_outer: int = 40       # outer-iteration limit of fixed_point_iterate
     beta: float = 0.1
     t_max: float = 20.0       # equilibration horizon of nonlinear_equilibrate
-    theta: float = 1.0        # damping: mu_{k+1} = (1-theta) mu_k + theta G(mu_k)
 
     def __post_init__(self):
         if not all(x > 0 and np.isfinite(x) for x in (self.tol_state, self.tol_map, self.beta)):
             raise ValueError("tolerances and beta must be positive and finite")
         if not (self.max_outer >= 1 and self.t_max > 0):
             raise ValueError("max_outer must be at least 1 and t_max positive")
-        if not (0 < self.theta <= 1):
-            raise ValueError("theta must be in (0, 1]")
 
 
 @dataclass
@@ -79,10 +76,14 @@ class SteadyStateResult:
     density: DensityField
     residual: float
     moment_beta: float
-    outer_iterations: int
     norm_diff_history: list[float] = field(default_factory=list)
     moment_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
+
+    @property
+    def outer_iterations(self) -> int:
+        """Outer iterations behind the result: 0 but for fixed_point_iterate."""
+        return len(self.norm_diff_history)
 
 
 def _inverse(S: np.ndarray) -> np.ndarray:
@@ -184,7 +185,7 @@ def map_G(mu: DensityField, cfg: FixedPointConfig,
     if not res < cfg.tol_state:
         raise NonConvergenceError(
             f"stationary residual {res:.3e} misses tol_state={cfg.tol_state}", [res])
-    return SteadyStateResult(f, res, beta_norm(f, cfg.beta, params.gamma), 0)
+    return SteadyStateResult(f, res, beta_norm(f, cfg.beta, params.gamma))
 
 
 def nonlinear_equilibrate(
@@ -198,7 +199,7 @@ def nonlinear_equilibrate(
     t = 0.0
     history: list[float] = []
     while t < cfg.t_max:
-        dt = CFL_SAFETY * cfl_limit(a_field(f, params), f.grid)
+        dt = CFL_SAFETY * cfl_limit(a_field(f, params))
         delta = _CHECK_EVERY * dt
         f_next = evolve(f, SolverConfig(t_final=delta, dt=dt), params).final
         t += delta
@@ -206,7 +207,7 @@ def nonlinear_equilibrate(
         history.append(res)
         f = f_next
         if res < cfg.tol_state:
-            return SteadyStateResult(f, res, beta_norm(f, cfg.beta, params.gamma), 0)
+            return SteadyStateResult(f, res, beta_norm(f, cfg.beta, params.gamma))
     raise NonConvergenceError(
         f"no stationarity within horizon t_max={cfg.t_max}", history
     )
@@ -215,47 +216,30 @@ def nonlinear_equilibrate(
 def fixed_point_iterate(
     mu0: DensityField, cfg: FixedPointConfig, params: KernelParams
 ) -> SteadyStateResult:
-    """Iterate mu_{k+1} = (1-theta) mu_k + theta G(mu_k) until the beta-norm
-    difference falls below tol_map.
+    """Picard iteration mu_{k+1} = G(mu_k) until ||G(mu_k) - mu_k||_beta
+    falls below tol_map. Undamped: at the uniform fixed point the leading
+    eigenvalues of DG are real and nonnegative (test_steady_state), and a
+    damping weight w moves such a lambda to 1 - w + w lambda >= lambda,
+    stabilising no mode above 1.
 
-    A NonConvergenceError, from the outer loop or from a map G, carries
-    the outer history so far as its `result`.
+    The result is the last G(mu_k) with the outer histories; a
+    NonConvergenceError, from the outer loop or from a map G, carries the
+    result so far (mu0, NaN residual, if the first G fails).
     """
-    mu = mu0
-    diffs: list[float] = []
-    moments: list[float] = []
-    residuals: list[float] = []
-
-    def outer_result() -> SteadyStateResult:
-        return SteadyStateResult(
-            density=mu,
-            residual=residuals[-1] if residuals else np.nan,
-            moment_beta=beta_norm(mu, cfg.beta, params.gamma),
-            outer_iterations=len(diffs),
-            norm_diff_history=diffs,
-            moment_history=moments,
-            residual_history=residuals,
-        )
-
+    out = SteadyStateResult(mu0, np.nan, beta_norm(mu0, cfg.beta, params.gamma))
     for _ in range(cfg.max_outer):
         try:
-            result = map_G(mu, cfg, params)
+            g = map_G(out.density, cfg, params)
         except NonConvergenceError as exc:
-            exc.result = outer_result()  # the outer history so far, maybe empty
+            exc.result = out
             raise
-        g = result.density
-        diff = beta_norm_diff(g, mu, cfg.beta, params.gamma)
-        diffs.append(diff)
-        moments.append(result.moment_beta)
-        residuals.append(result.residual)
-        mu = g if cfg.theta == 1.0 else mu.copy_with(
-            (1.0 - cfg.theta) * mu.values + cfg.theta * g.values
-        )
-        if diff < cfg.tol_map:
-            break
-    out = outer_result()
-    if not (diffs and diffs[-1] < cfg.tol_map):
-        raise NonConvergenceError(
-            f"fixed point not reached in {cfg.max_outer} outer iterations", diffs, out
-        )
-    return out
+        out.norm_diff_history.append(
+            beta_norm_diff(g.density, out.density, cfg.beta, params.gamma))
+        out.moment_history.append(g.moment_beta)
+        out.residual_history.append(g.residual)
+        out.density, out.residual, out.moment_beta = g.density, g.residual, g.moment_beta
+        if out.norm_diff_history[-1] < cfg.tol_map:
+            return out
+    raise NonConvergenceError(
+        f"fixed point not reached in {cfg.max_outer} outer iterations",
+        out.norm_diff_history, out)

@@ -175,7 +175,7 @@ def evolve_auto(f, cfg, params):
     package's rho sub-step."""
     t, times = 0.0, []
     while t < cfg.t_final - 1e-15:
-        limit = ek.cfl_limit(a_field(f, params), f.grid)
+        limit = ek.cfl_limit(a_field(f, params))
         dt = min(ek.CFL_SAFETY * limit, cfg.t_final - t)
         f = strang_step(f, dt, params, rho_step=ek.step_drift_diffuse_rho)
         f, _, _ = ek.fv_solver.enforce_positivity(f, ek.fv_solver._CLIP_BUDGET)
@@ -195,7 +195,7 @@ def _equilibrate(f0, cfg, params, frozen, cfl_safety=ek.CFL_SAFETY):
     history = []
     while t < cfg.t_max:
         coeff = frozen if frozen is not None else ek.a_field(f, params)
-        dt = cfl_safety * ek.cfl_limit(coeff, f.grid)
+        dt = cfl_safety * ek.cfl_limit(coeff)
         delta = _CHECK_EVERY * dt
         block = ek.SolverConfig(t_final=delta, dt=dt)
         f_next = ek.evolve(f, block, params, frozen=frozen).final
@@ -204,7 +204,7 @@ def _equilibrate(f0, cfg, params, frozen, cfl_safety=ek.CFL_SAFETY):
         history.append(res)
         f = f_next
         if res < cfg.tol_state:
-            return ek.SteadyStateResult(f, res, ek.beta_norm(f, cfg.beta, params.gamma), 0)
+            return ek.SteadyStateResult(f, res, ek.beta_norm(f, cfg.beta, params.gamma))
     raise ek.NonConvergenceError(
         f"no stationarity within horizon t_max={cfg.t_max}", history
     )
@@ -220,7 +220,7 @@ def generator_residual(f, coeff, beta, params):
     """||L_mu f||_beta, with the R part of L_mu applied as
     (step_advect_R(f, dt) - f) / dt, an exact forward-Euler step of it, and
     the rho part as the divergence of the face fluxes of _rho_rates."""
-    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff, f.grid)
+    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff)
     Lf = (ek.fv_solver.step_advect_R(f, coeff, dt).values - f.values) / dt
     up, down = _rho_rates(coeff, params)
     flux = up[:, None] * f.values[:-1] - down[:, None] * f.values[1:]

@@ -149,7 +149,7 @@ def test_criterion_06_fixed_point_consistency(fig_run, f_inf, params_base, grid2
         # stationarity residual meets tol_state before using it as reference
         f = f_inf
         coeff = ek.a_field(f, params_base)
-        dt = 0.45 * ek.cfl_limit(coeff, grid200)
+        dt = 0.45 * ek.cfl_limit(coeff)
         for _ in range(100):
             f = ek.strang_step(f, dt, params_base)
         residual = ek.beta_norm_diff(f, f_inf, cfg.beta, params_base.gamma) / (100 * dt)

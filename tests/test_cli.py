@@ -149,13 +149,18 @@ def test_misspelled_key_exits_2_for_every_command(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("command, key", [(command, key) for command in sorted(cli.COMMANDS)
-                                          for key in unread_keys(command)])
+                                          for key in unread_keys(command)]
+                         + [("steady", "fixedpoint.max_outer")])
 def test_key_the_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, command, key):
     code, out = run_cli(tmp_path, monkeypatch, *small_args(command, tmp_path),
                         "--set", f"{key}=1", command)
     assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"config error: {command} reads no " in err and f"key, got {key}" in err
+    section = key.split(".")[0]
+    reads_section = any(k.startswith(section + ".") and command in readers
+                        for k, (_, _, readers) in cli.KEYS.items())
+    other = "other " if reads_section else ""
+    assert f"config error: {command} reads no {other}{section} key, got {key}" \
+        in capsys.readouterr().err
     assert not out.exists()  # rejected before the manifest is written
 
 
@@ -166,6 +171,7 @@ def test_unread_keys_cover_every_section_for_some_command():
     assert unread_keys("solve") == ["run.seed", "model.beta", "fixedpoint.tol_state",
                                     "particles.n", "sde.t_final", "diagnose.f"]
     assert "run.snapshot_every" in unread_keys("compare")  # compare writes no snapshot
+    assert "fixedpoint.tol_map" in unread_keys("steady")  # steady runs no outer iteration
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -451,10 +457,9 @@ def test_fixedpoint_log_residual_is_each_iterates_own(tmp_path, monkeypatch, key
     assert code == expected
     log = np.loadtxt(out / "fixedpoint_log.csv", delimiter=",", skiprows=1, ndmin=2)
     assert len(log) >= 2
-    # replay the outer iteration (theta = 1: mu_{k+1} = G(mu_k))
+    # replay the outer iteration mu_{k+1} = G(mu_k)
     cfg = cli._accept_defaults(dict(k.split("=", 1) for k in keys))
     params, fp_cfg, mu = cli.build_params(cfg), cli._fp_config(cfg), cli._initial_density(cfg)
-    assert fp_cfg.theta == 1.0
     for row in log:
         g = ek.map_G(mu, fp_cfg, params)
         assert row[3] == g.residual
@@ -538,7 +543,6 @@ READERS = [
     ("fixedpoint", "fixedpoint.tol_map", ()),
     ("fixedpoint", "fixedpoint.max_outer", ()),
     ("steady", "fixedpoint.t_max", ("inf",)),
-    ("fixedpoint", "fixedpoint.theta", ()),
     ("solve", "run.snapshot_every", ("inf",)),
     ("repro-fig2", "run.snapshot_every", ()),  # energies.csv needs snapshots
     ("solve", "solver.dt", ()),

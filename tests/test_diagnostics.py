@@ -57,11 +57,10 @@ def test_relative_energy_metric_properties():
 def test_inverse_weight_floor_and_excluded_mass():
     g = ek.Grid2D.unit_square(10)
     v = np.full((10, 10), 1.0)
-    v[0, 0] = 1e-15  # far below floor_ratio * max
+    v[0, 0] = 1e-15  # far below the floor, 1e-12 * max
     f_inf = ek.DensityField(g, v)
     f = ek.DensityField.uniform(g)
-    w = ek.InverseSteadyStateWeight(floor_ratio=1e-12)
-    e = ek.relative_energy(f, f_inf, w)
+    e = ek.relative_energy(f, f_inf, ek.InverseSteadyStateWeight())
     assert np.isfinite(e)  # the tiny cell is excluded, no blow-up
     # every other cell has f = f_inf = 1, so nothing else contributes
     assert e == 0.0

@@ -120,7 +120,7 @@ def test_bernoulli_overflow_is_silent():
     coeff = ek.a_field(f, p)
     P = p.gamma * coeff.a1_at_rho_faces[1:-1] * g.h_rho / (0.5 * p.sigma**2)
     assert np.abs(P).max() > 709
-    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff, g)
+    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stepped = ek.step_drift_diffuse_rho(f, coeff, dt, p)
@@ -330,8 +330,8 @@ def test_cfl_limit_formula(params):
     )
     assert limit == pytest.approx(expected, rel=1e-14)
     # the implicit rho sub-step leaves the R-advection bound alone
-    assert ek.cfl_limit(coeff, g) == pytest.approx(g.h_R / coeff.max_abs_a(), rel=1e-14)
-    assert ek.cfl_limit(coeff, g) > limit
+    assert ek.cfl_limit(coeff) == pytest.approx(g.h_R / coeff.max_abs_a(), rel=1e-14)
+    assert ek.cfl_limit(coeff) > limit
 
 
 def test_enforce_positivity():

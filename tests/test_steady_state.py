@@ -66,7 +66,7 @@ def test_map_g_uniqueness_two_guesses(params):
                                         initial_guess=ek.DensityField.uniform(g))
     d = ek.beta_norm_diff(from_mu.density, from_uniform.density, cfg.beta, params.gamma)
     assert d < 2.0 * cfg.tol_state
-    dt = ek.CFL_SAFETY * ek.cfl_limit(ek.a_field(mu, params), g)
+    dt = ek.CFL_SAFETY * ek.cfl_limit(ek.a_field(mu, params))
     for marched in (from_mu, from_uniform):
         assert ek.beta_norm_diff(marched.density, direct, cfg.beta, params.gamma) < dt
 
@@ -225,14 +225,65 @@ def test_fixed_point_nonconvergence(params):
     assert len(exc.value.history) == 2
 
 
-def test_fixed_point_damped_matches_undamped_limit(params):
-    g = ek.Grid2D.unit_square(40)
-    cfg_full = ek.FixedPointConfig()
-    cfg_damped = ek.FixedPointConfig(theta=0.7, max_outer=60)
-    full = ek.fixed_point_iterate(ek.DensityField.uniform(g), cfg_full, params)
-    damped = ek.fixed_point_iterate(ek.DensityField.uniform(g), cfg_damped, params)
-    d = ek.beta_norm_diff(full.density, damped.density, 0.1, params.gamma)
-    assert d < 4.0 * cfg_full.tol_map
+@pytest.mark.parametrize("k", [1, 3])
+def test_fixed_point_failing_map_keeps_the_last_g(params, monkeypatch, k):
+    # a map G that fails on outer call k leaves the k-1 outer rows and the
+    # (k-1)-th G, or mu0 with a NaN residual when k = 1
+    g = ek.Grid2D.unit_square(20)
+    mu0 = gaussian_blob(g, (0.4, 0.6), 0.16)
+    cfg = ek.FixedPointConfig(tol_map=1e-14)
+    real = ek.steady_state.map_G
+    outputs = []
+
+    def failing_on_call_k(mu, *args):
+        if len(outputs) == k - 1:
+            raise ek.NonConvergenceError("injected", [])
+        outputs.append(real(mu, *args))
+        return outputs[-1]
+
+    monkeypatch.setattr(ek.steady_state, "map_G", failing_on_call_k)
+    with pytest.raises(ek.NonConvergenceError, match="injected") as exc:
+        ek.fixed_point_iterate(mu0, cfg, params)
+    res = exc.value.result
+    assert res.outer_iterations == len(res.norm_diff_history) == k - 1
+    assert len(res.moment_history) == len(res.residual_history) == k - 1
+    if k == 1:
+        assert res.density is mu0 and np.isnan(res.residual)
+        assert res.moment_beta == ek.beta_norm(mu0, cfg.beta, params.gamma)
+    else:
+        last = outputs[-1]
+        assert res.density is last.density
+        assert (res.residual, res.moment_beta) == (last.residual, last.moment_beta)
+        assert res.residual_history == [out.residual for out in outputs]
+
+
+@pytest.mark.parametrize("sigma2, c, expected", [
+    (0.1, 1.0, [0.9993, 0.8309, 0.0309, 0.0232]),
+    (0.01, 4.0, [1.4267, 0.4452, 0.0049, 0.0018]),
+    (0.1, 4.0, [0.9986, 0.9957, 0.1464, 0.1310]),
+])
+def test_fixed_point_jacobian_leading_eigenvalues_are_real_and_positive(sigma2, c, expected):
+    # a damping weight w moves an eigenvalue lambda of DG to 1 - w + w lambda,
+    # which helps only where lambda < 0 or complex: here the leading four are
+    # real and positive, one of them above 1 (c = 4, sigma^2 = 0.01)
+    params = ek.KernelParams(c, 1.0, np.sqrt(sigma2))
+    g = ek.Grid2D.unit_square(12)
+    cfg = ek.FixedPointConfig(tol_map=1e-12)
+    star = ek.fixed_point_iterate(ek.DensityField.uniform(g), cfg, params).density
+    s = star.values.ravel()
+    G_star = ek.map_G(star, cfg, params).density.values.ravel()
+    # a basis e_j - s / sum(s) of the mass-zero perturbations, which G maps to
+    # themselves; star + eps b stays nonnegative where star has empty cells
+    basis = np.delete(np.eye(s.size) - np.outer(s / s.sum(), np.ones(s.size)), s.argmax(), 1)
+    eps = 1e-6
+    DG_basis = np.column_stack([
+        (ek.map_G(star.copy_with(star.values + eps * b.reshape(star.values.shape)), cfg,
+                  params).density.values.ravel() - G_star) / eps for b in basis.T])
+    eig = np.linalg.eigvals(np.linalg.lstsq(basis, DG_basis, rcond=None)[0])
+    top = eig[np.argsort(-np.abs(eig))[:4]]
+    assert np.all(np.abs(top.imag) <= 1e-6)
+    assert np.all(top.real > 0)
+    np.testing.assert_allclose(top.real, expected, atol=1e-3)
 
 
 # -- nonlinear_equilibrate --------------------------------------------
@@ -249,7 +300,7 @@ def test_nonlinear_equilibrate_stationarity(params):
     assert com[1] == pytest.approx(0.5, abs=0.02)
     # one further step moves the state by less than tol_state * dt in L1
     coeff = ek.a_field(f, params)
-    dt = 0.45 * ek.cfl_limit(coeff, g)
+    dt = 0.45 * ek.cfl_limit(coeff)
     stepped = ek.strang_step(f, dt, params)
     l1 = np.abs(stepped.values - f.values).sum() * g.cell_area
     assert l1 < cfg.tol_state * dt
@@ -258,8 +309,6 @@ def test_nonlinear_equilibrate_stationarity(params):
 def test_config_validation():
     with pytest.raises(ValueError):
         ek.FixedPointConfig(tol_state=0.0)
-    with pytest.raises(ValueError):
-        ek.FixedPointConfig(theta=0.0)
     with pytest.raises(ValueError):
         ek.FixedPointConfig(beta=-0.1)
 

@@ -171,7 +171,7 @@ def test_strang_step_matches_reference(f, params, frozen, scale):
     # Nonlinear: the reference re-tabulates before every sub-step, so the
     # step's reused a2 and a1 differ from its tables at roundoff
     coeff = ek.a_field(f.copy_with(f.values[::-1, ::-1].copy()), params) if frozen else None
-    limit = ek.cfl_limit(coeff if frozen else ek.a_field(f, params), f.grid)
+    limit = ek.cfl_limit(coeff if frozen else ek.a_field(f, params))
     dt = scale * (limit if np.isfinite(limit) else 1.0)
     got = cfl_or_field(lambda: ek.strang_step(f, dt, params, frozen=coeff))
     expected = cfl_or_field(lambda: ref.strang_step(f, dt, params, frozen=coeff,
@@ -188,7 +188,7 @@ def test_strang_step_matches_reference(f, params, frozen, scale):
 @settings(max_examples=25, deadline=None)
 @given(densities(), params_st, st.integers(1, 4))
 def test_evolve_matches_reference_march(f, params, n_steps):
-    limit = ek.cfl_limit(ek.a_field(f, params), f.grid)
+    limit = ek.cfl_limit(ek.a_field(f, params))
     t_final = n_steps * 0.45 * (limit if np.isfinite(limit) else 0.01)
     cfg = ek.SolverConfig(t_final=t_final)
     trace = ek.evolve(f, cfg, params)
@@ -229,7 +229,7 @@ def test_nonlinear_step_tabulates_a_once_and_a1_once(monkeypatch):
     params = ek.KernelParams(1.0, 1.0, np.sqrt(0.1))
     f = gaussian_blob(ek.Grid2D.unit_square(24), (0.45, 0.55), 0.12)
     coeff = ek.a_field(f, params)
-    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff, f.grid)
+    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff)
     calls = []
     for name in ("a_field", "_a1_tables"):
         real = getattr(ek.fv_solver, name)
@@ -357,7 +357,7 @@ def test_sub_steps_conserve_mass_and_stay_nonnegative(f, params, frozen, safety)
     # below zero).
     mu = f.copy_with(f.values[::-1, ::-1].copy()) if frozen else f
     coeff = ek.a_field(mu, params)
-    limit = ek.cfl_limit(coeff, f.grid)
+    limit = ek.cfl_limit(coeff)
     assume(np.isfinite(limit))
     dt = safety * limit
     for new in (ek.step_advect_R(f, coeff, dt), ek.step_drift_diffuse_rho(f, coeff, dt, params)):
