@@ -7,7 +7,6 @@ from .kernels import (
     CoefficientField,
     KernelKind,
     KernelParams,
-    LyapunovWeight,
     a1_of_density,
     a2_of_density,
     a_field,
@@ -47,7 +46,6 @@ from .diagnostics import (
     ConfinementRadii,
     ContinuityProbeResult,
     DriftCheckResult,
-    InverseSteadyStateWeight,
     beta_norm,
     beta_norm_diff,
     confinement_radii,

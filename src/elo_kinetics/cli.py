@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,14 +23,14 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
-    InverseSteadyStateWeight,
+    beta_norm_diff,
     lyapunov_drift_check,
     relative_energy,
     wasserstein1_samples_vs_marginal,
 )
 from .fv_solver import CFLError, PositivityError, SolverConfig, evolve
 from .grid import DensityField, Grid2D
-from .kernels import KernelKind, KernelParams, LyapunovWeight
+from .kernels import KernelKind, KernelParams, phi_beta
 from .particles import AgentPopulation, InteractionParams, run_tournament, simulate_mean_field
 from .steady_state import (
     FixedPointConfig,
@@ -283,7 +284,10 @@ def cmd_solve(cfg: dict[str, str], outdir: Path) -> None:
     write_trace_csv(trace, outdir / "trace.csv")
     trace.final.to_csv(outdir / "final.csv")
     for t, f in trace.snapshots:
-        f.to_csv(outdir / f"density_t{t:.6f}.csv")
+        if f is trace.final:  # the march ended on this snapshot: final.csv has its bytes
+            shutil.copyfile(outdir / "final.csv", outdir / f"density_t{t:.6f}.csv")
+        else:
+            f.to_csv(outdir / f"density_t{t:.6f}.csv")
     com = trace.final.center_of_mass()
     (outdir / "solve_summary.json").write_text(json.dumps({
         "t_final": solver_cfg.t_final,
@@ -366,7 +370,8 @@ def cmd_sde(cfg: dict[str, str], outdir: Path) -> None:
 
 def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> None:
     params = build_params(cfg)
-    weight = _build(LyapunovWeight, _get(cfg, "model.beta"), params.gamma)
+    beta = _get(cfg, "model.beta")
+    _build(phi_beta, 0.0, 0.0, beta, params.gamma)  # a bad weight exits 2 before any work
     t, ball = _get(cfg, "diagnose.t"), _get(cfg, "diagnose.exterior_ball")
     for key, x in (("diagnose.t", t), ("diagnose.exterior_ball", ball)):
         if not (x >= 0 and math.isfinite(x)):
@@ -375,14 +380,13 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> None:
     f, f_inf = _density_file(_get(cfg, "diagnose.f")), _density_file(_get(cfg, "diagnose.f_inf"))
     if f.grid != f_inf.grid:
         raise ConfigError("diagnose.f and diagnose.f_inf are on different grids")
-    e_beta = relative_energy(f, f_inf, weight)  # the beta-norm distance, in both columns
-    row = (t, e_beta, relative_energy(f, f_inf, InverseSteadyStateWeight()), e_beta, f.mass(),
-           *f.center_of_mass())
+    e_beta = beta_norm_diff(f, f_inf, beta, params.gamma)  # in both columns
+    row = (t, e_beta, relative_energy(f, f_inf), e_beta, f.mass(), *f.center_of_mass())
     _write_csv(outdir / "diagnostics.csv",
                "t,E_phi_beta,E_inv_finf,beta_norm_diff,mass,com_rho,com_R",
                ",".join(["%.17g"] * len(row)), *([v] for v in row))
     if drift_check:
-        result = lyapunov_drift_check(f_inf, weight, params, exterior_ball=ball)
+        result = lyapunov_drift_check(f_inf, beta, params, exterior_ball=ball)
         (outdir / "drift_check.json").write_text(json.dumps({
             "lambda_hat": result.lambda_hat,
             "A_hat": result.A_hat,
@@ -430,13 +434,15 @@ def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> None:
     snap = _snapshot_every(cfg)
     if snap == math.inf:  # energies.csv has a row per snapshot
         raise ConfigError(f"repro-fig2 needs a finite run.snapshot_every, got {snap}")
-    weight = _build(LyapunovWeight, _get(cfg, "model.beta"), params.gamma)
+    beta = _get(cfg, "model.beta")
+    _build(phi_beta, 0.0, 0.0, beta, params.gamma)  # a bad weight exits 2 before the march
     trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     f_inf = trace.final
     snaps = trace.snapshots
     _write_csv(outdir / "energies.csv", "t,E_phi_beta,E_inv_finf", "%.17g,%.17g,%.17g",
-               [t for t, _ in snaps], [relative_energy(f, f_inf, weight) for _, f in snaps],
-               [relative_energy(f, f_inf, InverseSteadyStateWeight()) for _, f in snaps])
+               [t for t, _ in snaps],
+               [beta_norm_diff(f, f_inf, beta, params.gamma) for _, f in snaps],
+               [relative_energy(f, f_inf) for _, f in snaps])
     f_inf.to_csv(outdir / "steady_state.csv")
 
 

@@ -15,7 +15,6 @@ from .kernels import (
     AssumptionConstants,
     CoefficientField,
     KernelParams,
-    LyapunovWeight,
     a1_of_density,
     a2_of_density,
     a_field,
@@ -27,39 +26,25 @@ from .kernels import (
 _INV_FLOOR_RATIO = 1e-12
 
 
-@dataclass(frozen=True)
-class InverseSteadyStateWeight:
-    """phi = 1/f_inf; cells below _INV_FLOOR_RATIO * max(f_inf) are excluded
-    (the weight blows up in the tails of the discrete steady state)."""
+def relative_energy(f: DensityField, f_inf: DensityField) -> float:
+    """Relative energy E(f; f_inf) = integral of |f - f_inf| / f_inf.
 
-
-def _phi_on_grid(grid: Grid2D, beta: float, gamma: float) -> np.ndarray:
-    P, Q = np.meshgrid(grid.rho_centers, grid.R_centers, indexing="ij")
-    return phi_beta(P, Q, LyapunovWeight(beta, gamma))
-
-
-def relative_energy(f: DensityField, f_inf: DensityField, weight) -> float:
-    """Weighted L1 distance E(f; f_inf) = integral of phi |f - f_inf|.
-
-    phi is phi_beta for a LyapunovWeight, 1/f_inf for an
-    InverseSteadyStateWeight.
+    Cells below _INV_FLOOR_RATIO * max(f_inf) are excluded (the weight blows
+    up in the tails of the discrete steady state). The phi_beta-weighted
+    distance is beta_norm_diff.
     """
     if f.grid != f_inf.grid:
         raise ValueError("grid mismatch")
-    if isinstance(weight, LyapunovWeight):
-        return beta_norm_diff(f, f_inf, weight.beta, weight.gamma)
-    if isinstance(weight, InverseSteadyStateWeight):
-        diff = np.abs(f.values - f_inf.values)
-        floor = _INV_FLOOR_RATIO * float(f_inf.values.max())
-        mask = f_inf.values >= floor
-        return float(np.sum(diff[mask] / f_inf.values[mask])) * f.grid.cell_area
-    raise TypeError(f"unknown weight {weight!r}")
+    diff = np.abs(f.values - f_inf.values)
+    floor = _INV_FLOOR_RATIO * float(f_inf.values.max())
+    mask = f_inf.values >= floor
+    return float(np.sum(diff[mask] / f_inf.values[mask])) * f.grid.cell_area
 
 
 def beta_norm(f: DensityField, beta: float, gamma: float) -> float:
     """Exponentially weighted total variation, integral of phi_beta |f|."""
-    phi = _phi_on_grid(f.grid, beta, gamma)
-    return float(np.sum(phi * np.abs(f.values))) * f.grid.cell_area
+    P, Q = np.meshgrid(f.grid.rho_centers, f.grid.R_centers, indexing="ij")
+    return float(np.sum(phi_beta(P, Q, beta, gamma) * np.abs(f.values))) * f.grid.cell_area
 
 
 def beta_norm_diff(f: DensityField, g: DensityField, beta: float, gamma: float) -> float:
@@ -78,7 +63,7 @@ class DriftCheckResult:
 
 def generator_on_weight(
     mu: DensityField,
-    w: LyapunovWeight,
+    beta: float,
     params: KernelParams,
     rho: np.ndarray,
     R: np.ndarray,
@@ -88,12 +73,10 @@ def generator_on_weight(
     Drift part: beta(-3 a1 rho - gamma a2 R - a2 rho)/sqrt(Q); diffusion
     part: sigma^2/2 [beta(3R^2 + 4/gamma)/Q^{3/2} + beta^2 (R + 4rho/gamma)^2/Q]
     with Q the confinement quadratic form. Evaluated in closed form, not by
-    finite-differencing the weight. The form cancels the model's
-    -gamma a1 d_rho term against the weight's gamma, so the two must agree.
+    finite-differencing the weight. The weight's gamma is the model's: the
+    form cancels the model's -gamma a1 d_rho term against it.
     """
-    if w.gamma != params.gamma:
-        raise ValueError(f"weight gamma {w.gamma} differs from the model's gamma {params.gamma}")
-    beta, gamma = w.beta, w.gamma
+    gamma = params.gamma
     a1 = a1_of_density(mu, rho, params)
     a2 = a2_of_density(mu, R, params)
     Q = quadratic_form(rho, R, gamma)
@@ -107,7 +90,7 @@ def generator_on_weight(
 
 def lyapunov_drift_check(
     mu: DensityField,
-    w: LyapunovWeight,
+    beta: float,
     params: KernelParams,
     exterior_ball: float,
     eval_grid: Grid2D | None = None,
@@ -122,8 +105,9 @@ def lyapunov_drift_check(
     """
     g = eval_grid if eval_grid is not None else mu.grid
     P, Q = np.meshgrid(g.rho_centers, g.R_centers, indexing="ij")
+    phi = phi_beta(P, Q, beta, params.gamma)  # first: a bad beta raises before the sums
     # a1 depends on rho only and a2 on R only: each is summed on its axis once
-    ratio = generator_on_weight(mu, w, params, g.rho_centers[:, None], g.R_centers[None, :])
+    ratio = generator_on_weight(mu, beta, params, g.rho_centers[:, None], g.R_centers[None, :])
     radius = np.hypot(P, Q)
     r_flat = radius.ravel()
     g_flat = ratio.ravel()
@@ -141,7 +125,6 @@ def lyapunov_drift_check(
         idx = int(np.argmax(negative))
         B_hat = float(r_sorted[idx])
         lambda_hat = float(-outside_max[idx])
-    phi = phi_beta(P, Q, w)
     A_hat = float(np.max((ratio + lambda_hat) * phi))
     exterior = radius > exterior_ball
     n_ext = int(exterior.sum())

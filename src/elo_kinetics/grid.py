@@ -30,6 +30,10 @@ class Grid2D:
             raise ValueError("degenerate box")
         if self.n_rho < 1 or self.n_R < 1:
             raise ValueError("cell counts must be positive")
+        try:  # the solver's rates divide by the squared cell side
+            self.h_rho ** 2, self.h_R ** 2
+        except OverflowError:
+            raise ValueError("a cell side is too large: its square overflows") from None
 
     @property
     def h_rho(self) -> float:

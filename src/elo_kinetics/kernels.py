@@ -65,18 +65,6 @@ class AssumptionConstants:
         return bool(np.all(lhs <= self.C_decay * np.exp(-self.alpha * z) + 1e-15))
 
 
-@dataclass(frozen=True)
-class LyapunovWeight:
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.beta >= 0 and np.isfinite(self.beta)):
-            raise ValueError("beta must be nonnegative and finite")
-        if not (self.gamma > 0 and np.isfinite(self.gamma)):
-            raise ValueError("gamma must be positive and finite")
-
-
 def b_eval(z, params: KernelParams):
     """Odd interaction kernel: tanh(c z), or c z in linear oracle mode."""
     z = np.asarray(z, dtype=float)
@@ -186,7 +174,12 @@ def quadratic_form(rho, R, gamma: float):
     return 1.0 + 4.0 * rho * rho / gamma + 2.0 * rho * R + gamma * R * R
 
 
-def phi_beta(rho, R, w: LyapunovWeight):
-    """Exponential confinement weight exp(beta * sqrt(quadratic form))."""
-    out = np.exp(w.beta * np.sqrt(quadratic_form(rho, R, w.gamma)))
+def phi_beta(rho, R, beta: float, gamma: float):
+    """Exponential confinement weight exp(beta * sqrt(quadratic form)), for
+    beta >= 0 and gamma > 0, both finite."""
+    if not (beta >= 0 and np.isfinite(beta)):
+        raise ValueError("beta must be nonnegative and finite")
+    if not (gamma > 0 and np.isfinite(gamma)):
+        raise ValueError("gamma must be positive and finite")
+    out = np.exp(beta * np.sqrt(quadratic_form(rho, R, gamma)))
     return out if np.ndim(out) else float(out)

@@ -103,14 +103,13 @@ def test_criterion_02_diffusivity_monotonicity(f_inf, low_diffusion_run):
 
 def test_criterion_03_relative_energy_decay(fig_run, f_inf, params_base):
     with criterion(3, "both weighted relative energies decay >= 2 orders"):
-        weights = [
-            ek.LyapunovWeight(BETA, params_base.gamma),
-            ek.InverseSteadyStateWeight(),
+        energy_of = [
+            lambda f: ek.beta_norm_diff(f, f_inf, BETA, params_base.gamma),
+            lambda f: ek.relative_energy(f, f_inf),
         ]
-        for w in weights:
+        for energy in energy_of:
             ts = np.array([t for t, _ in fig_run.snapshots])
-            energies = np.array([
-                ek.relative_energy(f, f_inf, w) for _, f in fig_run.snapshots])
+            energies = np.array([energy(f) for _, f in fig_run.snapshots])
             # >= 2 orders of magnitude from t=0 to the last pre-terminal snapshot
             assert energies[-2] <= 1e-2 * energies[0]
             # final-quarter trace nonincreasing within 1e-10 slack
@@ -166,14 +165,13 @@ def test_criterion_06_fixed_point_consistency(fig_run, f_inf, params_base, grid2
 
 def test_criterion_07_lyapunov_drift(f_inf, params_base):
     with criterion(7, "Foster-Lyapunov drift inequality with zero violations"):
-        w = ek.LyapunovWeight(BETA, params_base.gamma)
-        M = f_inf.weighted_integral(lambda r, R: ek.phi_beta(r, R, w))
+        M = f_inf.weighted_integral(lambda r, R: ek.phi_beta(r, R, BETA, params_base.gamma))
         rad = ek.confinement_radii(M, BETA, params_base.gamma,
                                    ek.AssumptionConstants.for_tanh(params_base.c))
         z = max(rad.z1, rad.z2)
         L = float(np.ceil(3.0 * z))
         eval_grid = ek.Grid2D.centered_box(L, 221)
-        res = ek.lyapunov_drift_check(f_inf, w, params_base, exterior_ball=z,
+        res = ek.lyapunov_drift_check(f_inf, BETA, params_base, exterior_ball=z,
                                       eval_grid=eval_grid)
         assert res.lambda_hat > 0.0
         assert res.violation_fraction == 0.0
@@ -199,8 +197,7 @@ def test_criterion_08_confinement_radii(params_base):
                 g, lambda r, R: np.exp(-((np.abs(r) - 1.5) ** 2 + R ** 2) / 0.3),
                 normalize=True),
         ]
-        w = ek.LyapunovWeight(BETA, params_base.gamma)
-        M = max(mu.weighted_integral(lambda r, R: ek.phi_beta(r, R, w))
+        M = max(mu.weighted_integral(lambda r, R: ek.phi_beta(r, R, BETA, params_base.gamma))
                 for mu in family)
         rad = ek.confinement_radii(M, BETA, params_base.gamma,
                                    ek.AssumptionConstants.for_tanh(params_base.c))

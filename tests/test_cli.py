@@ -52,6 +52,30 @@ def test_solve_deterministic_outputs(tmp_path, monkeypatch):
         json.loads((out2 / "manifest.json").read_text())["config_sha256"]
 
 
+@pytest.mark.parametrize("every, ends_on_a_snapshot", [("0.025", True), ("0.03", False)])
+def test_solve_snapshot_files_are_each_snapshots_bytes(tmp_path, monkeypatch, every,
+                                                       ends_on_a_snapshot):
+    # a march that ends on a snapshot formats that field once, for final.csv
+    calls = []
+    to_csv = ek.DensityField.to_csv
+    monkeypatch.setattr(ek.DensityField, "to_csv",
+                        lambda f, path: calls.append(path) or to_csv(f, path))
+    code, out = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
+                        "--set", f"run.snapshot_every={every}", "solve")
+    assert code == cli.EXIT_OK
+    trace = ek.evolve(ek.DensityField.uniform(ek.Grid2D.unit_square(40)),
+                      ek.SolverConfig(t_final=0.05), ek.KernelParams(1.0, 1.0, np.sqrt(0.1)),
+                      snapshot_every=float(every))
+    assert (trace.snapshots[-1][1] is trace.final) == ends_on_a_snapshot
+    assert len(calls) == 1 + len(trace.snapshots) - ends_on_a_snapshot
+    assert sorted(p.name for p in out.glob("density_t*.csv")) == \
+        sorted(f"density_t{t:.6f}.csv" for t, _ in trace.snapshots)
+    for name, f in [("final.csv", trace.final)] + [
+            (f"density_t{t:.6f}.csv", f) for t, f in trace.snapshots]:
+        f.to_csv(tmp_path / "expected.csv")
+        assert (out / name).read_bytes() == (tmp_path / "expected.csv").read_bytes(), name
+
+
 def test_missing_key_is_config_error(tmp_path, monkeypatch):
     # no defaults.accept: physical parameters must be explicit
     code, _ = run_cli(tmp_path, monkeypatch,
@@ -394,6 +418,26 @@ def test_diagnose_on_steady_state_is_zero(tmp_path, monkeypatch):
     assert float(row["mass"]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_diagnose_energies_of_two_densities(tmp_path, monkeypatch):
+    g = ek.Grid2D.unit_square(20)
+    paths = [tmp_path / "f.csv", tmp_path / "f_inf.csv"]
+    gaussian_blob(g, (0.4, 0.6), 0.15).to_csv(paths[0])
+    gaussian_blob(g, (0.5, 0.5), 0.2).to_csv(paths[1])
+    code, out = run_cli(tmp_path, monkeypatch,
+                        "--set", "defaults.accept=true",
+                        "--set", "model.gamma=2.0", "--set", "model.beta=0.3",
+                        "--set", f"diagnose.f={paths[0]}",
+                        "--set", f"diagnose.f_inf={paths[1]}",
+                        "diagnose")
+    assert code == cli.EXIT_OK
+    header, line = (out / "diagnostics.csv").read_text().splitlines()
+    row = {k: float(v) for k, v in zip(header.split(","), line.split(","))}
+    f, f_inf = (ek.DensityField.from_csv(p) for p in paths)
+    assert row["E_phi_beta"] == row["beta_norm_diff"] == ek.beta_norm_diff(f, f_inf, 0.3, 2.0)
+    assert row["E_inv_finf"] == ek.relative_energy(f, f_inf)
+    assert row["E_phi_beta"] > 0.0 and row["E_inv_finf"] > 0.0
+
+
 def test_diagnose_drift_check_writes_finite_json(tmp_path, monkeypatch):
     # on this small box around the origin the generator ratio is nonnegative
     # out to the outermost cell, so no radius has a negative exterior
@@ -613,6 +657,7 @@ def malformed_settings(draw):
 @example(("sde", "sde.dt", "1e-320"))
 @example(("solve", "grid.rho_max", "inf"))
 @example(("solve", "grid.R_min", "-inf"))
+@example(("solve", "grid.rho_max", "1e160"))
 @example(("diagnose", "diagnose.t", "nan"))
 @example(("diagnose", "diagnose.exterior_ball", "-1"))
 @example(("particles", "run.seed", "-1"))

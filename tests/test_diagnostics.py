@@ -22,36 +22,39 @@ def params():
 def test_relative_energy_zero_at_steady_state(params):
     g = ek.Grid2D.unit_square(20)
     f = gaussian_blob(g, (0.5, 0.5), 0.2)
-    assert ek.relative_energy(f, f, ek.LyapunovWeight(0.1, 1.0)) == 0.0
-    assert ek.relative_energy(f, f, ek.InverseSteadyStateWeight()) == 0.0
+    assert ek.beta_norm_diff(f, f, 0.1, 1.0) == 0.0
+    assert ek.relative_energy(f, f) == 0.0
 
 
 def test_relative_energy_beta_zero_is_l1(params):
+    # the phi_beta-weighted relative energy is beta_norm_diff
     g = ek.Grid2D.unit_square(20)
     f = gaussian_blob(g, (0.4, 0.5), 0.15)
     h = gaussian_blob(g, (0.6, 0.5), 0.15)
     l1 = np.abs(f.values - h.values).sum() * g.cell_area
-    assert ek.relative_energy(f, h, ek.LyapunovWeight(0.0, 1.0)) == pytest.approx(l1)
+    assert ek.beta_norm_diff(f, h, 0.0, 1.0) == pytest.approx(l1)
 
 
 def test_relative_energy_grid_mismatch():
     a = ek.DensityField.uniform(ek.Grid2D.unit_square(10))
     b = ek.DensityField.uniform(ek.Grid2D.unit_square(12))
-    with pytest.raises(ValueError):
-        ek.relative_energy(a, b, ek.LyapunovWeight(0.1, 1.0))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        ek.relative_energy(a, b)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        ek.beta_norm_diff(a, b, 0.1, 1.0)
 
 
 def test_relative_energy_metric_properties():
     g = ek.Grid2D.unit_square(12)
     rng = np.random.default_rng(8)
-    w = ek.LyapunovWeight(0.1, 1.0)
+
+    def e(f, h):
+        return ek.beta_norm_diff(f, h, 0.1, 1.0)
     for _ in range(5):
         f, h, k = (ek.DensityField(g, rng.random((12, 12))).normalized()
                    for _ in range(3))
-        assert ek.relative_energy(f, h, w) == pytest.approx(
-            ek.relative_energy(h, f, w), rel=1e-13)
-        assert ek.relative_energy(f, k, w) <= \
-            ek.relative_energy(f, h, w) + ek.relative_energy(h, k, w) + 1e-12
+        assert e(f, h) == pytest.approx(e(h, f), rel=1e-13)
+        assert e(f, k) <= e(f, h) + e(h, k) + 1e-12
 
 
 def test_inverse_weight_floor_and_excluded_mass():
@@ -60,7 +63,7 @@ def test_inverse_weight_floor_and_excluded_mass():
     v[0, 0] = 1e-15  # far below the floor, 1e-12 * max
     f_inf = ek.DensityField(g, v)
     f = ek.DensityField.uniform(g)
-    e = ek.relative_energy(f, f_inf, ek.InverseSteadyStateWeight())
+    e = ek.relative_energy(f, f_inf)
     assert np.isfinite(e)  # the tiny cell is excluded, no blow-up
     # every other cell has f = f_inf = 1, so nothing else contributes
     assert e == 0.0
@@ -69,9 +72,8 @@ def test_inverse_weight_floor_and_excluded_mass():
 def test_beta_norm_basics(params):
     g = ek.Grid2D.unit_square(15)
     f = gaussian_blob(g, (0.5, 0.5), 0.2)
-    w = ek.LyapunovWeight(0.1, 1.0)
     assert ek.beta_norm(f, 0.1, 1.0) == pytest.approx(
-        f.weighted_integral(lambda r, R: ek.phi_beta(r, R, w)), rel=1e-13)
+        f.weighted_integral(lambda r, R: ek.phi_beta(r, R, 0.1, 1.0)), rel=1e-13)
     tv = np.abs(f.values).sum() * g.cell_area
     assert ek.beta_norm(f, 0.0, 1.0) == pytest.approx(tv, rel=1e-13)
     assert ek.beta_norm(f, 0.1, 1.0) >= tv  # phi_beta >= 1
@@ -95,8 +97,7 @@ def test_generator_small_beta_limit(params):
     g = ek.Grid2D.centered_box(3.0, 40)
     mu = gaussian_blob(g, (0.0, 0.0), 0.5)
     pts = np.array([0.5, -1.0, 2.0])
-    ratio = ek.generator_on_weight(mu, ek.LyapunovWeight(1e-8, 1.0), params,
-                                   pts, pts)
+    ratio = ek.generator_on_weight(mu, 1e-8, params, pts, pts)
     assert np.max(np.abs(ratio)) < 1e-7  # ratio is O(beta)
 
 
@@ -104,16 +105,16 @@ def test_generator_positive_at_origin(params):
     # symmetric mu: drift terms vanish at the origin; sigma^2 terms are positive
     g = ek.Grid2D.centered_box(3.0, 60)
     mu = gaussian_blob(g, (0.0, 0.0), 0.5)
-    val = ek.generator_on_weight(mu, ek.LyapunovWeight(0.1, 1.0), params,
-                                 np.array([0.0]), np.array([0.0]))
+    val = ek.generator_on_weight(mu, 0.1, params, np.array([0.0]), np.array([0.0]))
     assert val[0] > 0.0
 
 
-def generator_ratio_by_differences(mu, w, params, rho, R, h=1e-4):
-    """L* phi / phi by central differences of phi = phi_beta under w, L* the
-    model's adjoint generator (a1 - a2) d_R - gamma a1 d_rho + sigma^2/2 d_rho^2."""
+def generator_ratio_by_differences(mu, beta, params, rho, R, h=1e-4):
+    """L* phi / phi by central differences of phi = phi_beta with the model's
+    gamma, L* the model's adjoint generator
+    (a1 - a2) d_R - gamma a1 d_rho + sigma^2/2 d_rho^2."""
     def phi(r, q):
-        return ek.phi_beta(r, q, w)
+        return ek.phi_beta(r, q, beta, params.gamma)
     a1 = ek.diagnostics.a1_of_density(mu, rho, params)
     a2 = ek.diagnostics.a2_of_density(mu, R, params)
     d_R = (phi(rho, R + h) - phi(rho, R - h)) / (2.0 * h)
@@ -130,30 +131,16 @@ GENERATOR_POINTS = (np.array([0.7, -1.5, 2.0, 0.0, -0.4]), np.array([0.3, 1.0, -
 def test_generator_matches_finite_differences(gamma):
     params = ek.KernelParams(1.0, gamma, 0.5)
     mu = gaussian_blob(ek.Grid2D.centered_box(3.0, 60), (0.0, 0.0), 0.5)
-    w = ek.LyapunovWeight(0.3, gamma)
     np.testing.assert_allclose(
-        ek.generator_on_weight(mu, w, params, *GENERATOR_POINTS),
-        generator_ratio_by_differences(mu, w, params, *GENERATOR_POINTS), rtol=0, atol=1e-6)
-
-
-def test_generator_rejects_a_weight_of_another_gamma():
-    # the closed form cancels the model's gamma against the weight's: with
-    # weight gamma 2 on the gamma-1 model it would be the gamma-2 ratio
-    params = ek.KernelParams(1.0, 1.0, 0.5)
-    mu = gaussian_blob(ek.Grid2D.centered_box(3.0, 60), (0.0, 0.0), 0.5)
-    w = ek.LyapunovWeight(0.3, 2.0)
-    with pytest.raises(ValueError, match="gamma"):
-        ek.generator_on_weight(mu, w, params, *GENERATOR_POINTS)
-    with pytest.raises(ValueError, match="gamma"):
-        ek.lyapunov_drift_check(mu, w, params, exterior_ball=1.0)
+        ek.generator_on_weight(mu, 0.3, params, *GENERATOR_POINTS),
+        generator_ratio_by_differences(mu, 0.3, params, *GENERATOR_POINTS), rtol=0, atol=1e-6)
 
 
 def test_drift_check_far_field_negative(params):
     g = ek.Grid2D.centered_box(3.0, 60)
     mu = gaussian_blob(g, (0.0, 0.0), 0.4)
-    w = ek.LyapunovWeight(0.1, 1.0)
     eval_grid = ek.Grid2D.centered_box(15.0, 151)
-    res = ek.lyapunov_drift_check(mu, w, params, exterior_ball=5.0,
+    res = ek.lyapunov_drift_check(mu, 0.1, params, exterior_ball=5.0,
                                   eval_grid=eval_grid)
     assert res.lambda_hat > 0.0
     assert res.violation_fraction == 0.0
@@ -168,28 +155,34 @@ def test_drift_check_without_a_negative_exterior(params):
     # nonnegative out to the outermost cell, so B_hat is that cell's radius
     # and no margin is left
     mu = ek.DensityField.uniform(ek.Grid2D.unit_square(20))
-    w = ek.LyapunovWeight(0.1, 1.0)
     eval_grid = ek.Grid2D(-0.05, 0.05, -0.05, 0.05, 5, 5)
     P, Q = np.meshgrid(eval_grid.rho_centers, eval_grid.R_centers, indexing="ij")
-    ratio = ek.generator_on_weight(mu, w, params, P, Q)
+    ratio = ek.generator_on_weight(mu, 0.1, params, P, Q)
     assert ratio[0, 0] >= 0.0  # a corner cell, at the outermost radius
-    res = ek.lyapunov_drift_check(mu, w, params, exterior_ball=1.0, eval_grid=eval_grid)
+    res = ek.lyapunov_drift_check(mu, 0.1, params, exterior_ball=1.0, eval_grid=eval_grid)
     assert res.lambda_hat == 0.0
     assert res.B_hat == np.hypot(P, Q).max()
-    assert res.A_hat == np.max(ratio * ek.phi_beta(P, Q, w))
+    assert res.A_hat == np.max(ratio * ek.phi_beta(P, Q, 0.1, 1.0))
     assert res.violation_fraction == 0.0  # no cell lies outside the ball
 
 
 def test_generator_on_the_axes_is_the_meshgrid_evaluation(params):
     g = ek.Grid2D(-2.0, 3.0, -1.0, 2.5, 40, 30)
     mu = gaussian_blob(g, (0.3, 0.9), 0.4)
-    w = ek.LyapunovWeight(0.1, 1.0)
     P, Q = np.meshgrid(g.rho_centers, g.R_centers, indexing="ij")
-    on_mesh = ek.generator_on_weight(mu, w, params, P, Q)
-    on_axes = ek.generator_on_weight(mu, w, params, g.rho_centers[:, None],
+    on_mesh = ek.generator_on_weight(mu, 0.1, params, P, Q)
+    on_axes = ek.generator_on_weight(mu, 0.1, params, g.rho_centers[:, None],
                                      g.R_centers[None, :])
     assert on_axes.shape == on_mesh.shape
     assert on_axes.tobytes() == on_mesh.tobytes()
+
+
+def test_drift_check_rejects_a_bad_beta_before_the_sums(params, monkeypatch):
+    monkeypatch.setattr(ek.diagnostics, "a1_of_density", pytest.fail)
+    mu = ek.DensityField.uniform(ek.Grid2D.unit_square(6))
+    for beta in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="beta"):
+            ek.lyapunov_drift_check(mu, beta, params, exterior_ball=1.0)
 
 
 def test_drift_check_sums_each_coefficient_on_its_axis(params, monkeypatch):
@@ -201,8 +194,7 @@ def test_drift_check_sums_each_coefficient_on_its_axis(params, monkeypatch):
             return fn(f, q, p)
         monkeypatch.setattr(ek.diagnostics, name, counted)
     g = ek.Grid2D(-2.0, 2.0, -3.0, 3.0, 12, 17)
-    ek.lyapunov_drift_check(gaussian_blob(g, (0.0, 0.0), 0.5), ek.LyapunovWeight(0.1, 1.0),
-                            params, exterior_ball=1.0)
+    ek.lyapunov_drift_check(gaussian_blob(g, (0.0, 0.0), 0.5), 0.1, params, exterior_ball=1.0)
     assert queries == {"a1_of_density": 12, "a2_of_density": 17}
 
 
@@ -212,7 +204,7 @@ def test_drift_check_fitted_lambda_shrinks_with_beta(params):
     eval_grid = ek.Grid2D.centered_box(12.0, 101)
     lam = []
     for beta in (0.1, 1e-3):
-        res = ek.lyapunov_drift_check(mu, ek.LyapunovWeight(beta, 1.0), params,
+        res = ek.lyapunov_drift_check(mu, beta, params,
                                       exterior_ball=6.0, eval_grid=eval_grid)
         lam.append(res.lambda_hat)
     assert lam[1] < lam[0]
@@ -259,8 +251,7 @@ def test_confinement_empirical_a1_bound(params):
     # uniform density on the unit square: |a1| > 1/2 beyond z1
     g = ek.Grid2D.unit_square(50)
     mu = ek.DensityField.uniform(g)
-    w = ek.LyapunovWeight(0.1, 1.0)
-    M = mu.weighted_integral(lambda r, R: ek.phi_beta(r, R, w))
+    M = mu.weighted_integral(lambda r, R: ek.phi_beta(r, R, 0.1, 1.0))
     rad = ek.confinement_radii(M, 0.1, 1.0, ek.AssumptionConstants.for_tanh(1.0))
     rho = np.linspace(-40.0, 40.0, 1601)
     outside = np.abs(rho) > rad.z1

@@ -61,8 +61,7 @@ def test_weighted_integral_trivials():
     g = ek.Grid2D.unit_square(30)
     f = gaussian_blob(g, (0.4, 0.6), 0.2)
     assert f.weighted_integral(lambda r, R: np.ones_like(r)) == pytest.approx(f.mass())
-    w0 = ek.LyapunovWeight(0.0, 1.0)
-    assert f.weighted_integral(lambda r, R: ek.phi_beta(r, R, w0)) == \
+    assert f.weighted_integral(lambda r, R: ek.phi_beta(r, R, 0.0, 1.0)) == \
         pytest.approx(f.mass(), abs=1e-14)
     u = ek.DensityField.uniform(g)
     assert u.weighted_integral(lambda r, R: r) == pytest.approx(0.5, abs=1e-14)

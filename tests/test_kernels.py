@@ -184,17 +184,23 @@ def test_a_field_monotone_tabulation(params):
 
 
 def test_phi_beta_origin_and_frozen():
-    w = ek.LyapunovWeight(0.1, 1.0)
-    assert ek.phi_beta(0.0, 0.0, w) == pytest.approx(np.exp(0.1), abs=1e-15)
-    assert ek.phi_beta(1.0, 1.0, w) == pytest.approx(EXP_01_SQRT8, abs=1e-14)
+    assert ek.phi_beta(0.0, 0.0, 0.1, 1.0) == pytest.approx(np.exp(0.1), abs=1e-15)
+    assert ek.phi_beta(1.0, 1.0, 0.1, 1.0) == pytest.approx(EXP_01_SQRT8, abs=1e-14)
+
+
+@pytest.mark.parametrize("beta, gamma, bad", [
+    (-0.1, 1.0, "beta"), (np.nan, 1.0, "beta"), (np.inf, 1.0, "beta"),
+    (0.1, 0.0, "gamma"), (0.1, -1.0, "gamma"), (0.1, np.nan, "gamma")])
+def test_phi_beta_rejects_a_bad_weight(beta, gamma, bad):
+    with pytest.raises(ValueError, match=f"^{bad} must be"):
+        ek.phi_beta(0.0, 0.0, beta, gamma)
 
 
 def test_phi_beta_lower_bound_over_R():
-    w = ek.LyapunovWeight(0.1, 1.0)
     rho = np.linspace(-5.0, 5.0, 41)
     for R in np.linspace(-6.0, 6.0, 25):
         assert np.all(
-            ek.phi_beta(rho, np.full_like(rho, R), w)
+            ek.phi_beta(rho, np.full_like(rho, R), 0.1, 1.0)
             >= np.exp(0.1 * np.sqrt(1.0 + 3.0 * rho ** 2)) - 1e-12
         )
 
@@ -207,6 +213,5 @@ def test_quadratic_form_positive_for_all_gamma():
 
 
 def test_phi_beta_at_least_one():
-    w = ek.LyapunovWeight(0.05, 2.0)
     P, Q = np.meshgrid(np.linspace(-8, 8, 33), np.linspace(-8, 8, 33), indexing="ij")
-    assert np.all(ek.phi_beta(P, Q, w) >= 1.0)
+    assert np.all(ek.phi_beta(P, Q, 0.05, 2.0) >= 1.0)

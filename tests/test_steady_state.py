@@ -18,8 +18,7 @@ def linear_params():
 
 
 def beta_moment(f, beta=0.1, gamma=1.0):
-    w = ek.LyapunovWeight(beta, gamma)
-    return f.weighted_integral(lambda r, R: ek.phi_beta(r, R, w))
+    return f.weighted_integral(lambda r, R: ek.phi_beta(r, R, beta, gamma))
 
 
 # -- map_G -------------------------------------------------------------
