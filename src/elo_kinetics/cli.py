@@ -75,8 +75,8 @@ _OUTER = ("tol_map", "max_outer")
 _AGENTS = ("particles", "sde", "compare")  # draw particles.n agents
 
 # every config key: (cast of its value, its default, the commands that read it).
-# A default is REQUIRED, a value, _Accepted(value) or another key, whose value
-# it takes; defaults.accept=true writes every model.* default into the config.
+# A default is REQUIRED, a value or _Accepted(value); defaults.accept=true
+# writes every model.* default into the config.
 KEYS = {
     "defaults.accept": (_flag, "false", _ALL),
     "run.outdir": (str, "out", _ALL),
@@ -102,9 +102,6 @@ KEYS = {
     "particles.n": (int, REQUIRED, _AGENTS),
     "particles.rounds": (int, REQUIRED, ("particles",)),
     "particles.K": (float, "1.0", ("particles",)),
-    "particles.gamma_micro": (float, "model.gamma", ("particles",)),
-    "particles.sigma_micro": (float, "model.sigma", ("particles",)),
-    "particles.alpha_learn": (float, "model.gamma", ("particles",)),
     "particles.epsilon": (float, repr(InteractionParams.epsilon), ("particles",)),
     "sde.t_final": (float, REQUIRED, ("sde",)),
     "sde.dt": (float, "0.01", ("sde", "compare")),
@@ -153,8 +150,6 @@ def _get(cfg: dict[str, str], key: str):
     """The key's value through its cast, or its default when unset; an empty
     value is malformed."""
     cast, default, _ = KEYS[key]
-    if key not in cfg and default in KEYS:
-        return _get(cfg, default)
     if key not in cfg and (default is REQUIRED or isinstance(default, _Accepted)):
         hint = " (set it or defaults.accept=true)" if default else ""
         raise ConfigError(f"missing config key '{key}'{hint}")
@@ -183,7 +178,7 @@ def build_solver_config(cfg: dict[str, str]) -> SolverConfig:
 
 def resolve_outdir(cfg: dict[str, str]) -> Path:
     path = Path(os.environ.get("ELOKIN_OUTDIR") or _get(cfg, "run.outdir"))
-    path.mkdir(parents=True, exist_ok=True)
+    _build(path.mkdir, parents=True, exist_ok=True)  # a file on the path is a config error
     return path
 
 
@@ -281,13 +276,18 @@ def _snapshot_every(cfg: dict[str, str]) -> float:
 def cmd_solve(cfg: dict[str, str], outdir: Path) -> None:
     params, solver_cfg, f0 = _pde_inputs(cfg)
     trace = evolve(f0, solver_cfg, params, snapshot_every=_snapshot_every(cfg))
+    names = [f"density_t{t:.6f}.csv" for t, _ in trace.snapshots]
+    for name, after in zip(names, names[1:]):  # the times increase: a clash is adjacent
+        if name == after:
+            raise ConfigError(f"two snapshots share the file name {name}: "
+                              "run.snapshot_every is finer than the names' 1e-6 resolution")
     write_trace_csv(trace, outdir / "trace.csv")
     trace.final.to_csv(outdir / "final.csv")
-    for t, f in trace.snapshots:
+    for name, (_, f) in zip(names, trace.snapshots):
         if f is trace.final:  # the march ended on this snapshot: final.csv has its bytes
-            shutil.copyfile(outdir / "final.csv", outdir / f"density_t{t:.6f}.csv")
+            shutil.copyfile(outdir / "final.csv", outdir / name)
         else:
-            f.to_csv(outdir / f"density_t{t:.6f}.csv")
+            f.to_csv(outdir / name)
     com = trace.final.center_of_mass()
     (outdir / "solve_summary.json").write_text(json.dumps({
         "t_final": solver_cfg.t_final,

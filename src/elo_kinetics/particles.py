@@ -48,33 +48,21 @@ class AgentPopulation:
 
 @dataclass(frozen=True)
 class InteractionParams:
+    """The game's own scales; its learning rate and noise are the model's
+    gamma and sigma (KernelParams)."""
     K: float                 # base rating step K0
-    gamma_micro: float       # learning prefactor (macroscopic gamma)
-    sigma_micro: float       # base fluctuation std dev sigma0
-    alpha_learn: float       # base learning coefficient alpha0 multiplying h1
     epsilon: float = 1.0     # quasi-invariant scaling parameter
 
     def __post_init__(self):
         if not (self.K > 0 and np.isfinite(self.K)):
             raise ValueError("K must be positive and finite")
-        for name in ("gamma_micro", "sigma_micro", "alpha_learn"):
-            if not (getattr(self, name) >= 0 and np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be nonnegative and finite")
         if not (0 < self.epsilon <= 1):
             raise ValueError("epsilon must be in (0, 1]")
 
-    # effective per-match quantities: drift and variance both O(epsilon)
+    # effective rating step, O(epsilon) like the learning drift and the noise variance
     @property
     def K_eff(self) -> float:
         return self.K * self.epsilon
-
-    @property
-    def alpha_eff(self) -> float:
-        return self.alpha_learn * self.epsilon
-
-    @property
-    def sigma_eff(self) -> float:
-        return self.sigma_micro * np.sqrt(self.epsilon)
 
 
 _PAIR_BLOCK = 4096  # pairs per block of a round: 32 KB temporaries, below glibc's mmap threshold
@@ -85,18 +73,20 @@ def _match_update(rho_i, rho_j, R_i, R_j, u, z, p: InteractionParams, params: Ke
     uniforms u (one per game) drawn before standard normals z (two per game).
 
     The score S in {-1, +1} has mean b(rho_i - rho_j); the rating update is
-    zero sum, and both strengths gain the learning term plus a fluctuation.
+    zero sum, and both strengths gain the learning term gamma*eps*h1 plus a
+    fluctuation sigma*sqrt(eps)*z.
     """
     bd = b_eval(rho_i - rho_j, params)
     S = np.where(u < 0.5 * (1.0 + bd), 1.0, -1.0)
     dR = p.K_eff * (S - b_eval(R_i - R_j, params))
-    gain = p.gamma_micro * p.alpha_eff
+    gain = params.gamma * p.epsilon
+    noise = params.sigma * np.sqrt(p.epsilon)
     # b is odd bitwise (np.tanh is), so h1(-drho) = 1 - bd, h1(drho) = 1 + bd
     # and R_j's step K (-S + b(R_j - R_i)) = -dR, all to the bit
     return (R_i + dR,
             R_j - dR,
-            rho_i + gain * (1.0 - bd) + p.sigma_eff * z[0],
-            rho_j + gain * (1.0 + bd) + p.sigma_eff * z[1])
+            rho_i + gain * (1.0 - bd) + noise * z[0],
+            rho_j + gain * (1.0 + bd) + noise * z[1])
 
 
 def play_match(

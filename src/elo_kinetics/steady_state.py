@@ -67,8 +67,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if not all(x > 0 and np.isfinite(x) for x in (self.tol_state, self.tol_map, self.beta)):
             raise ValueError("tolerances and beta must be positive and finite")
-        if not (self.max_outer >= 1 and self.t_max > 0):
-            raise ValueError("max_outer must be at least 1 and t_max positive")
+        if not (self.max_outer >= 1 and self.t_max > 0 and np.isfinite(self.t_max)):
+            raise ValueError("max_outer must be at least 1 and t_max positive and finite")
 
 
 @dataclass

@@ -306,9 +306,9 @@ def play_match(
     S = 1.0 if rng.random() < p_win else -1.0
     Ri_new = Ri + p.K_eff * (S - b_eval(Ri - Rj, params))
     Rj_new = Rj + p.K_eff * (-S - b_eval(Rj - Ri, params))
-    eta, eta_t = p.sigma_eff * rng.standard_normal(2)
-    ri_new = ri + p.gamma_micro * p.alpha_eff * h1_eval(rj - ri, params) + eta
-    rj_new = rj + p.gamma_micro * p.alpha_eff * h1_eval(ri - rj, params) + eta_t
+    eta, eta_t = params.sigma * np.sqrt(p.epsilon) * rng.standard_normal(2)
+    ri_new = ri + params.gamma * p.epsilon * h1_eval(rj - ri, params) + eta
+    rj_new = rj + params.gamma * p.epsilon * h1_eval(ri - rj, params) + eta_t
     return Ri_new, Rj_new, ri_new, rj_new
 
 
@@ -340,8 +340,8 @@ def run_tournament(
         bR = b_eval(dR, params)
         R_i = R[ii] + p.K_eff * (S - bR)
         R_j = R[jj] + p.K_eff * (-S + bR)  # b is odd: b(Rj-Ri) = -b(Ri-Rj)
-        gain = p.gamma_micro * p.alpha_eff
-        noise = p.sigma_eff * rng.standard_normal((2, n // 2))
+        gain = params.gamma * p.epsilon
+        noise = params.sigma * np.sqrt(p.epsilon) * rng.standard_normal((2, n // 2))
         rho_i = rho[ii] + gain * h1_eval(-drho, params) + noise[0]
         rho_j = rho[jj] + gain * h1_eval(drho, params) + noise[1]
         R[ii], R[jj] = R_i, R_j

@@ -5,6 +5,7 @@ line (run pytest with ``-s`` to stream them). The expensive equilibration
 runs are session-scoped fixtures shared across criteria.
 """
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -240,8 +241,8 @@ def test_criterion_09_particle_pde_agreement(sde_reference, params_base):
 
 def test_criterion_10_zero_sum_and_score_law(params_base):
     with criterion(10, "exact zero-sum ratings and the tanh score law"):
-        ip = ek.InteractionParams(K=0.1, gamma_micro=1.0, sigma_micro=0.1,
-                                  alpha_learn=0.1, epsilon=1.0)
+        ip = ek.InteractionParams(K=0.1, epsilon=1.0)
+        params = dataclasses.replace(params_base, gamma=0.1, sigma=0.1)  # gain and noise 0.1
         n_draws = 100000
         for drho, b_exact in TANH_ORACLE.items():
             pop = ek.AgentPopulation(np.array([drho, 0.0]),
@@ -250,7 +251,7 @@ def test_criterion_10_zero_sum_and_score_law(params_base):
                 np.random.SeedSequence([2024, int((drho + 10) * 10)]))
             total = 0.0
             for _ in range(n_draws):
-                Ri, Rj, _, _ = ek.play_match(0, 1, pop, ip, params_base, rng)
+                Ri, Rj, _, _ = ek.play_match(0, 1, pop, ip, params, rng)
                 assert Ri + Rj == 0.0  # exact zero-sum (ratings start at 0)
                 total += Ri / ip.K_eff  # recover S: b(R_i - R_j) = 0 here
             se = np.sqrt(max(1.0 - b_exact ** 2, 1e-12) / n_draws)

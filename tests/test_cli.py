@@ -76,6 +76,34 @@ def test_solve_snapshot_files_are_each_snapshots_bytes(tmp_path, monkeypatch, ev
         assert (out / name).read_bytes() == (tmp_path / "expected.csv").read_bytes(), name
 
 
+def test_snapshots_that_share_a_file_name_exit_2(tmp_path, monkeypatch, capsys):
+    # 1e-7 apart, all five snapshots print as density_t0.000000.csv
+    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
+                        "--set", "grid.n_rho=5", "--set", "grid.n_R=5",
+                        "--set", "solver.t_final=4e-7", "--set", "solver.dt=1e-7",
+                        "--set", "run.snapshot_every=1e-7", "solve")
+    assert code == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "share the file name density_t0.000000.csv" in lines[0]
+    assert os.listdir(out) == ["manifest.json"]  # found after the march, before any artifact
+
+
+@pytest.mark.parametrize("where", ["run.outdir", "ELOKIN_OUTDIR"])
+def test_output_directory_through_a_file_exits_2(tmp_path, monkeypatch, capsys, where):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if where == "ELOKIN_OUTDIR":  # the directory itself is a file: FileExistsError
+        monkeypatch.setenv("ELOKIN_OUTDIR", str(blocker))
+        overrides = []
+    else:  # a file on the path: NotADirectoryError
+        monkeypatch.delenv("ELOKIN_OUTDIR", raising=False)
+        overrides = ["--set", f"run.outdir={blocker / 'sub'}"]
+    code = cli.main([*small_args("solve", tmp_path), *overrides, "solve"])
+    assert code == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+
+
 def test_missing_key_is_config_error(tmp_path, monkeypatch):
     # no defaults.accept: physical parameters must be explicit
     code, _ = run_cli(tmp_path, monkeypatch,
@@ -162,7 +190,9 @@ def small_args(command, tmp):
             for a in ("--set", item)]
 
 
-@pytest.mark.parametrize("key", ["model.sgima", "grid.nrho"])
+# the tournament's own learning and noise keys are gone: it reads model.gamma and model.sigma
+@pytest.mark.parametrize("key", ["model.sgima", "grid.nrho", "particles.gamma_micro",
+                                 "particles.alpha_learn", "particles.sigma_micro"])
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_misspelled_key_exits_2_for_every_command(tmp_path, monkeypatch, capsys, command, key):
     code, out = run_cli(tmp_path, monkeypatch, *small_args(command, tmp_path),
@@ -586,7 +616,7 @@ READERS = [
     ("fixedpoint", "fixedpoint.tol_state", ()),
     ("fixedpoint", "fixedpoint.tol_map", ()),
     ("fixedpoint", "fixedpoint.max_outer", ()),
-    ("steady", "fixedpoint.t_max", ("inf",)),
+    ("steady", "fixedpoint.t_max", ()),
     ("solve", "run.snapshot_every", ("inf",)),
     ("repro-fig2", "run.snapshot_every", ()),  # energies.csv needs snapshots
     ("solve", "solver.dt", ()),
@@ -596,9 +626,6 @@ READERS = [
     ("particles", "particles.n", ()),
     ("particles", "particles.rounds", ("zero",)),
     ("particles", "particles.K", ()),
-    ("particles", "particles.gamma_micro", ("zero",)),
-    ("particles", "particles.sigma_micro", ("zero",)),
-    ("particles", "particles.alpha_learn", ("zero",)),
     ("particles", "particles.epsilon", ()),
     ("solve", "grid.rho_min", ("zero", "negative")),
     ("solve", "grid.rho_max", ()),
@@ -648,6 +675,7 @@ def malformed_settings(draw):
 @example(("diagnose", "model.beta", "-1"))
 @example(("fixedpoint", "fixedpoint.max_outer", "-2"))
 @example(("steady", "fixedpoint.t_max", "0"))
+@example(("steady", "fixedpoint.t_max", "inf"))
 @example(("fixedpoint", "fixedpoint.tol_state", "nan"))
 @example(("solve", "run.snapshot_every", "0"))
 @example(("solve", "run.snapshot_every", "-1"))

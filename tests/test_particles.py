@@ -15,8 +15,7 @@ def params():
 
 @pytest.fixture
 def interaction():
-    return ek.InteractionParams(K=0.1, gamma_micro=1.0, sigma_micro=0.1,
-                                alpha_learn=0.1, epsilon=1.0)
+    return ek.InteractionParams(K=0.1, epsilon=1.0)
 
 
 def test_population_validation():
@@ -30,16 +29,12 @@ def test_population_validation():
 
 
 def test_interaction_params_scaling():
-    p = ek.InteractionParams(K=2.0, gamma_micro=1.0, sigma_micro=0.3,
-                             alpha_learn=0.5, epsilon=0.25)
+    p = ek.InteractionParams(K=2.0, epsilon=0.25)
     assert p.K_eff == pytest.approx(0.5)
-    assert p.alpha_eff == pytest.approx(0.125)
-    assert p.sigma_eff == pytest.approx(0.15)
     with pytest.raises(ValueError):
-        ek.InteractionParams(K=0.0, gamma_micro=1.0, sigma_micro=0.1, alpha_learn=0.1)
+        ek.InteractionParams(K=0.0)
     with pytest.raises(ValueError):
-        ek.InteractionParams(K=1.0, gamma_micro=1.0, sigma_micro=0.1,
-                             alpha_learn=0.1, epsilon=0.0)
+        ek.InteractionParams(K=1.0, epsilon=0.0)
 
 
 # -- play_match --------------------------------------------------------
@@ -65,25 +60,16 @@ def test_match_zero_sum_general(params, interaction):
         assert abs((Ri - pop.R[0]) + (Rj - pop.R[1])) < 1e-15
 
 
-def test_match_strengths_frozen_without_learning_and_noise(params):
-    p = ek.InteractionParams(K=0.1, gamma_micro=1.0, sigma_micro=0.0,
-                             alpha_learn=0.0)
-    pop = ek.AgentPopulation(np.array([0.8, 0.1]), np.array([0.0, 0.0]), 1)
-    rng = np.random.default_rng(2)
-    _, _, ri, rj = ek.play_match(0, 1, pop, p, params, rng)
-    assert ri == pop.rho[0] and rj == pop.rho[1]
-
-
-def test_match_learning_drift_nonnegative(params):
-    p = ek.InteractionParams(K=0.1, gamma_micro=1.0, sigma_micro=0.0,
-                             alpha_learn=0.2)
+def test_match_learning_drift_nonnegative():
+    params = ek.KernelParams(1.0, 0.2, 0.0)  # no noise
+    p = ek.InteractionParams(K=0.1, epsilon=0.5)
     pop = ek.AgentPopulation(np.array([1.5, -1.5]), np.array([0.0, 0.0]), 1)
     rng = np.random.default_rng(3)
     _, _, ri, rj = ek.play_match(0, 1, pop, p, params, rng)
     assert ri >= pop.rho[0] and rj >= pop.rho[1]  # both players learn
-    # expected gain is gamma*alpha*(1 + b(opponent - self))
+    # expected gain is gamma*eps*(1 + b(opponent - self))
     assert ri - pop.rho[0] == pytest.approx(
-        p.gamma_micro * p.alpha_eff * (1.0 + ek.b_eval(-3.0, params)), abs=1e-15)
+        params.gamma * p.epsilon * (1.0 + ek.b_eval(-3.0, params)), abs=1e-15)
 
 
 def test_match_self_play_rejected(params, interaction):
@@ -136,9 +122,25 @@ def test_tournament_deterministic(params, interaction):
     assert np.array_equal(a.rho, b.rho) and np.array_equal(a.R, b.R)
 
 
+NOISE_SDS = 5.0  # tolerance of the mean-rho rise, in noise sds
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_tournament_learns_at_the_model_rate(gamma):
+    # per round each pair gains gamma*eps*((1 - b) + (1 + b)) = 2 gamma eps,
+    # so the mean strength rises by rounds*eps*gamma plus the noise's mean
+    params = ek.KernelParams(1.0, gamma, np.sqrt(0.1))
+    n, rounds, eps = 2000, 10, 0.01
+    pop = ek.AgentPopulation.uniform_box(n, 1)
+    out = ek.run_tournament(pop, rounds, ek.InteractionParams(K=1.0, epsilon=eps), params)
+    rise = out.rho.mean() - pop.rho.mean()
+    noise_sd = params.sigma * np.sqrt(eps) * np.sqrt(rounds / n)
+    assert abs(rise - rounds * eps * gamma) <= NOISE_SDS * noise_sd
+
+
 def test_tournament_matches_pde_with_learning_shift(params):
     # quasi-invariant tournament vs the PDE at matched macroscopic time;
-    # strengths are recentred by the deterministic learning drift gamma*alpha*t
+    # strengths are recentred by the deterministic learning drift gamma*t
     g = ek.Grid2D(-1.0, 2.0, -1.0, 2.0, 150, 150)
     f0 = ek.DensityField.from_function(
         g, lambda r, R: ((r > 0) & (r < 1) & (R > 0) & (R < 1)).astype(float),
@@ -146,13 +148,11 @@ def test_tournament_matches_pde_with_learning_shift(params):
     ref = ek.evolve(f0, ek.SolverConfig(t_final=0.2), params).final
     results = []
     for n, eps in ((400, 0.1), (3200, 0.02)):
-        p = ek.InteractionParams(K=1.0, gamma_micro=1.0,
-                                 sigma_micro=np.sqrt(0.1), alpha_learn=1.0,
-                                 epsilon=eps)
+        p = ek.InteractionParams(K=1.0, epsilon=eps)
         rounds = int(round(0.2 / eps))
         out = ek.run_tournament(ek.AgentPopulation.uniform_box(n, 42),
                                 rounds, p, params)
-        shift = p.gamma_micro * p.alpha_learn * rounds * eps
+        shift = params.gamma * rounds * eps
         w1 = (ek.wasserstein1_samples_vs_marginal(out.rho - shift, ref, "rho")
               + ek.wasserstein1_samples_vs_marginal(out.R, ref, "R"))
         results.append(w1)

@@ -310,6 +310,9 @@ def test_config_validation():
         ek.FixedPointConfig(tol_state=0.0)
     with pytest.raises(ValueError):
         ek.FixedPointConfig(beta=-0.1)
+    for t_max in (0.0, np.inf, np.nan):  # every horizon is positive and finite
+        with pytest.raises(ValueError):
+            ek.FixedPointConfig(t_max=t_max)
 
 
 # -- preserved moments along a family ----------------------------------

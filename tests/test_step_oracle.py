@@ -370,9 +370,6 @@ def test_sub_steps_conserve_mass_and_stay_nonnegative(f, params, frozen, safety)
 interaction_st = st.builds(
     ek.InteractionParams,
     K=st.sampled_from([0.01, 0.5, 1.0]),
-    gamma_micro=st.sampled_from([0.0, 0.5, 1.0]),
-    sigma_micro=st.sampled_from([0.0, 0.1, 1.0]),
-    alpha_learn=st.sampled_from([0.0, 1.0, 2.0]),
     epsilon=st.sampled_from([1.0, 0.3, 0.01]),
 )
 
@@ -394,7 +391,7 @@ def populations(draw):
 
 
 PAIR = ek.AgentPopulation([0.3, 0.3], [0.7, 0.7], 5)  # n = 2, coincident
-GAME = ek.InteractionParams(K=0.5, gamma_micro=1.0, sigma_micro=0.1, alpha_learn=1.0)
+GAME = ek.InteractionParams(K=0.5)
 TANH = ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.TANH)
 LINEAR = ek.KernelParams(1.0, 1.0, 0.3, ek.KernelKind.LINEAR)
 # more than one tournament block of pairs: two blocks and 3 pairs; exactly two blocks
