@@ -5,7 +5,7 @@ Configuration is a flat key=value text file with dotted sections
 holds every key's cast, default and readers; a key the command does not
 read is a config error. Every run writes a manifest with the fully resolved
 config and a content hash so outputs are reproducible. Exit codes: 0 ok,
-2 config error, 3 CFL/positivity abort, 4 non-convergence.
+2 config error, 3 numerical abort, 4 non-convergence.
 """
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ _AGENTS = ("particles", "sde", "compare")  # draw particles.n agents
 
 # every config key: (cast of its value, its default, the commands that read it).
 # A default is REQUIRED, a value or _Accepted(value); defaults.accept=true
-# writes every model.* default into the config.
+# writes the model.* defaults that the command reads into the config.
 KEYS = {
     "defaults.accept": (_flag, "false", _ALL),
     "run.outdir": (str, "out", _ALL),
@@ -138,12 +138,30 @@ def parse_config(path: str | None, overrides: list[str]) -> dict[str, str]:
     return cfg
 
 
-def _accept_defaults(cfg: dict[str, str]) -> dict[str, str]:
-    """With defaults.accept=true, every unset model.* key takes its default."""
+def _accept_defaults(cfg: dict[str, str], command: str) -> dict[str, str]:
+    """With defaults.accept=true, every unset model.* key the command reads
+    takes its default."""
     if _get(cfg, "defaults.accept"):
-        cfg.update({key: str(default) for key, (_, default, _) in KEYS.items()
-                    if key.startswith("model.") and key not in cfg})
+        cfg.update({key: str(default) for key, (_, default, by) in KEYS.items()
+                    if key.startswith("model.") and command in by and key not in cfg})
     return cfg
+
+
+# the figure runs' keys: a uniform datum on the unit square, 200x200 cells to
+# t = 0.8 at the automatic step, with the model.* defaults
+_FIG = {"defaults.accept": "true", "run.initial": "uniform", "solver.dt": "auto",
+        "solver.t_final": "0.8", "grid.n_rho": "200", "grid.n_R": "200",
+        "grid.rho_min": "0", "grid.rho_max": "1", "grid.R_min": "0", "grid.R_max": "1"}
+_PRESETS = {"repro-fig1": _FIG, "repro-fig2": {**_FIG, "run.snapshot_every": "0.02"}}
+
+
+def _with_presets(cfg: dict[str, str], command: str) -> dict[str, str]:
+    """The command's presets under the keys given; no grid.* preset for a file
+    datum, whose grid is the run's."""
+    preset = _PRESETS.get(command, {})
+    if preset and _get(cfg, "run.initial").startswith("file:"):
+        preset = {k: v for k, v in preset.items() if not k.startswith("grid.")}
+    return {**preset, **cfg}
 
 
 def _get(cfg: dict[str, str], key: str):
@@ -409,27 +427,7 @@ def cmd_compare(cfg: dict[str, str], outdir: Path) -> None:
     write_agents_csv(pop, outdir / "agents.csv")
 
 
-def _fig_config(cfg: dict[str, str], full: bool) -> dict[str, str]:
-    base = {
-        "defaults.accept": "true",
-        "grid.rho_min": "0", "grid.rho_max": "1",
-        "grid.R_min": "0", "grid.R_max": "1",
-        "run.initial": "uniform",
-        "solver.dt": "auto",
-    }
-    if full:
-        base.update({"grid.n_rho": "800", "grid.n_R": "800", "solver.t_final": "0.4"})
-    else:
-        base.update({"grid.n_rho": "200", "grid.n_R": "200", "solver.t_final": "0.8"})
-    if _get(cfg, "run.initial").startswith("file:"):  # the file's grid is the run's
-        base = {k: v for k, v in base.items() if not k.startswith("grid.")}
-    base.update(cfg)
-    return _accept_defaults(base)
-
-
 def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> None:
-    cfg = _fig_config(cfg, full=False)
-    cfg.setdefault("run.snapshot_every", "0.02")
     params, solver_cfg, f0 = _pde_inputs(cfg)
     snap = _snapshot_every(cfg)
     if snap == math.inf:  # energies.csv has a row per snapshot
@@ -446,18 +444,17 @@ def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> None:
     f_inf.to_csv(outdir / "steady_state.csv")
 
 
-# subcommand -> (handler(cfg, outdir, **flags), its boolean flags as {name: help})
+# subcommand -> handler(cfg, outdir)
 COMMANDS = {
-    "solve": (cmd_solve, {}),
-    "steady": (cmd_steady, {}),
-    "fixedpoint": (cmd_fixedpoint, {}),
-    "particles": (cmd_particles, {}),
-    "sde": (cmd_sde, {}),
-    "diagnose": (cmd_diagnose, {}),
-    "compare": (cmd_compare, {}),
-    "repro-fig2": (cmd_repro_fig2, {}),
-    "repro-fig1": (lambda cfg, outdir, full: cmd_solve(_fig_config(cfg, full), outdir),
-                   {"full": "full-resolution grid (h=1/800, automatic step); not a CI target"}),
+    "solve": cmd_solve,
+    "steady": cmd_steady,
+    "fixedpoint": cmd_fixedpoint,
+    "particles": cmd_particles,
+    "sde": cmd_sde,
+    "diagnose": cmd_diagnose,
+    "compare": cmd_compare,
+    "repro-fig1": cmd_solve,
+    "repro-fig2": cmd_repro_fig2,
 }
 
 
@@ -470,29 +467,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--set", action="append", default=[], dest="overrides",
                         metavar="KEY=VALUE", help="override a config key")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
-        command = sub.add_parser(name)
-        for flag, text in flags.items():
-            command.add_argument(f"--{flag}", action="store_true", help=text)
+    for name in COMMANDS:
+        sub.add_parser(name)
     args = parser.parse_args(argv)
-    handler, flags = COMMANDS[args.command]
 
     try:
         cfg = parse_config(args.config, args.overrides)
-        # checked before the defaults are written: a manifest records no key that nothing reads
+        # checked before presets and defaults are written: a manifest records only keys read
         unread = sorted(k for k in cfg if args.command not in KEYS[k][2])
         if unread:  # "other s" where the command reads some s.* key
             read = {k.partition(".")[0] for k, (_, _, by) in KEYS.items() if args.command in by}
             sections = dict.fromkeys(k.partition(".")[0] for k in unread)
             sections = " or ".join(f"other {s}" if s in read else s for s in sections)
             raise ConfigError(f"{args.command} reads no {sections} key, got {', '.join(unread)}")
-        outdir = resolve_outdir(_accept_defaults(cfg))
+        cfg = _accept_defaults(_with_presets(cfg, args.command), args.command)
+        outdir = resolve_outdir(cfg)
         write_manifest(outdir, cfg, args.command)
-        handler(cfg, outdir, **{flag: getattr(args, flag) for flag in flags})
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CFLError, PositivityError) as exc:
+    except (CFLError, PositivityError, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_CFL
     except NonConvergenceError as exc:

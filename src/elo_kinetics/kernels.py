@@ -33,8 +33,8 @@ class KernelParams:
             raise ValueError("c must be positive and finite")
         if not (self.gamma > 0 and np.isfinite(self.gamma)):
             raise ValueError("gamma must be positive and finite")
-        if not (self.sigma >= 0 and np.isfinite(self.sigma)):
-            raise ValueError("sigma must be nonnegative and finite")
+        if not (self.sigma >= 0 and np.isfinite(self.sigma * self.sigma)):  # diffusion sigma^2/2
+            raise ValueError("sigma must be nonnegative, and its square finite")
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class AssumptionConstants:
 
     The bracket variant <z> = sqrt(1+z^2) holds with the weaker prefactor
     C_decay * e^alpha (since <z> <= |z| + 1); the plain-|z| form is the one
-    provable with C_decay = 2, alpha = 2c for tanh, and is what holds_on
-    verifies.
+    provable with C_decay = 2, alpha = 2c for tanh.
     """
 
     alpha: float
@@ -58,11 +57,6 @@ class AssumptionConstants:
     def for_tanh(cls, c: float) -> "AssumptionConstants":
         # 1 - tanh(x) = 2/(e^{2x}+1) <= 2 e^{-2x}, so alpha = 2c, C = 2 works
         return cls(alpha=2.0 * c, C_decay=2.0)
-
-    def holds_on(self, params: "KernelParams", z_values: np.ndarray) -> bool:
-        z = np.abs(np.asarray(z_values, dtype=float))
-        lhs = np.abs(1.0 - b_eval(z, params))
-        return bool(np.all(lhs <= self.C_decay * np.exp(-self.alpha * z) + 1e-15))
 
 
 def b_eval(z, params: KernelParams):

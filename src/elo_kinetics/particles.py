@@ -157,9 +157,10 @@ def _mean_drift(x: np.ndarray, params: KernelParams) -> np.ndarray:
     kernel. The exact sum when all agents coincide (the drift is 0) or when
     the mesh would have more nodes than there are agents."""
     n, lo = len(x), x.min()
-    cells = math.ceil(params.c * (x.max() - lo) / _MESH_CH)
-    if cells == 0 or cells + 1 > n:  # up to n nodes, the O(M^2) convolution costs less
+    span = params.c * float(x.max() - lo) / _MESH_CH  # in Python floats an overflow is inf
+    if span == 0 or span > n - 1:  # ceil(span) + 1 nodes > n: the O(M^2) convolution costs less
         return kernel_sum(x, x, np.ones(n), params) / n
+    cells = math.ceil(span)
     h = (x.max() - lo) / cells
     s = (x - lo) / h
     k = np.minimum(s.astype(np.intp), cells - 1)

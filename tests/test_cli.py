@@ -230,10 +230,7 @@ def test_unread_keys_cover_every_section_for_some_command():
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_every_key_the_table_lists_for_a_command_is_accepted(tmp_path, monkeypatch, command):
-    seen = []
-    monkeypatch.setitem(cli.COMMANDS, command,
-                        (lambda cfg, outdir, **flags: seen.append(cfg),
-                         cli.COMMANDS[command][1]))
+    seen = record_config(monkeypatch, command)
     keys = [key for key, (_, _, readers) in cli.KEYS.items() if command in readers]
     assert keys
     for key in keys:
@@ -339,6 +336,29 @@ def test_unstable_dt_is_cfl_abort(tmp_path, monkeypatch):
     code, _ = run_cli(tmp_path, monkeypatch, *SOLVE_ARGS,
                       "--set", "solver.dt=1.0", "solve")
     assert code == cli.EXIT_CFL
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("solve", ("model.kernel=linear", "model.c=1e308", "solver.t_final=0.01")),
+    ("steady", ("model.kernel=linear", "model.c=1e308")),
+    ("fixedpoint", ("model.kernel=linear", "model.c=1e308")),
+    ("fixedpoint", ("model.gamma=1e308",)),
+])
+def test_float_overflow_is_a_numerical_abort(tmp_path, monkeypatch, capsys, command, keys):
+    # finite model values whose rates or weights overflow the float range
+    keys = ("defaults.accept=true", "grid.n_rho=4", "grid.n_R=4", *keys)
+    code, out = run_cli(tmp_path, monkeypatch, *(a for k in keys for a in ("--set", k)), command)
+    assert code == cli.EXIT_CFL
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical abort: overflow")
+
+
+def test_sde_whose_drift_mesh_overflows_takes_the_exact_sum(tmp_path, monkeypatch):
+    code, out = run_cli(tmp_path, monkeypatch, *small_args("sde", tmp_path),
+                        "--set", "particles.n=10", "--set", "model.c=1e308", "sde")
+    assert code == cli.EXIT_OK
+    agents = np.loadtxt(out / "agents.csv", delimiter=",", skiprows=1)
+    assert agents.shape == (10, 3) and np.all(np.isfinite(agents))
 
 
 @pytest.mark.parametrize("n_rho", [1, 5])
@@ -532,7 +552,7 @@ def test_fixedpoint_log_residual_is_each_iterates_own(tmp_path, monkeypatch, key
     log = np.loadtxt(out / "fixedpoint_log.csv", delimiter=",", skiprows=1, ndmin=2)
     assert len(log) >= 2
     # replay the outer iteration mu_{k+1} = G(mu_k)
-    cfg = cli._accept_defaults(dict(k.split("=", 1) for k in keys))
+    cfg = cli._accept_defaults(dict(k.split("=", 1) for k in keys), "fixedpoint")
     params, fp_cfg, mu = cli.build_params(cfg), cli._fp_config(cfg), cli._initial_density(cfg)
     for row in log:
         g = ek.map_G(mu, fp_cfg, params)
@@ -582,6 +602,86 @@ def test_repro_fig2_emits_energies(tmp_path, monkeypatch):
     first = float(lines[1].split(",")[1])
     last = float(lines[-1].split(",")[1])
     assert last < first
+
+
+# -- figure presets: resolved in main, before the manifest ----------------
+
+def manifest_config(out):
+    return json.loads((out / "manifest.json").read_text())["config"]
+
+
+def record_config(monkeypatch, command):
+    """Replace the command's handler by one that records the config it gets."""
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg, outdir: seen.append(cfg))
+    return seen
+
+
+@pytest.mark.parametrize("command", ["repro-fig1", "repro-fig2"])
+def test_figure_manifest_records_the_presets_the_run_uses(tmp_path, monkeypatch, command):
+    seen = record_config(monkeypatch, command)
+    code, out = run_cli(tmp_path, monkeypatch, command)
+    assert code == cli.EXIT_OK
+    config = manifest_config(out)
+    assert seen == [config]  # the handler runs on exactly what the manifest records
+    assert config["defaults.accept"] == "true"
+    assert config["grid.n_rho"] == config["grid.n_R"] == "200"
+    assert config["solver.t_final"] == "0.8" and config["solver.dt"] == "auto"
+    assert config["run.initial"] == "uniform"
+    assert config["model.c"] == "1.0"
+    assert config.get("run.snapshot_every") == ("0.02" if command == "repro-fig2" else None)
+
+
+@pytest.mark.parametrize("command", ["repro-fig1", "repro-fig2"])
+def test_figure_run_from_a_file_records_no_grid_preset(tmp_path, monkeypatch, command):
+    path = tmp_path / "f0.csv"
+    ek.DensityField.uniform(ek.Grid2D(0.0, 1.0, 0.0, 2.0, 6, 4)).to_csv(path)
+    code, out = run_cli(tmp_path, monkeypatch, "--set", f"run.initial=file:{path}",
+                        "--set", "grid.n_R=4", "--set", "solver.t_final=0.01", command)
+    assert code == cli.EXIT_OK
+    config = manifest_config(out)
+    assert sorted(k for k in config if k.startswith("grid.")) == ["grid.n_R"]
+    final = out / ("final.csv" if command == "repro-fig1" else "steady_state.csv")
+    grid = ek.DensityField.from_csv(final).grid  # the file's: 6 x 4 cells on [0, 1] x [0, 2]
+    assert (grid.n_rho, grid.n_R) == (6, 4) and grid.R_max == pytest.approx(2.0)
+
+
+def test_figure_runs_on_different_grids_hash_differently(tmp_path, monkeypatch):
+    record_config(monkeypatch, "repro-fig1")
+    hashes = set()
+    for n in ("200", "800"):
+        code, out = run_cli(tmp_path / n, monkeypatch, "--set", f"grid.n_rho={n}",
+                            "--set", "solver.t_final=0", "repro-fig1")
+        assert code == cli.EXIT_OK
+        config = manifest_config(out)  # a key given wins over its preset
+        assert (config["grid.n_rho"], config["grid.n_R"], config["solver.t_final"]) == \
+            (n, "200", "0")
+        hashes.add(json.loads((out / "manifest.json").read_text())["config_sha256"])
+    assert len(hashes) == 2
+
+
+def test_full_flag_is_gone(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ELOKIN_OUTDIR", str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["repro-fig1", "--full"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --full" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("accept", [True, False], ids=["defaults_accept", "model_given"])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_manifest_records_only_keys_the_command_reads(tmp_path, monkeypatch, command, accept):
+    model = ["defaults.accept=true"] if accept else \
+        ["model.c=1.0", "model.gamma=1.0", "model.sigma=0.3"]
+    args = [a for item in [*model, *small_run(command, tmp_path)] for a in ("--set", item)]
+    code, out = run_cli(tmp_path, monkeypatch, *args, command)
+    assert code == cli.EXIT_OK
+    config = manifest_config(out)
+    assert [k for k in config if command not in cli.KEYS[k][2]] == []
+    if accept or command.startswith("repro-fig"):  # the presets accept the defaults
+        assert {k for k in config if k.startswith("model.")} == \
+            {k for k, (_, _, by) in cli.KEYS.items() if k.startswith("model.") and command in by}
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -686,6 +786,8 @@ def malformed_settings(draw):
 @example(("solve", "grid.rho_max", "inf"))
 @example(("solve", "grid.R_min", "-inf"))
 @example(("solve", "grid.rho_max", "1e160"))
+@example(("solve", "model.sigma", "1e160"))  # sigma^2 overflows
+@example(("fixedpoint", "model.sigma", "1e160"))
 @example(("diagnose", "diagnose.t", "nan"))
 @example(("diagnose", "diagnose.exterior_ball", "-1"))
 @example(("particles", "run.seed", "-1"))

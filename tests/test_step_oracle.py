@@ -342,6 +342,24 @@ def test_mesh_drift_falls_back_to_the_exact_sum(n, params, shift, seed):
     assert particles._mean_drift(x, params).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("c, width, exact", [
+    (1.0, 8 * particles._MESH_CH, False),  # c (max - min) = (n - 1) _MESH_CH: n nodes
+    (1.0, np.nextafter(8 * particles._MESH_CH, 1.0), True),  # more nodes than agents
+    (1e308, 1.0, True),  # c (max - min) / _MESH_CH overflows the float range
+])
+def test_mesh_choice_at_its_boundary(c, width, exact):
+    n = 9
+    params = ek.KernelParams(c, 1.0, 0.3)
+    x = np.linspace(0.0, width, n)
+    calls, exact_sum = [], particles.kernel_sum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(particles, "kernel_sum", lambda *a: calls.append(1) or exact_sum(*a))
+        got = particles._mean_drift(x, params)
+    assert len(calls) == exact
+    if exact:
+        assert got.tobytes() == ref._empirical_coefficient(x, x, params).tobytes()
+
+
 # -- single sub-steps at admissible dt ------------------------------------
 
 
