@@ -485,8 +485,8 @@ def main(argv: list[str] | None = None) -> int:
         write_manifest(outdir, cfg, args.command)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             COMMANDS[args.command](cfg, outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:  # e.g. an array too large to allocate
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except (CFLError, PositivityError, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -42,9 +42,9 @@ def relative_energy(f: DensityField, f_inf: DensityField) -> float:
 
 
 def beta_norm(f: DensityField, beta: float, gamma: float) -> float:
-    """Exponentially weighted total variation, integral of phi_beta |f|."""
-    P, Q = np.meshgrid(f.grid.rho_centers, f.grid.R_centers, indexing="ij")
-    return float(np.sum(phi_beta(P, Q, beta, gamma) * np.abs(f.values))) * f.grid.cell_area
+    """Weighted total variation, integral of phi_beta |f|: the moment M if f >= 0."""
+    phi = phi_beta(f.grid.rho_centers[:, None], f.grid.R_centers[None, :], beta, gamma)
+    return float(np.sum(phi * np.abs(f.values))) * f.grid.cell_area
 
 
 def beta_norm_diff(f: DensityField, g: DensityField, beta: float, gamma: float) -> float:
@@ -104,11 +104,11 @@ def lyapunov_drift_check(
     nonnegative.
     """
     g = eval_grid if eval_grid is not None else mu.grid
-    P, Q = np.meshgrid(g.rho_centers, g.R_centers, indexing="ij")
-    phi = phi_beta(P, Q, beta, params.gamma)  # first: a bad beta raises before the sums
+    rho, R = g.rho_centers[:, None], g.R_centers[None, :]
+    phi = phi_beta(rho, R, beta, params.gamma)  # first: a bad beta raises before the sums
     # a1 depends on rho only and a2 on R only: each is summed on its axis once
-    ratio = generator_on_weight(mu, beta, params, g.rho_centers[:, None], g.R_centers[None, :])
-    radius = np.hypot(P, Q)
+    ratio = generator_on_weight(mu, beta, params, rho, R)
+    radius = np.hypot(rho, R)
     r_flat = radius.ravel()
     g_flat = ratio.ravel()
     order = np.argsort(r_flat)

@@ -31,9 +31,11 @@ class Grid2D:
         if self.n_rho < 1 or self.n_R < 1:
             raise ValueError("cell counts must be positive")
         try:  # the solver's rates divide by the squared cell side
-            self.h_rho ** 2, self.h_R ** 2
+            squares = self.h_rho ** 2, self.h_R ** 2
         except OverflowError:
             raise ValueError("a cell side is too large: its square overflows") from None
+        if 0.0 in squares:
+            raise ValueError("a cell side is too small: its square underflows to 0")
 
     @property
     def h_rho(self) -> float:
@@ -109,15 +111,6 @@ class DensityField:
         com_rho = float(np.dot(rho_m, g.rho_centers)) * g.h_rho / m
         com_R = float(np.dot(R_m, g.R_centers)) * g.h_R / m
         return com_rho, com_R
-
-    def weighted_integral(self, w) -> float:
-        """Midpoint quadrature of w(rho, R) against the density.
-
-        w is called with meshgrid arrays of cell-center coordinates.
-        """
-        g = self.grid
-        P, Q = np.meshgrid(g.rho_centers, g.R_centers, indexing="ij")
-        return float(np.sum(np.asarray(w(P, Q)) * self.values)) * g.cell_area
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """1D marginal densities; each sums to mass/h along its axis."""

@@ -166,7 +166,7 @@ def test_criterion_06_fixed_point_consistency(fig_run, f_inf, params_base, grid2
 
 def test_criterion_07_lyapunov_drift(f_inf, params_base):
     with criterion(7, "Foster-Lyapunov drift inequality with zero violations"):
-        M = f_inf.weighted_integral(lambda r, R: ek.phi_beta(r, R, BETA, params_base.gamma))
+        M = ek.beta_norm(f_inf, BETA, params_base.gamma)
         rad = ek.confinement_radii(M, BETA, params_base.gamma,
                                    ek.AssumptionConstants.for_tanh(params_base.c))
         z = max(rad.z1, rad.z2)
@@ -198,8 +198,7 @@ def test_criterion_08_confinement_radii(params_base):
                 g, lambda r, R: np.exp(-((np.abs(r) - 1.5) ** 2 + R ** 2) / 0.3),
                 normalize=True),
         ]
-        M = max(mu.weighted_integral(lambda r, R: ek.phi_beta(r, R, BETA, params_base.gamma))
-                for mu in family)
+        M = max(ek.beta_norm(mu, BETA, params_base.gamma) for mu in family)
         rad = ek.confinement_radii(M, BETA, params_base.gamma,
                                    ek.AssumptionConstants.for_tanh(params_base.c))
         lattice = np.linspace(-rad.z2 - 15.0, rad.z2 + 15.0, 2401)

@@ -353,6 +353,37 @@ def test_float_overflow_is_a_numerical_abort(tmp_path, monkeypatch, capsys, comm
     assert len(lines) == 1 and lines[0].startswith("numerical abort: overflow")
 
 
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type "
+    "float64", ""])
+@pytest.mark.parametrize("command, target", [("solve", "evolve"), ("sde", "simulate_mean_field")])
+def test_allocation_failure_is_config_error(tmp_path, monkeypatch, capsys, command, target,
+                                            message):
+    # injected: an absurd grid.n_rho or particles.n reaches numpy as this MemoryError
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, target, allocate)
+    code, _ = run_cli(tmp_path, monkeypatch, *small_args(command, tmp_path), command)
+    assert code == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: {message or 'out of memory'}"]
+
+
+@pytest.mark.parametrize("command", ["fixedpoint", "diagnose"])
+def test_density_file_whose_cell_side_squares_to_0_is_config_error(tmp_path, monkeypatch,
+                                                                   capsys, command):
+    path = tmp_path / "tiny.csv"  # rho centres 2e-301 apart: h_rho squared underflows
+    path.write_text("rho,R,f\n0,0.25,1\n0,0.75,1\n2e-301,0.25,1\n2e-301,0.75,1\n")
+    keys = ([f"run.initial=file:{path}"] if command == "fixedpoint"
+            else [f"diagnose.f={path}", f"diagnose.f_inf={path}"])
+    code, out = run_cli(tmp_path, monkeypatch, "--set", "defaults.accept=true",
+                        *(a for k in keys for a in ("--set", k)), command)
+    assert code == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("its square underflows to 0")
+    assert os.listdir(out) == ["manifest.json"]
+
+
 def test_sde_whose_drift_mesh_overflows_takes_the_exact_sum(tmp_path, monkeypatch):
     code, out = run_cli(tmp_path, monkeypatch, *small_args("sde", tmp_path),
                         "--set", "particles.n=10", "--set", "model.c=1e308", "sde")
@@ -786,6 +817,7 @@ def malformed_settings(draw):
 @example(("solve", "grid.rho_max", "inf"))
 @example(("solve", "grid.R_min", "-inf"))
 @example(("solve", "grid.rho_max", "1e160"))
+@example(("solve", "grid.rho_max", "1e-300"))  # the cell side's square underflows to 0
 @example(("solve", "model.sigma", "1e160"))  # sigma^2 overflows
 @example(("fixedpoint", "model.sigma", "1e160"))
 @example(("diagnose", "diagnose.t", "nan"))

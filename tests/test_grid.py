@@ -27,6 +27,10 @@ def test_grid_validation():
                    (-1e308, 1e308, 0.0, 1.0)]:  # the last box's side overflows
         with pytest.raises(ValueError, match="finite"):
             ek.Grid2D(*bounds, 10, 10)
+    for bounds in [(0.0, 1e-300, 0.0, 1.0), (0.0, 1.0, 0.0, 1e-300)]:  # h**2 underflows
+        with pytest.raises(ValueError, match="underflows"):
+            ek.Grid2D(*bounds, 6, 6)
+    ek.Grid2D(0.0, 1e-150, 0.0, 1e-150, 6, 6)  # squares stay positive: accepted
 
 
 def test_density_shape_and_finiteness():
@@ -57,25 +61,20 @@ def test_center_of_mass_trivials():
         pm.copy_with(np.zeros_like(pm.values)).center_of_mass()
 
 
-def test_weighted_integral_trivials():
+def test_beta_moment_at_beta_zero_is_the_mass():
     g = ek.Grid2D.unit_square(30)
     f = gaussian_blob(g, (0.4, 0.6), 0.2)
-    assert f.weighted_integral(lambda r, R: np.ones_like(r)) == pytest.approx(f.mass())
-    assert f.weighted_integral(lambda r, R: ek.phi_beta(r, R, 0.0, 1.0)) == \
-        pytest.approx(f.mass(), abs=1e-14)
-    u = ek.DensityField.uniform(g)
-    assert u.weighted_integral(lambda r, R: r) == pytest.approx(0.5, abs=1e-14)
+    assert ek.beta_norm(f, 0.0, 1.0) == pytest.approx(f.mass(), abs=1e-14)
 
 
-def test_weighted_integral_linearity():
+def test_beta_moment_is_linear_over_nonnegative_combinations():
     g = ek.Grid2D.unit_square(15)
     rng = np.random.default_rng(3)
     f = ek.DensityField(g, rng.random((15, 15)))
     h = ek.DensityField(g, rng.random((15, 15)))
-    w = lambda r, R: np.cos(r) + R
     combo = f.copy_with(2.0 * f.values + 3.0 * h.values)
-    assert combo.weighted_integral(w) == pytest.approx(
-        2.0 * f.weighted_integral(w) + 3.0 * h.weighted_integral(w), rel=1e-12)
+    assert ek.beta_norm(combo, 0.1, 1.0) == pytest.approx(
+        2.0 * ek.beta_norm(f, 0.1, 1.0) + 3.0 * ek.beta_norm(h, 0.1, 1.0), rel=1e-12)
 
 
 def test_marginals_trivials():
