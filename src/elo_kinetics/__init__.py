@@ -3,7 +3,6 @@ steady-state machinery, particle simulators, and verification diagnostics."""
 
 from .grid import DensityField, Grid2D
 from .kernels import (
-    AssumptionConstants,
     CoefficientField,
     KernelKind,
     KernelParams,

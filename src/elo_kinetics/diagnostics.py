@@ -12,8 +12,8 @@ import numpy as np
 from .fv_solver import SolverConfig, evolve
 from .grid import DensityField, Grid2D
 from .kernels import (
-    AssumptionConstants,
     CoefficientField,
+    KernelKind,
     KernelParams,
     a1_of_density,
     a2_of_density,
@@ -141,20 +141,21 @@ class ConfinementRadii:
     delta_prime: float
     delta_prime_statement: float
     delta_prime_proof: float
-    M: float
-    C_prime: float
 
 
-def confinement_radii(
-    M: float, beta: float, gamma: float, assumption: AssumptionConstants
-) -> ConfinementRadii:
-    """Explicit radii z1 = log(4 M C')/delta, z2 = log(4 M C')/delta'.
+def confinement_radii(M: float, beta: float, params: KernelParams) -> ConfinementRadii:
+    """Explicit radii z1 = log(4 M C')/delta, z2 = log(4 M C')/delta', for
+    beta > 0 and M finite, from the decay 1 - b(z) <= C' exp(-alpha z) of the
+    tanh kernel: 1 - tanh x = 2/(e^{2x}+1) <= 2 e^{-2x}, so alpha = 2c, C' = 2.
 
     The source gives two inconsistent expressions for delta'; both are
     computed and the smaller (conservative: larger z2) is used.
     """
-    a = assumption.alpha
-    Cp = assumption.C_decay
+    if params.kernel_kind is not KernelKind.TANH:
+        raise ValueError("the linear kernel's 1 - c z has no exponential decay")
+    if not (beta > 0 and math.isfinite(beta) and math.isfinite(M)):
+        raise ValueError("beta must be positive and finite, and M finite")
+    a, Cp, gamma = 2.0 * params.c, 2.0, params.gamma
     if 4.0 * M * Cp <= 1.0:
         raise ValueError("M too small for positive confinement radii")
     delta = 2.0 * a * beta * math.sqrt(3.0) / (a * math.sqrt(gamma) + beta * math.sqrt(3.0))
@@ -173,8 +174,6 @@ def confinement_radii(
         delta_prime=dp,
         delta_prime_statement=dp_statement,
         delta_prime_proof=dp_proof,
-        M=M,
-        C_prime=Cp,
     )
 
 

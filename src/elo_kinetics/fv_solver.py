@@ -113,7 +113,8 @@ def _rho_rates(coeff: CoefficientField, params: KernelParams) -> tuple[np.ndarra
     v = -params.gamma * coeff.a1_at_rho_faces[1:-1]
     if D > 0:
         P = v * h / D
-        return (D / h**2) * _bernoulli(-P), (D / h**2) * _bernoulli(P)
+        scale = np.float64(D) / h**2  # a numpy float: under np.errstate an overflow raises
+        return scale * _bernoulli(-P), scale * _bernoulli(P)
     return np.maximum(v, 0.0) / h, np.maximum(-v, 0.0) / h
 
 

@@ -30,8 +30,8 @@ class Grid2D:
             raise ValueError("degenerate box")
         if self.n_rho < 1 or self.n_R < 1:
             raise ValueError("cell counts must be positive")
-        try:  # the solver's rates divide by the squared cell side
-            squares = self.h_rho ** 2, self.h_R ** 2
+        try:  # rates divide by the squared cell side; a Python float's overflow raises
+            squares = float(self.h_rho) ** 2, float(self.h_R) ** 2
         except OverflowError:
             raise ValueError("a cell side is too large: its square overflows") from None
         if 0.0 in squares:
@@ -199,9 +199,12 @@ class DensityField:
         for name, centers, h in (("rho", rhos, h_rho), ("R", Rs, h_R)):
             if np.any(np.abs(np.diff(centers) - h) > 1e-6 * h):
                 raise ValueError(f"{path}: {name} centers are not uniformly spaced")
-        grid = Grid2D(
-            rhos[0] - h_rho / 2, rhos[-1] + h_rho / 2,
-            Rs[0] - h_R / 2, Rs[-1] + h_R / 2,
-            n_rho, n_R,
-        )
+        try:
+            grid = Grid2D(
+                rhos[0] - h_rho / 2, rhos[-1] + h_rho / 2,
+                Rs[0] - h_R / 2, Rs[-1] + h_R / 2,
+                n_rho, n_R,
+            )
+        except ValueError as exc:  # e.g. a cell side whose square underflows
+            raise ValueError(f"{path}: {exc}") from None
         return cls(grid, data[:, 2].reshape(n_rho, n_R))

@@ -1,5 +1,5 @@
-"""Interaction kernel, learning function, mean-field coefficients, and the
-exponential Lyapunov weight.
+"""Interaction kernel, mean-field coefficients, and the exponential Lyapunov
+weight.
 
 The rating velocity is a[mu](rho, R) = a1[mu](rho) - a2[mu](R) where a1, a2
 are 1D convolutions of the odd kernel b against the marginals of mu; the
@@ -35,28 +35,6 @@ class KernelParams:
             raise ValueError("gamma must be positive and finite")
         if not (self.sigma >= 0 and np.isfinite(self.sigma * self.sigma)):  # diffusion sigma^2/2
             raise ValueError("sigma must be nonnegative, and its square finite")
-
-
-@dataclass(frozen=True)
-class AssumptionConstants:
-    """Exponential decay data for |1 - b(|z|)| <= C_decay * exp(-alpha |z|).
-
-    The bracket variant <z> = sqrt(1+z^2) holds with the weaker prefactor
-    C_decay * e^alpha (since <z> <= |z| + 1); the plain-|z| form is the one
-    provable with C_decay = 2, alpha = 2c for tanh.
-    """
-
-    alpha: float
-    C_decay: float
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.C_decay <= 0:
-            raise ValueError("decay constants must be positive")
-
-    @classmethod
-    def for_tanh(cls, c: float) -> "AssumptionConstants":
-        # 1 - tanh(x) = 2/(e^{2x}+1) <= 2 e^{-2x}, so alpha = 2c, C = 2 works
-        return cls(alpha=2.0 * c, C_decay=2.0)
 
 
 def b_eval(z, params: KernelParams):

@@ -167,8 +167,7 @@ def test_criterion_06_fixed_point_consistency(fig_run, f_inf, params_base, grid2
 def test_criterion_07_lyapunov_drift(f_inf, params_base):
     with criterion(7, "Foster-Lyapunov drift inequality with zero violations"):
         M = ek.beta_norm(f_inf, BETA, params_base.gamma)
-        rad = ek.confinement_radii(M, BETA, params_base.gamma,
-                                   ek.AssumptionConstants.for_tanh(params_base.c))
+        rad = ek.confinement_radii(M, BETA, params_base)
         z = max(rad.z1, rad.z2)
         L = float(np.ceil(3.0 * z))
         eval_grid = ek.Grid2D.centered_box(L, 221)
@@ -199,8 +198,7 @@ def test_criterion_08_confinement_radii(params_base):
                 normalize=True),
         ]
         M = max(ek.beta_norm(mu, BETA, params_base.gamma) for mu in family)
-        rad = ek.confinement_radii(M, BETA, params_base.gamma,
-                                   ek.AssumptionConstants.for_tanh(params_base.c))
+        rad = ek.confinement_radii(M, BETA, params_base)
         lattice = np.linspace(-rad.z2 - 15.0, rad.z2 + 15.0, 2401)
         for mu in family:
             rho_out = lattice[np.abs(lattice) > rad.z1]

@@ -135,6 +135,8 @@ def test_bad_value_is_config_error(tmp_path, monkeypatch):
     "sde.t_final=0.025",
     "defaults.accept=ture",  # not a flag spelling: neither true nor false
     "diagnose.drift_check=ture",
+    "model.c=",  # an empty value
+    "run.initial=gauss",  # neither uniform nor file:
 ])
 def test_rejected_value_or_input_is_config_error(tmp_path, monkeypatch, capsys, override):
     # particles.*, sde.* and diagnose.* keys are read by the subcommand of that name
@@ -294,7 +296,9 @@ def test_unusable_initial_density_file_is_config_error(tmp_path, monkeypatch, ca
     "rho,R,f\n0.25,0.25,1\n0.25,0.75\n",
     "rho,R,f\r\n",
     "",
-], ids=["non_numeric_cell", "trailing_comma", "ragged_row", "header_only", "empty"])
+    "rho,R\n0.25,0.25\n0.75,0.25\n",
+], ids=["non_numeric_cell", "trailing_comma", "ragged_row", "header_only", "empty",
+        "two_columns"])
 def test_malformed_density_file_is_config_error(tmp_path, monkeypatch, capsys, text):
     path = tmp_path / "f0.csv"
     path.write_text(text)
@@ -343,6 +347,8 @@ def test_unstable_dt_is_cfl_abort(tmp_path, monkeypatch):
     ("steady", ("model.kernel=linear", "model.c=1e308")),
     ("fixedpoint", ("model.kernel=linear", "model.c=1e308")),
     ("fixedpoint", ("model.gamma=1e308",)),
+    ("solve", ("grid.rho_max=6e-160", "solver.t_final=0.01")),  # D / h_rho^2
+    ("solve", ("grid.rho_max=6e-150", "model.sigma=1e100", "solver.t_final=0.01")),
 ])
 def test_float_overflow_is_a_numerical_abort(tmp_path, monkeypatch, capsys, command, keys):
     # finite model values whose rates or weights overflow the float range
@@ -381,6 +387,7 @@ def test_density_file_whose_cell_side_squares_to_0_is_config_error(tmp_path, mon
     assert code == cli.EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].endswith("its square underflows to 0")
+    assert lines[0].startswith(f"config error: {path}: ")
     assert os.listdir(out) == ["manifest.json"]
 
 

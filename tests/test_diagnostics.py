@@ -42,6 +42,8 @@ def test_relative_energy_grid_mismatch():
         ek.relative_energy(a, b)
     with pytest.raises(ValueError, match="grid mismatch"):
         ek.beta_norm_diff(a, b, 0.1, 1.0)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        ek.wasserstein1_marginal(a, b, "rho")
 
 
 def test_relative_energy_metric_properties():
@@ -222,9 +224,8 @@ def test_drift_check_fitted_lambda_shrinks_with_beta(params):
 # -- confinement radii -------------------------------------------------
 
 
-def test_confinement_radii_frozen_arithmetic():
-    ac = ek.AssumptionConstants(alpha=2.0, C_decay=2.0)
-    rad = ek.confinement_radii(M=100.0, beta=0.1, gamma=1.0, assumption=ac)
+def test_confinement_radii_frozen_arithmetic(params):
+    rad = ek.confinement_radii(M=100.0, beta=0.1, params=params)  # alpha = 2c = 2
     assert rad.delta == pytest.approx(DELTA_FROZEN, abs=1e-14)
     assert rad.z1 == pytest.approx(Z1_FROZEN, abs=1e-11)
     assert rad.delta_prime == min(rad.delta_prime_statement, rad.delta_prime_proof)
@@ -234,26 +235,31 @@ def test_confinement_radii_frozen_arithmetic():
 def test_confinement_delta_substitution_identity():
     # at alpha = beta the statement formula collapses to 2a sqrt(3)/(sqrt(g)+sqrt(3))
     a = 0.37
-    ac = ek.AssumptionConstants(alpha=a, C_decay=2.0)
     for gamma in (0.5, 1.0, 2.0):
-        rad = ek.confinement_radii(M=50.0, beta=a, gamma=gamma, assumption=ac)
+        rad = ek.confinement_radii(M=50.0, beta=a, params=ek.KernelParams(a / 2, gamma, 0.1))
         expected = 2.0 * a * np.sqrt(3.0) / (np.sqrt(gamma) + np.sqrt(3.0))
         assert rad.delta == pytest.approx(expected, rel=1e-14)
 
 
-def test_confinement_radii_monotonicity():
-    ac = ek.AssumptionConstants(alpha=2.0, C_decay=2.0)
-    z1_by_M = [ek.confinement_radii(M, 0.1, 1.0, ac).z1 for M in (10, 100, 1000)]
+def test_confinement_radii_monotonicity(params):
+    z1_by_M = [ek.confinement_radii(M, 0.1, params).z1 for M in (10, 100, 1000)]
     assert z1_by_M[0] < z1_by_M[1] < z1_by_M[2]
-    z1_by_beta = [ek.confinement_radii(100.0, b, 1.0, ac).z1
+    z1_by_beta = [ek.confinement_radii(100.0, b, params).z1
                   for b in (0.05, 0.1, 0.2)]
     assert z1_by_beta[0] > z1_by_beta[1] > z1_by_beta[2]
 
 
-def test_confinement_radii_small_m_rejected():
-    ac = ek.AssumptionConstants(alpha=2.0, C_decay=2.0)
-    with pytest.raises(ValueError):
-        ek.confinement_radii(M=0.1, beta=0.1, gamma=1.0, assumption=ac)
+def test_confinement_radii_small_m_rejected(params):
+    with pytest.raises(ValueError, match="M too small"):
+        ek.confinement_radii(M=0.1, beta=0.1, params=params)
+    # beta must be positive and finite, M finite
+    for M, beta in ((100.0, 0.0), (100.0, -0.1), (100.0, np.nan), (100.0, np.inf),
+                    (np.nan, 0.1), (np.inf, 0.1)):
+        with pytest.raises(ValueError, match="beta must be positive and finite, and M finite"):
+            ek.confinement_radii(M, beta, params)
+    linear = ek.KernelParams(1.0, 1.0, 0.1, ek.KernelKind.LINEAR)
+    with pytest.raises(ValueError, match="no exponential decay"):
+        ek.confinement_radii(100.0, 0.1, linear)
 
 
 def test_confinement_empirical_a1_bound(params):
@@ -261,7 +267,7 @@ def test_confinement_empirical_a1_bound(params):
     g = ek.Grid2D.unit_square(50)
     mu = ek.DensityField.uniform(g)
     M = ek.beta_norm(mu, 0.1, 1.0)
-    rad = ek.confinement_radii(M, 0.1, 1.0, ek.AssumptionConstants.for_tanh(1.0))
+    rad = ek.confinement_radii(M, 0.1, params)
     rho = np.linspace(-40.0, 40.0, 1601)
     outside = np.abs(rho) > rad.z1
     a1 = ek.a1_of_density(mu, rho[outside], params)

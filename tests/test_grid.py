@@ -31,6 +31,9 @@ def test_grid_validation():
         with pytest.raises(ValueError, match="underflows"):
             ek.Grid2D(*bounds, 6, 6)
     ek.Grid2D(0.0, 1e-150, 0.0, 1e-150, 6, 6)  # squares stay positive: accepted
+    for rho_max in (1e160, np.float64(1e160)):  # h**2 overflows, as a numpy float too
+        with pytest.raises(ValueError, match="square overflows"):
+            ek.Grid2D(0.0, rho_max, 0.0, 1.0, 6, 6)
 
 
 def test_density_shape_and_finiteness():

@@ -19,7 +19,7 @@ def params():
     return ek.KernelParams(1.0, 1.0, np.sqrt(0.1))
 
 
-# -- b, h1, assumption constants ---------------------------------------
+# -- b and the decay of 1 - b -----------------------------------------
 
 
 def test_b_zero_both_kinds():
@@ -44,11 +44,10 @@ def test_decay_assumption_at_z2(params):
 
 
 def test_decay_assumption_dense_lattice(params):
-    ac = ek.AssumptionConstants.for_tanh(params.c)
-    assert ac.alpha == 2.0 and ac.C_decay == 2.0
+    # 1 - tanh(x) = 2/(e^{2x}+1) <= 2 e^{-2x}: alpha = 2c, C' = 2
     z = np.linspace(-30.0, 30.0, 4001)
     lhs = np.abs(1.0 - ek.b_eval(np.abs(z), params))
-    assert np.all(lhs <= ac.C_decay * np.exp(-ac.alpha * np.abs(z)) + 1e-15)
+    assert np.all(lhs <= 2.0 * np.exp(-2.0 * params.c * np.abs(z)) + 1e-15)
     assert np.all(np.diff(ek.b_eval(z, params)) >= 0.0)
     # strict bound |b| < 1 on a range where float64 can resolve 1 - tanh
     z_strict = np.linspace(-18.0, 18.0, 2001)
@@ -68,8 +67,6 @@ def test_invalid_params_rejected():
         ek.KernelParams(1.0, -1.0, 0.1)
     with pytest.raises(ValueError):
         ek.KernelParams(1.0, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        ek.AssumptionConstants(-1.0, 2.0)
 
 
 # -- a1 / a2 -----------------------------------------------------------
