@@ -5,9 +5,11 @@ h_R / max|a| alone sets the automatic time step. The rho operator (drift +
 diffusion) is taken by backward Euler with exponentially fitted
 (Scharfetter-Gummel) face rates, which reduce to centered diffusion when
 the drift vanishes and to donor-cell upwind when sigma = 0: one tridiagonal
-M-matrix solve per sub-step, positive at any time step. Both operators have
-zero-flux walls, so the R step telescopes mass exactly and the rho solve
-keeps it to roundoff.
+M-matrix solve per sub-step, its sweeps in blocks of rho-rows, one matmul
+each, every value a sum of nonnegative products, so positive at any time
+step. Both operators have zero-flux walls, so the R step telescopes mass
+exactly and the rho solve keeps it to roundoff. The sub-steps write into a
+given `out`, so a march allocates its arrays once.
 
 The scheme's rates have one owner: `_generator_blocks` assembles the frozen
 semi-discrete generator L_mu of both sub-steps as blocks over rho-rows, and
@@ -37,6 +39,11 @@ _CLIP_BUDGET = 1e-8  # clipped mass per step above which evolve aborts
 # the a1 the bound was taken from (a2 is the same). Its value also sets the
 # march's O(dt) splitting error, which the committed steady states carry.
 CFL_SAFETY = 0.45
+# A march whose first _PACE_STEPS steps keep a pace of more than _MAX_STEPS
+# steps to t_final is refused. The pace is not read from the first step
+# alone: a march of tiny steps that overflows within them reports that.
+_PACE_STEPS = 1000
+_MAX_STEPS = 1e9
 
 
 @dataclass
@@ -69,8 +76,20 @@ def cfl_limit(coeff: CoefficientField) -> float:
     return coeff.grid.h_R / max_a if max_a > 0 else np.inf
 
 
-def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float) -> DensityField:
-    """Donor-cell upwind transport in R with velocity a1(rho) - a2(R_face)."""
+def _advect_work(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays of step_advect_R on grid: the face fluxes and the masks of
+    v > 0 and v <= 0, one entry per interior R-face of each rho-row."""
+    shape = (grid.n_rho, grid.n_R - 1)
+    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+
+
+def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float,
+                  out: np.ndarray | None = None, *, _work=None) -> DensityField:
+    """Donor-cell upwind transport in R with velocity a1(rho) - a2(R_face).
+
+    The result is written into `out` when given (f.values itself allowed).
+    `_work` is private to the march: _advect_work's arrays, allocated once.
+    """
     g = f.grid
     a1 = coeff.a1_at_rho_centers
     a2 = coeff.a2_at_R_faces[1:-1]  # interior faces
@@ -80,14 +99,20 @@ def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float) -> Densit
         raise CFLError("R-advection CFL violated")
     # donor-cell flux v f_upwind: max(v,0) lo + min(v,0) hi up to the sign of
     # a zero flux, which leaves every cell value unchanged
-    v = a1[:, None] - a2[None, :]
-    flux = np.where(v > 0, f.values[:, :-1], f.values[:, 1:])
-    flux *= v
+    flux, pos, nonpos = _work if _work is not None else _advect_work(g)
+    np.subtract(a1[:, None], a2[None, :], out=flux)  # the face velocities v
+    np.greater(flux, 0, out=pos)
+    np.logical_not(pos, out=nonpos)
+    np.multiply(flux, f.values[:, :-1], out=flux, where=pos)
+    np.multiply(flux, f.values[:, 1:], out=flux, where=nonpos)
     flux *= dt / g.h_R
-    new = f.values.copy()
-    new[:, :-1] -= flux
-    new[:, 1:] += flux
-    return f.copy_with(new)
+    if out is None:
+        out = f.values.copy()
+    elif out is not f.values:
+        np.copyto(out, f.values)
+    out[:, :-1] -= flux
+    out[:, 1:] += flux
+    return f.copy_with(out)
 
 
 def _bernoulli(x: np.ndarray) -> np.ndarray:
@@ -150,35 +175,73 @@ def _apply_generator(blocks, x: np.ndarray) -> np.ndarray:
     return Lx
 
 
+_SWEEP_ROWS = 16  # rho-rows per block of the rho solve's sweeps
+
+
+def _sweep(g: np.ndarray, w: np.ndarray, backward: bool) -> None:
+    """In place over the rows of g: g[i] += w[i-1] g[i-1] for i = 1, ..., n-1
+    in turn, or, backward, g[i] += w[i] g[i+1] for i = n-2, ..., 0.
+
+    One matmul per block of _SWEEP_ROWS rows. Forward, the block of rows
+    s..e-1 is g[s:e] = P @ g[s-1:e] with P[r, q] = w[s+q-1] ... w[s+r-1]
+    for q <= r, 1 at q = r + 1 and 0 above: each entry a product of
+    multipliers, every block's taken from one cumprod. The backward sweep is
+    the forward one on the reversed rows, its blocks the reversed P.
+    """
+    n, B = len(g), _SWEEP_ROWS
+    n_blocks = -(-(n - 1) // B)
+    padded = np.ones(n_blocks * B)
+    padded[:n - 1] = w[::-1] if backward else w  # in the order the sweep takes them
+    # column q: 1 in rows r < q, then the multipliers of rows s+q, s+q+1, ...;
+    # its products down the rows, then 0 above the 1 at r = q - 1
+    above = np.less.outer(np.arange(B), np.arange(B + 1))
+    P = np.cumprod(np.where(above, 1.0, padded.reshape(n_blocks, B, 1)), axis=1)
+    P[:, :, 1:][:, above[:, :-1]] = 0.0
+    if backward:
+        P = np.ascontiguousarray(P[:, ::-1, ::-1])
+    tmp = np.empty((B, g.shape[1]))
+    for k in range(n_blocks):
+        if backward:  # rows a..b-1 from rows a..b
+            b = n - 1 - k * B
+            L = min(B, b)
+            np.matmul(P[k, B - L:, B - L:], g[b - L:b + 1], out=tmp[:L])
+            g[b - L:b] = tmp[:L]
+        else:  # rows s..s+L-1 from rows s-1..s+L-1
+            s = 1 + k * B
+            L = min(B, n - s)
+            np.matmul(P[k, :L, :L + 1], g[s - 1:s + L], out=tmp[:L])
+            g[s:s + L] = tmp[:L]
+
+
 def step_drift_diffuse_rho(
-    f: DensityField, coeff: CoefficientField, dt: float, params: KernelParams
+    f: DensityField, coeff: CoefficientField, dt: float, params: KernelParams,
+    out: np.ndarray | None = None,
 ) -> DensityField:
     """Backward-Euler drift-diffusion in rho: solve (I - dt A) g = f, A the
-    rate matrix of _rho_rates, zero flux at both rho walls.
+    rate matrix of _rho_rates, zero flux at both rho walls. The result is
+    written into `out` when given (f.values itself allowed).
 
     I - dt A is one tridiagonal M-matrix for every R-column (a1 depends on
     rho only) whose columns sum to 1, so g keeps f's mass. Its Thomas
-    factorisation is a scalar sweep over the rho-rows, with each pivot built
-    from sums of positive terms; the forward and back sweeps are in-place row
-    operations that only add nonnegative multiples of nonnegative values, so
-    g >= 0 in floating point whenever f >= 0, at any dt.
+    factorisation is a scalar loop over the rho-rows, with each pivot built
+    from sums of positive terms. The forward and back sweeps run in blocks
+    of rho-rows, each block one matmul whose entries are products of the
+    sweep's nonnegative multipliers (_sweep): every value is a sum of
+    nonnegative products, so g >= 0 in floating point whenever f >= 0, at
+    any dt.
     """
     up, down = _rho_rates(coeff, params)
-    lo, hi = (dt * up).tolist(), (dt * down).tolist()  # coupling to row i-1 / i+1
+    lo, hi = dt * up, dt * down  # coupling to row i-1 / i+1
     # pivots m[i] = e[i] + lo[i], with e[0] = 1, e[i] = 1 + hi[i-1] e[i-1] / m[i-1]
     m, e = [], 1.0
-    for i in range(len(lo)):
-        m.append(e + lo[i])
-        e = 1.0 + hi[i] * e / m[i]
+    for lo_i, hi_i in zip(lo.tolist(), hi.tolist()):
+        m.append(e + lo_i)
+        e = 1.0 + hi_i * e / m[-1]
     m.append(e)
-    g = f.values * (1.0 / np.array(m))[:, None]
-    rows, tmp = list(g), np.empty(g.shape[1])  # row views, updated in place
-    for i in range(1, len(m)):  # g[i] = (f[i] + lo[i-1] g[i-1]) / m[i]
-        np.multiply(rows[i - 1], lo[i - 1] / m[i], out=tmp)
-        np.add(rows[i], tmp, out=rows[i])
-    for i in reversed(range(len(lo))):  # g[i] += (hi[i] / m[i]) g[i+1]
-        np.multiply(rows[i + 1], hi[i] / m[i], out=tmp)
-        np.add(rows[i], tmp, out=rows[i])
+    m = np.array(m)
+    g = np.multiply(f.values, (1.0 / m)[:, None], out=out)
+    _sweep(g, lo / m[1:], backward=False)  # g[i] = (f[i] + lo[i-1] g[i-1]) / m[i]
+    _sweep(g, hi / m[:-1], backward=True)  # g[i] += (hi[i] / m[i]) g[i+1]
     return f.copy_with(g)
 
 
@@ -188,7 +251,9 @@ def strang_step(
     params: KernelParams,
     frozen: CoefficientField | None = None,
     *,
+    out: np.ndarray | None = None,
     _coeff: CoefficientField | None = None,
+    _work=None,
 ) -> DensityField:
     """Symmetric split step: half rho, full R, half rho (the stiff rho
     operator takes the halves).
@@ -197,18 +262,22 @@ def strang_step(
     measure) serve every sub-step. Otherwise a1 follows the rho-marginal and
     a2 the R-marginal: the rho sub-step keeps every R-column's mass and the R
     sub-step every rho-row's, so only a1 is re-tabulated, once, after the
-    first rho half-step. `_coeff` is private to `evolve`: the coefficients it
-    already tabulated from this `f` to choose `dt`.
+    first rho half-step. The result is written into `out` when given (f.values
+    itself allowed); the sub-steps after the first write in place. `_coeff`
+    and `_work` are private to `evolve`: the coefficients it already
+    tabulated from this `f` to choose `dt` (a1 at the rho-faces, a2 at the
+    R-faces), and the R step's work arrays.
     """
     if dt == 0:
         return f
-    coeff = frozen if frozen is not None else _coeff if _coeff is not None else a_field(f, params)
-    f = step_drift_diffuse_rho(f, coeff, dt / 2, params)
+    coeff = frozen if frozen is not None else _coeff if _coeff is not None else a_field(
+        f, params, centers=False)
+    f = step_drift_diffuse_rho(f, coeff, dt / 2, params, out=out)
     if frozen is None:
         a1_faces, a1_centers = _a1_tables(f, params)
         coeff = replace(coeff, a1_at_rho_faces=a1_faces, a1_at_rho_centers=a1_centers)
-    f = step_advect_R(f, coeff, dt)
-    return step_drift_diffuse_rho(f, coeff, dt / 2, params)
+    f = step_advect_R(f, coeff, dt, out=f.values, _work=_work)
+    return step_drift_diffuse_rho(f, coeff, dt / 2, params, out=f.values)
 
 
 def enforce_positivity(f: DensityField, clip_budget: float) -> tuple[DensityField, float, float]:
@@ -253,9 +322,15 @@ def evolve(
     (velocities drift as f evolves unless the coefficients are `frozen`).
     A fixed dt whose float multiple n*dt is t_final gives exactly n steps of
     dt, wherever the summed time rounds to; otherwise the last step is cut
-    to end at t_final. `frozen` coefficients must be tabulated on f0's grid.
-    Snapshots are recorded at t = 0 and every `snapshot_every` after it;
-    none when it is inf.
+    to end at t_final. A march whose first 1,000 steps reach less than
+    t_final / 1e6, a pace of over 1e9 steps, raises CFLError. `frozen`
+    coefficients must be tabulated on f0's grid. Snapshots are recorded at
+    t = 0 and every `snapshot_every` after it; none when it is inf.
+
+    Every step writes into one state array, and the R step into work arrays,
+    all allocated once per march; f0 is never written, and each snapshot is
+    a copy (the final field is the last snapshot itself when the march ends
+    on one).
     """
     if frozen is not None and frozen.grid != f0.grid:
         raise ValueError("frozen coefficients are tabulated on another grid")
@@ -266,12 +341,13 @@ def evolve(
         trace.snapshots.append((0.0, f))
     next_snap = snapshot_every
     n_whole = _whole_steps(cfg)
+    state, work = np.empty_like(f0.values), _advect_work(f0.grid)
     while (len(trace.times) < n_whole) if n_whole else (t < cfg.t_final - 1e-15):
-        coeff = frozen if frozen is not None else a_field(f, params)
+        coeff = frozen if frozen is not None else a_field(f, params, centers=False)
         dt = cfg.dt if cfg.dt is not None else CFL_SAFETY * cfl_limit(coeff)
         if not n_whole:
             dt = min(dt, cfg.t_final - t)
-        f = strang_step(f, dt, params, frozen, _coeff=coeff)
+        f = strang_step(f, dt, params, frozen, out=state, _coeff=coeff, _work=work)
         f, min_val, clipped = enforce_positivity(f, _CLIP_BUDGET)
         t += dt
         trace.times.append(t)
@@ -279,7 +355,11 @@ def evolve(
         trace.clipped_masses.append(clipped)
         trace.min_values.append(min_val)
         trace.max_values.append(float(f.values.max()))
+        if len(trace.times) == _PACE_STEPS and cfg.t_final > _MAX_STEPS / _PACE_STEPS * t:
+            raise CFLError(f"the march would take over {_MAX_STEPS:.0e} steps: its first "
+                           f"{_PACE_STEPS} reached t = {t:.3g} of t_final = {cfg.t_final:g}")
         if t >= next_snap - 1e-12:
+            f = f.copy_with(f.values.copy())  # the next step reads it and writes state
             trace.snapshots.append((t, f))
             next_snap += snapshot_every
     trace.final = f

@@ -93,13 +93,15 @@ class CoefficientField:
     """a1 at rho-faces and centers, a2 at R-faces: the tables the upwind
     scheme needs.
 
-    Monotone nondecreasing arrays, inherited from monotonicity of b.
+    Monotone nondecreasing arrays, inherited from monotonicity of b. The
+    rho-centers table, which only the R step reads, is None when a_field was
+    asked for the faces alone.
     """
 
     grid: Grid2D
     a1_at_rho_faces: np.ndarray
     a2_at_R_faces: np.ndarray
-    a1_at_rho_centers: np.ndarray
+    a1_at_rho_centers: np.ndarray | None
 
     def max_abs_a(self) -> float:
         """sup |a1(rho) - a2(R)| over the tabulated box (uses monotonicity)."""
@@ -121,18 +123,23 @@ def _coeff_uniform(masses: np.ndarray, centers: np.ndarray, query0: float,
     return np.convolve(masses, kern)[n - 1: n - 1 + n_query]
 
 
-def _a1_tables(f: DensityField, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
-    """a1[f] at the rho-faces and the rho-centers of f's own grid."""
+def _a1_tables(f: DensityField, params: KernelParams,
+               centers: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """a1[f] at the rho-faces and the rho-centers (None unless `centers`)
+    of f's own grid."""
     _validate_measure(f)
     g = f.grid
     rho_c, m_rho = _marginal(f, 0)
     return (_coeff_uniform(m_rho, rho_c, g.rho_faces[0], g.n_rho + 1, g.h_rho, params),
-            _coeff_uniform(m_rho, rho_c, g.rho_centers[0], g.n_rho, g.h_rho, params))
+            _coeff_uniform(m_rho, rho_c, g.rho_centers[0], g.n_rho, g.h_rho, params)
+            if centers else None)
 
 
-def a_field(f: DensityField, params: KernelParams) -> CoefficientField:
-    """Tabulate a[mu] = a1 - a2 on the faces and centers of f's own grid."""
-    a1_faces, a1_centers = _a1_tables(f, params)
+def a_field(f: DensityField, params: KernelParams, centers: bool = True) -> CoefficientField:
+    """Tabulate a[mu] = a1 - a2 on the faces and centers of f's own grid;
+    centers=False skips a1 at the rho-centers (None), which a nonlinear step
+    reads only after re-tabulating a1."""
+    a1_faces, a1_centers = _a1_tables(f, params, centers)
     g = f.grid
     R_c, m_R = _marginal(f, 1)
     return CoefficientField(

@@ -10,7 +10,8 @@ oracles (see test_step_oracle.py):
 - the explicit (forward-Euler) Scharfetter-Gummel rho sub-step and the CFL
   bound it needs, with its parabolic and rho-drift terms, before the
   backward-Euler sub-step replaced them; and that backward-Euler sub-step
-  as a dense solve;
+  as a dense solve, and as the row-by-row Thomas sweeps it took before
+  they ran in blocks of rows, one matmul each (`rho_step_thomas`);
 - the direct kernel sums before they were folded into `kernels.kernel_sum`:
   `a1_of_density`, `a2_of_density` and the SDE's `_empirical_coefficient`;
 - the scalar game `play_match` and the vectorized tournament round of
@@ -150,6 +151,29 @@ def rho_step_dense(f, coeff, dt, params):
     A[i, i + 1] += down
     A[i + 1, i + 1] -= down
     return f.copy_with(np.linalg.solve(np.eye(n) - dt * A, f.values))
+
+
+def rho_step_thomas(f, coeff, dt, params):
+    """The backward-Euler rho sub-step by scalar Thomas sweeps: pivots from
+    sums of positive terms, then in-place row operations that only add
+    nonnegative multiples of nonnegative values."""
+    up, down = _rho_rates(coeff, params)
+    lo, hi = (dt * up).tolist(), (dt * down).tolist()  # coupling to row i-1 / i+1
+    # pivots m[i] = e[i] + lo[i], with e[0] = 1, e[i] = 1 + hi[i-1] e[i-1] / m[i-1]
+    m, e = [], 1.0
+    for i in range(len(lo)):
+        m.append(e + lo[i])
+        e = 1.0 + hi[i] * e / m[i]
+    m.append(e)
+    g = f.values * (1.0 / np.array(m))[:, None]
+    rows, tmp = list(g), np.empty(g.shape[1])  # row views, updated in place
+    for i in range(1, len(m)):  # g[i] = (f[i] + lo[i-1] g[i-1]) / m[i]
+        np.multiply(rows[i - 1], lo[i - 1] / m[i], out=tmp)
+        np.add(rows[i], tmp, out=rows[i])
+    for i in reversed(range(len(lo))):  # g[i] += (hi[i] / m[i]) g[i+1]
+        np.multiply(rows[i + 1], hi[i] / m[i], out=tmp)
+        np.add(rows[i], tmp, out=rows[i])
+    return f.copy_with(g)
 
 
 def strang_step(f, dt, params, frozen=None, r_first=False, rho_step=step_drift_diffuse_rho):

@@ -359,6 +359,18 @@ def test_float_overflow_is_a_numerical_abort(tmp_path, monkeypatch, capsys, comm
     assert len(lines) == 1 and lines[0].startswith("numerical abort: overflow")
 
 
+def test_march_that_cannot_end_is_a_numerical_abort(tmp_path, monkeypatch, capsys):
+    # an R-box of side 1e-150 puts the CFL step near 1e-151: 1e150 steps to t = 0.1.
+    # The march stops after 1,000 of them, with no artifact but the manifest
+    keys = ("defaults.accept=true", "grid.n_rho=6", "grid.n_R=6", "grid.R_max=1e-150",
+            "solver.t_final=0.1")
+    code, out = run_cli(tmp_path, monkeypatch, *(a for k in keys for a in ("--set", k)), "solve")
+    assert code == cli.EXIT_CFL
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical abort: the march would take over")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("message", [
     "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type "
     "float64", ""])

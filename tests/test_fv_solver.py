@@ -304,6 +304,84 @@ def test_evolve_fixed_dt_takes_whole_steps(params):
     assert len(cut.times) == 101 and cut.times[-1] == 100.5 * dt
 
 
+@pytest.mark.parametrize("snapshot_every", [0.01, 0.0125])  # ends on a snapshot, or not
+def test_evolve_leaves_its_datum_and_results_alone(params, snapshot_every):
+    # every step writes one state array: f0 is never written, and each
+    # snapshot and the final field own their values, also through a second march
+    g = ek.Grid2D.unit_square(24)
+    f0 = gaussian_blob(g, (0.4, 0.6), 0.12)
+    datum = f0.values.tobytes()
+    cfg = ek.SolverConfig(t_final=0.05)
+    trace = ek.evolve(f0, cfg, params, snapshot_every=snapshot_every)
+    assert f0.values.tobytes() == datum
+    fields = [f for _, f in trace.snapshots] + [trace.final]
+    kept = [f.values.tobytes() for f in fields]
+    ends_on_a_snapshot = trace.snapshots[-1][0] == trace.times[-1]
+    assert (trace.snapshots[-1][1] is trace.final) == ends_on_a_snapshot
+    arrays = list({id(f.values): f.values for f in fields}.values())
+    assert len(arrays) == len(fields) - ends_on_a_snapshot
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    ek.evolve(trace.final, cfg, params, snapshot_every=snapshot_every)
+    ek.evolve(f0, cfg, params, frozen=ek.a_field(f0, params))
+    assert [f.values.tobytes() for f in fields] == kept
+    assert f0.values.tobytes() == datum
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_evolve_is_a_composition_of_strang_steps(params, frozen):
+    # frozen with the CFL step (its last step cut to t_final), or nonlinear
+    # with a fixed dt: the same bits as strang_step and enforce_positivity in turn
+    g = ek.Grid2D.unit_square(30)
+    f = gaussian_blob(g, (0.4, 0.6), 0.15)
+    coeff = ek.a_field(f, params) if frozen else None
+    dt = ek.CFL_SAFETY * ek.cfl_limit(ek.a_field(f, params))
+    cfg = ek.SolverConfig(t_final=30.5 * dt) if frozen else ek.SolverConfig(t_final=30 * dt, dt=dt)
+    trace = ek.evolve(f, cfg, params, frozen=coeff)
+    stepped, t = f, 0.0
+    for _ in range(len(trace.times)):
+        step = min(dt, cfg.t_final - t) if frozen else dt
+        stepped, _, _ = ek.fv_solver.enforce_positivity(
+            ek.strang_step(stepped, step, params, frozen=coeff), ek.fv_solver._CLIP_BUDGET)
+        t += step
+    assert len(trace.times) == (31 if frozen else 30)
+    assert trace.final.values.tobytes() == stepped.values.tobytes()
+
+
+def test_sub_steps_write_into_out(params):
+    # into a given array, f.values itself among them, with the same bits
+    g = ek.Grid2D(-0.5, 1.5, 0.0, 1.0, 20, 13)
+    f = gaussian_blob(g, (0.4, 0.6), 0.2)
+    coeff = ek.a_field(f, params)
+    dt = ek.CFL_SAFETY * ek.cfl_limit(coeff)
+    for run in (lambda f, **kw: ek.step_advect_R(f, coeff, dt, **kw),
+                lambda f, **kw: ek.step_drift_diffuse_rho(f, coeff, dt, params, **kw),
+                lambda f, **kw: ek.strang_step(f, dt, params, **kw),
+                lambda f, **kw: ek.strang_step(f, dt, params, frozen=coeff, **kw)):
+        expected = run(f).values
+        out = np.empty_like(f.values)
+        assert run(f, out=out).values is out and out.tobytes() == expected.tobytes()
+        own = f.copy_with(f.values.copy())
+        assert run(own, out=own.values).values is own.values
+        assert own.values.tobytes() == expected.tobytes()
+
+
+def test_evolve_refuses_a_march_of_over_1e9_steps(params, monkeypatch):
+    # the pace of the first 1,000 steps: at dt = 1e-10, t_final = 1 is 1e10 steps
+    g = ek.Grid2D.unit_square(4)
+    f0 = ek.DensityField.uniform(g)
+    steps = []
+    real = ek.fv_solver.strang_step
+    monkeypatch.setattr(ek.fv_solver, "strang_step",
+                        lambda *args, **kwargs: steps.append(1) or real(*args, **kwargs))
+    with pytest.raises(ek.CFLError, match="over 1e\\+09 steps"):
+        ek.evolve(f0, ek.SolverConfig(t_final=1.0, dt=1e-10), params)
+    assert len(steps) == 1000
+    # a march past 1,000 steps at a pace of fewer steps goes on
+    steps.clear()
+    trace = ek.evolve(f0, ek.SolverConfig(t_final=1001 * 2.0**-20, dt=2.0**-20), params)
+    assert len(trace.times) == len(steps) == 1001
+
+
 # -- config validation and positivity policing -------------------------
 
 

@@ -5,8 +5,9 @@ densities, coefficients, time steps, query shapes, agent clouds and games,
 the CFL error on the same side of its threshold, and the convolutions a step
 makes; the nonlinear step and march, which re-tabulate only a1 after the
 first rho half-step, within 1e-14 of the reference, which re-tabulates
-before every sub-step. The backward-Euler rho sub-step against a dense solve
-of its system.
+before every sub-step. The backward-Euler rho sub-step, its sweeps in
+blocks of rows, against a dense solve of its system and against the
+row-by-row Thomas sweeps it replaced.
 The SDE's particle-mesh drift against the exact sum, within its error bound,
 and the exact sum itself where the mesh is not taken. Also: single sub-steps
 at admissible time steps conserve mass and stay nonnegative to roundoff, the
@@ -147,6 +148,30 @@ def test_rho_step_is_positive_and_conservative_at_any_dt(f, sigma, measured, see
     assert abs(new.mass() - f.mass()) <= 1e-14 * f.mass()
 
 
+@pytest.mark.parametrize("n_rho", [1, 2, 15, 16, 17, 33, 200])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, np.sqrt(0.1), 1.0])
+@pytest.mark.parametrize("scale", [0.01, 1.0, 1000.0])
+@pytest.mark.parametrize("measured", [True, False])
+def test_blocked_rho_solve_matches_thomas_and_dense(n_rho, sigma, scale, measured):
+    # the sweeps in blocks of 16 rho-rows, across and within block edges,
+    # against the row-by-row Thomas sweeps and np.linalg.solve, at up to 1000
+    # times the explicit step's bound; positive exactly, and conservative
+    rng = np.random.default_rng(n_rho)
+    v = rng.random((n_rho, 9)) * (rng.random((n_rho, 9)) > 0.2)
+    v[rng.integers(n_rho), rng.integers(9)] = 1.0
+    f = ek.DensityField(ek.Grid2D(-0.3, 1.7, -1.0, 1.0, n_rho, 9), v).normalized()
+    params = ek.KernelParams(1.0, 1.0, sigma)
+    coeff = ref.a_field(f, params) if measured else random_coefficients(f.grid, n_rho)
+    dt = scale * explicit_rho_bound(f, coeff, params)
+    got = ek.step_drift_diffuse_rho(f, coeff, dt, params).values
+    thomas = ref.rho_step_thomas(f, coeff, dt, params).values
+    dense = ref.rho_step_dense(f, coeff, dt, params).values
+    assert np.max(np.abs(got - thomas)) <= 1e-14 * np.max(thomas)
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert got.min() >= 0.0
+    assert abs(got.sum() - f.values.sum()) <= 1e-14 * f.values.sum()
+
+
 @SETTINGS
 @given(densities(), params_st, st.booleans(), st.integers(0, 2**32 - 1),
        st.floats(0.0, 1000.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True))
@@ -220,9 +245,9 @@ def test_convolutions_per_nonlinear_step(monkeypatch):
     monkeypatch.setattr(ek.kernels, "b_eval", counting)
     trace = ek.evolve(f, ek.SolverConfig(t_final=0.15), params)
     assert len(trace.times) >= 5
-    # a_field for the CFL bound and the first rho half-step: a1 faces and
-    # centers, a2 faces; a1 faces and centers again after that half-step
-    assert len(calls) <= 5 * len(trace.times)
+    # a_field for the CFL bound and the first rho half-step: a1 and a2 at
+    # their faces; a1 faces and centers after that half-step
+    assert len(calls) <= 4 * len(trace.times)
 
 
 def test_nonlinear_step_tabulates_a_once_and_a1_once(monkeypatch):
@@ -233,8 +258,8 @@ def test_nonlinear_step_tabulates_a_once_and_a1_once(monkeypatch):
     calls = []
     for name in ("a_field", "_a1_tables"):
         real = getattr(ek.fv_solver, name)
-        monkeypatch.setattr(ek.fv_solver, name,
-                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        monkeypatch.setattr(ek.fv_solver, name, lambda *args, real=real, name=name, **kwargs:
+                            calls.append(name) or real(*args, **kwargs))
     for kwargs, expected in (({}, ["a_field", "_a1_tables"]),
                              ({"_coeff": coeff}, ["_a1_tables"]),  # as evolve calls it
                              ({"frozen": coeff}, [])):
