@@ -36,7 +36,6 @@ from .steady_state import (
 from .particles import (
     AgentPopulation,
     InteractionParams,
-    play_match,
     run_tournament,
     simulate_mean_field,
     step_mean_field_sde,

@@ -40,9 +40,13 @@ class KernelParams:
 def b_eval(z, params: KernelParams):
     """Odd interaction kernel: tanh(c z), or c z in linear oracle mode."""
     z = np.asarray(z, dtype=float)
-    out = np.multiply(params.c, z, out=np.empty_like(z))
+    out = np.empty_like(z)
     if params.kernel_kind is KernelKind.TANH:
+        with np.errstate(over="ignore"):  # c z = +-inf saturates: tanh(+-inf) = +-1 exactly
+            np.multiply(params.c, z, out=out)
         np.tanh(out, out=out)  # in place: one array per call
+    else:
+        np.multiply(params.c, z, out=out)
     return out if out.ndim else float(out)
 
 

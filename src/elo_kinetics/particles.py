@@ -89,21 +89,6 @@ def _match_update(rho_i, rho_j, R_i, R_j, u, z, p: InteractionParams, params: Ke
             rho_j + gain * (1.0 + bd) + noise * z[1])
 
 
-def play_match(
-    i: int,
-    j: int,
-    pop: AgentPopulation,
-    p: InteractionParams,
-    params: KernelParams,
-    rng: np.random.Generator,
-) -> tuple[float, float, float, float]:
-    """One game between agents i and j; returns (R_i*, R_j*, rho_i*, rho_j*)."""
-    if i == j:
-        raise ValueError("an agent cannot play itself")
-    return _match_update(pop.rho[i], pop.rho[j], pop.R[i], pop.R[j],
-                         rng.random(), rng.standard_normal(2), p, params)
-
-
 def run_tournament(
     pop0: AgentPopulation,
     rounds: int,

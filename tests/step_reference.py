@@ -16,8 +16,9 @@ oracles (see test_step_oracle.py):
   `a1_of_density`, `a2_of_density` and the SDE's `_empirical_coefficient`;
 - the scalar game `play_match` and the vectorized tournament round of
   `run_tournament`, each with its own copy of the match update, before both
-  were folded into one update, and the learning gain `h1_eval` they call,
-  which the package no longer exports;
+  were folded into `particles._match_update`; `play_match`, which the package
+  no longer has, is now the oracle of that update on one game's draws. Also
+  the learning gain `h1_eval` they call, which the package no longer exports;
 - the map G as a march of the frozen-coefficient equation to stationarity
   (`map_G`), before the direct block-tridiagonal solve replaced it; the
   step's safety factor is an argument here, for dt-refinement;

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import elo_kinetics as ek
+from elo_kinetics import particles
 
 BETA = 0.1
 TANH_ORACLE = {
@@ -241,16 +242,18 @@ def test_criterion_10_zero_sum_and_score_law(params_base):
         ip = ek.InteractionParams(K=0.1, epsilon=1.0)
         params = dataclasses.replace(params_base, gamma=0.1, sigma=0.1)  # gain and noise 0.1
         n_draws = 100000
+        zero = np.zeros(n_draws)
         for drho, b_exact in TANH_ORACLE.items():
-            pop = ek.AgentPopulation(np.array([drho, 0.0]),
-                                     np.array([0.0, 0.0]), 1)
+            # n_draws games of rho = drho against rho = 0 from ratings 0, drawn
+            # as a tournament round draws them: the uniforms, then the normals
             rng = np.random.default_rng(
                 np.random.SeedSequence([2024, int((drho + 10) * 10)]))
-            total = 0.0
-            for _ in range(n_draws):
-                Ri, Rj, _, _ = ek.play_match(0, 1, pop, ip, params, rng)
-                assert Ri + Rj == 0.0  # exact zero-sum (ratings start at 0)
-                total += Ri / ip.K_eff  # recover S: b(R_i - R_j) = 0 here
+            u = rng.random(n_draws)
+            z = rng.standard_normal((2, n_draws))
+            Ri, Rj, _, _ = particles._match_update(
+                np.full(n_draws, drho), zero, zero, zero, u, z, ip, params)
+            assert np.all(Ri + Rj == 0.0)  # exact zero-sum (ratings start at 0)
+            total = np.sum(Ri / ip.K_eff)  # recover S: b(R_i - R_j) = 0 here
             se = np.sqrt(max(1.0 - b_exact ** 2, 1e-12) / n_draws)
             assert abs(total / n_draws - b_exact) < 3.0 * max(se, 1e-12)
 

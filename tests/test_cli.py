@@ -359,6 +359,17 @@ def test_float_overflow_is_a_numerical_abort(tmp_path, monkeypatch, capsys, comm
     assert len(lines) == 1 and lines[0].startswith("numerical abort: overflow")
 
 
+@pytest.mark.parametrize("command, keys", [
+    ("solve", ("solver.t_final=0.01",)), ("steady", ()), ("fixedpoint", ())])
+def test_tanh_kernel_saturates_where_cz_overflows(tmp_path, monkeypatch, command, keys):
+    # c times a rho difference reaches 2.6e308 on this box, past the float range;
+    # tanh saturates there at +-1, so the run is no numerical abort
+    keys = ("defaults.accept=true", "model.c=1e308", "grid.rho_min=-1", "grid.rho_max=2",
+            "grid.n_rho=8", "grid.n_R=8", *keys)
+    code, _ = run_cli(tmp_path, monkeypatch, *(a for k in keys for a in ("--set", k)), command)
+    assert code == cli.EXIT_OK
+
+
 def test_march_that_cannot_end_is_a_numerical_abort(tmp_path, monkeypatch, capsys):
     # an R-box of side 1e-150 puts the CFL step near 1e-151: 1e150 steps to t = 0.1.
     # The march stops after 1,000 of them, with no artifact but the manifest

@@ -54,6 +54,15 @@ def test_decay_assumption_dense_lattice(params):
     assert np.all(np.abs(ek.b_eval(z_strict, params)) < 1.0)
 
 
+def test_b_tanh_saturates_where_cz_overflows():
+    # c z past the float range is +-inf, and tanh(+-inf) = +-1 exactly: no overflow
+    p = ek.KernelParams(1e308, 1.0, 0.1)
+    z = np.array([-3.0, -1.81, 1.81, 3.0])
+    with np.errstate(all="raise"):
+        assert ek.b_eval(z, p).tolist() == [-1.0, -1.0, 1.0, 1.0]
+        assert ek.b_eval(2.0, p) == 1.0
+
+
 @given(st.floats(-10.0, 10.0, allow_nan=False))
 def test_b_oddness_exact(z):
     p = ek.KernelParams(1.0, 1.0, 0.1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import elo_kinetics as ek
+from elo_kinetics import particles
 
 TANH_1 = 0.7615941559557649
 
@@ -37,58 +38,52 @@ def test_interaction_params_scaling():
         ek.InteractionParams(K=1.0, epsilon=0.0)
 
 
-# -- play_match --------------------------------------------------------
+# -- the game: the match update a tournament round plays -------------------
+
+
+def play(rho, R, n_games, p, params, rng):
+    """n_games independent games of agent 0 against agent 1 from the state
+    (rho, R), each drawn as a tournament round draws its games: every
+    uniform first, then the normals. Returns (R_0*, R_1*, rho_0*, rho_1*)."""
+    u = rng.random(n_games)
+    z = rng.standard_normal((2, n_games))
+    rho_i, rho_j, R_i, R_j = (np.full(n_games, x) for x in (*rho, *R))
+    return particles._match_update(rho_i, rho_j, R_i, R_j, u, z, p, params)
 
 
 def test_match_zero_sum_equal_state(params, interaction):
     # ratings start at 0, so the increments are stored exactly: the zero-sum
     # identity holds in exact float arithmetic
-    pop = ek.AgentPopulation(np.array([0.3, 0.3]), np.array([0.0, 0.0]), 1)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        Ri, Rj, _, _ = ek.play_match(0, 1, pop, interaction, params, rng)
-        assert Ri + Rj == 0.0  # exact zero-sum
+    Ri, Rj, _, _ = play((0.3, 0.3), (0.0, 0.0), 20, interaction, params,
+                        np.random.default_rng(0))
+    assert np.all(Ri + Rj == 0.0)  # exact zero-sum
 
 
 def test_match_zero_sum_general(params, interaction):
-    pop = ek.AgentPopulation(np.array([0.9, -0.2]), np.array([1.4, 0.1]), 1)
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        Ri, Rj, _, _ = ek.play_match(0, 1, pop, interaction, params, rng)
-        # the increments K(S-b) and K(-S+b) are exact negations; only the
-        # final additions to R_i, R_j round
-        assert abs((Ri - pop.R[0]) + (Rj - pop.R[1])) < 1e-15
+    Ri, Rj, _, _ = play((0.9, -0.2), (1.4, 0.1), 50, interaction, params,
+                        np.random.default_rng(1))
+    # the increments K(S-b) and K(-S+b) are exact negations; only the
+    # final additions to R_i, R_j round
+    assert np.all(np.abs((Ri - 1.4) + (Rj - 0.1)) < 1e-15)
 
 
 def test_match_learning_drift_nonnegative():
     params = ek.KernelParams(1.0, 0.2, 0.0)  # no noise
     p = ek.InteractionParams(K=0.1, epsilon=0.5)
-    pop = ek.AgentPopulation(np.array([1.5, -1.5]), np.array([0.0, 0.0]), 1)
-    rng = np.random.default_rng(3)
-    _, _, ri, rj = ek.play_match(0, 1, pop, p, params, rng)
-    assert ri >= pop.rho[0] and rj >= pop.rho[1]  # both players learn
+    _, _, ri, rj = play((1.5, -1.5), (0.0, 0.0), 10, p, params, np.random.default_rng(3))
+    assert np.all(ri >= 1.5) and np.all(rj >= -1.5)  # both players learn
     # expected gain is gamma*eps*(1 + b(opponent - self))
-    assert ri - pop.rho[0] == pytest.approx(
+    assert ri - 1.5 == pytest.approx(
         params.gamma * p.epsilon * (1.0 + ek.b_eval(-3.0, params)), abs=1e-15)
-
-
-def test_match_self_play_rejected(params, interaction):
-    pop = ek.AgentPopulation.uniform_box(4, 9)
-    with pytest.raises(ValueError):
-        ek.play_match(2, 2, pop, interaction, params, np.random.default_rng(0))
 
 
 def test_score_law_monte_carlo(params, interaction):
     # empirical E[S] at Delta rho = 1 over 1e5 draws within 3 MC standard errors
-    pop = ek.AgentPopulation(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 7)
-    rng = np.random.default_rng(2024)
     n_draws = 100000
-    total = 0.0
-    for _ in range(n_draws):
-        Ri, _, _, _ = ek.play_match(0, 1, pop, interaction, params, rng)
-        # recover S from the rating update (b(R_i - R_j) = 0 here)
-        total += (Ri - pop.R[0]) / interaction.K_eff
-    mean = total / n_draws
+    Ri, _, _, _ = play((1.0, 0.0), (0.0, 0.0), n_draws, interaction, params,
+                       np.random.default_rng(2024))
+    # recover S from the rating update (b(R_i - R_j) = 0 here)
+    mean = np.sum(Ri / interaction.K_eff) / n_draws
     se = np.sqrt((1.0 - TANH_1 ** 2) / n_draws)
     assert abs(mean - TANH_1) < 3.0 * se
 
