@@ -87,7 +87,8 @@ def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float,
                   out: np.ndarray | None = None, *, _work=None) -> DensityField:
     """Donor-cell upwind transport in R with velocity a1(rho) - a2(R_face).
 
-    The result is written into `out` when given (f.values itself allowed).
+    The result is written into `out` when given (f.values itself allowed);
+    it is not scanned for finiteness (strang_step scans once per step).
     `_work` is private to the march: _advect_work's arrays, allocated once.
     """
     g = f.grid
@@ -112,7 +113,7 @@ def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float,
         np.copyto(out, f.values)
     out[:, :-1] -= flux
     out[:, 1:] += flux
-    return f.copy_with(out)
+    return f._unscanned(out)
 
 
 def _bernoulli(x: np.ndarray) -> np.ndarray:
@@ -219,7 +220,8 @@ def step_drift_diffuse_rho(
 ) -> DensityField:
     """Backward-Euler drift-diffusion in rho: solve (I - dt A) g = f, A the
     rate matrix of _rho_rates, zero flux at both rho walls. The result is
-    written into `out` when given (f.values itself allowed).
+    written into `out` when given (f.values itself allowed); it is not
+    scanned for finiteness (strang_step scans once per step).
 
     I - dt A is one tridiagonal M-matrix for every R-column (a1 depends on
     rho only) whose columns sum to 1, so g keeps f's mass. Its Thomas
@@ -242,7 +244,7 @@ def step_drift_diffuse_rho(
     g = np.multiply(f.values, (1.0 / m)[:, None], out=out)
     _sweep(g, lo / m[1:], backward=False)  # g[i] = (f[i] + lo[i-1] g[i-1]) / m[i]
     _sweep(g, hi / m[:-1], backward=True)  # g[i] += (hi[i] / m[i]) g[i+1]
-    return f.copy_with(g)
+    return f._unscanned(g)
 
 
 def strang_step(
@@ -267,6 +269,10 @@ def strang_step(
     and `_work` are private to `evolve`: the coefficients it already
     tabulated from this `f` to choose `dt` (a1 at the rho-faces, a2 at the
     R-faces), and the R step's work arrays.
+
+    A step checks once: a_field validates the measure it starts from, and
+    the result is scanned for finiteness (ValueError); the sub-steps and
+    the re-tabulation of a1 check nothing.
     """
     if dt == 0:
         return f
@@ -277,7 +283,8 @@ def strang_step(
         a1_faces, a1_centers = _a1_tables(f, params)
         coeff = replace(coeff, a1_at_rho_faces=a1_faces, a1_at_rho_centers=a1_centers)
     f = step_advect_R(f, coeff, dt, out=f.values, _work=_work)
-    return step_drift_diffuse_rho(f, coeff, dt / 2, params, out=f.values)
+    f = step_drift_diffuse_rho(f, coeff, dt / 2, params, out=f.values)
+    return f.copy_with(f.values)  # the step's one finiteness scan
 
 
 def enforce_positivity(f: DensityField, clip_budget: float) -> tuple[DensityField, float, float]:

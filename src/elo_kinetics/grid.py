@@ -69,10 +69,6 @@ class Grid2D:
     def unit_square(cls, n: int) -> "Grid2D":
         return cls(0.0, 1.0, 0.0, 1.0, n, n)
 
-    @classmethod
-    def centered_box(cls, L: float, n: int) -> "Grid2D":
-        return cls(-L, L, -L, L, n, n)
-
 
 @dataclass
 class DensityField:
@@ -134,17 +130,15 @@ class DensityField:
             f = f.normalized()
         return f
 
-    @classmethod
-    def point_mass(cls, grid: Grid2D, rho: float, R: float) -> "DensityField":
-        """Unit mass concentrated in the cell containing (rho, R)."""
-        i = int(np.clip((rho - grid.rho_min) / grid.h_rho, 0, grid.n_rho - 1))
-        j = int(np.clip((R - grid.R_min) / grid.h_R, 0, grid.n_R - 1))
-        v = np.zeros((grid.n_rho, grid.n_R))
-        v[i, j] = 1.0 / grid.cell_area
-        return cls(grid, v)
-
     def copy_with(self, values: np.ndarray) -> "DensityField":
         return DensityField(self.grid, values)
+
+    def _unscanned(self, values: np.ndarray) -> "DensityField":
+        """copy_with for a solver sub-step's float array of this shape, with
+        no finiteness scan: strang_step scans each step's result once."""
+        new = object.__new__(DensityField)
+        new.grid, new.values = self.grid, values
+        return new
 
     def normalized(self) -> "DensityField":
         m = self.mass()

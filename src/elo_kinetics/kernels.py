@@ -130,8 +130,7 @@ def _coeff_uniform(masses: np.ndarray, centers: np.ndarray, query0: float,
 def _a1_tables(f: DensityField, params: KernelParams,
                centers: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """a1[f] at the rho-faces and the rho-centers (None unless `centers`)
-    of f's own grid."""
-    _validate_measure(f)
+    of f's own grid; f is not validated."""
     g = f.grid
     rho_c, m_rho = _marginal(f, 0)
     return (_coeff_uniform(m_rho, rho_c, g.rho_faces[0], g.n_rho + 1, g.h_rho, params),
@@ -143,6 +142,7 @@ def a_field(f: DensityField, params: KernelParams, centers: bool = True) -> Coef
     """Tabulate a[mu] = a1 - a2 on the faces and centers of f's own grid;
     centers=False skips a1 at the rho-centers (None), which a nonlinear step
     reads only after re-tabulating a1."""
+    _validate_measure(f)
     a1_faces, a1_centers = _a1_tables(f, params, centers)
     g = f.grid
     R_c, m_R = _marginal(f, 1)

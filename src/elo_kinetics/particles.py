@@ -7,6 +7,8 @@ Randomness is drawn from counter-based streams keyed on (seed, round) or
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +91,38 @@ def _match_update(rho_i, rho_j, R_i, R_j, u, z, p: InteractionParams, params: Ke
             rho_j + gain * (1.0 + bd) + noise * z[1])
 
 
+def _draw_round(seed: int, rnd: int, ids, perm, u, z) -> None:
+    """Fill round rnd's buffers with the draws of rng.permutation(n) (ids
+    copied, then shuffled), rng.random(m) and rng.standard_normal((2, m)),
+    in that order, from the stream SeedSequence([seed, rnd])."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, rnd]))
+    np.copyto(perm, ids)
+    rng.shuffle(perm)
+    rng.random(out=u)
+    rng.standard_normal(out=z)
+
+
+class _DrawAhead(threading.Thread):
+    """_draw_round(*args) on a worker thread, started at once; result() joins
+    it and raises on the calling thread whatever the draw raised."""
+
+    def __init__(self, *args):
+        super().__init__(target=_draw_round, args=args)
+        self.error = None
+        self.start()
+
+    def run(self):
+        try:
+            super().run()
+        except BaseException as exc:  # raised again by result(), on the caller
+            self.error = exc
+
+    def result(self) -> None:
+        self.join()
+        if self.error is not None:
+            raise self.error
+
+
 def run_tournament(
     pop0: AgentPopulation,
     rounds: int,
@@ -101,6 +135,17 @@ def run_tournament(
     the pairs update simultaneously (vectorized over pairs, _PAIR_BLOCK pairs
     at a time: the pairs are disjoint, so the blocks are independent).
     Macroscopic time is rounds * epsilon.
+
+    A round's draws (the matching, one uniform and two normals per game)
+    fill a set of buffers allocated once per run. When the process may run
+    on more than one CPU there are two sets: a worker thread fills round
+    rnd+1's set while this thread plays round rnd from the other, and joins
+    the worker before it reads that set. On one CPU the same draws run
+    inline into one set. Each round draws from its own stream
+    SeedSequence([seed, rnd]) in a fixed order, and only this thread
+    touches the agents, so the result is bitwise the same on either path
+    and under any scheduling. The game's float operations all run here,
+    under the caller's np.errstate.
     """
     if pop0.n % 2 != 0:
         raise ValueError("need an even number of agents for a full matching")
@@ -108,26 +153,33 @@ def run_tournament(
         raise ValueError(f"rounds must be nonnegative, got {rounds}")
     rho = pop0.rho.copy()
     R = pop0.R.copy()
-    n = pop0.n
+    seed, n = pop0.rng_seed, pop0.n
     m = n // 2
-    # draw buffers filled in place each round, with the draws of
-    # rng.permutation(n) (arange, then shuffle), rng.random(m) and
-    # rng.standard_normal((2, m))
     ids = np.arange(n)
-    perm = np.empty(n, dtype=np.intp)
-    u = np.empty(m)
-    z = np.empty((2, m))
-    for rnd in range(rounds):
-        rng = np.random.default_rng(np.random.SeedSequence([pop0.rng_seed, rnd]))
-        np.copyto(perm, ids)
-        rng.shuffle(perm)
-        rng.random(out=u)
-        rng.standard_normal(out=z)
-        for a in range(0, m, _PAIR_BLOCK):
-            e = min(m, a + _PAIR_BLOCK)
-            ii, jj = perm[a:e], perm[m + a:m + e]
-            R[ii], R[jj], rho[ii], rho[jj] = _match_update(
-                rho[ii], rho[jj], R[ii], R[jj], u[a:e], z[:, a:e], p, params)
+    # CPUs this process may run on: all of them where no affinity call exists (macOS, Windows)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    ahead = (cpus or 1) > 1
+    sets = [(np.empty(n, dtype=np.intp), np.empty(m), np.empty((2, m)))
+            for _ in range(1 + ahead)]
+    worker = None
+    try:
+        for rnd in range(rounds):
+            perm, u, z = sets[rnd % len(sets)]
+            if worker is None:
+                _draw_round(seed, rnd, ids, perm, u, z)
+            else:
+                worker.result()
+                worker = None
+            if ahead and rnd + 1 < rounds:
+                worker = _DrawAhead(seed, rnd + 1, ids, *sets[(rnd + 1) % 2])
+            for a in range(0, m, _PAIR_BLOCK):
+                e = min(m, a + _PAIR_BLOCK)
+                ii, jj = perm[a:e], perm[m + a:m + e]
+                R[ii], R[jj], rho[ii], rho[jj] = _match_update(
+                    rho[ii], rho[jj], R[ii], R[jj], u[a:e], z[:, a:e], p, params)
+    finally:
+        if worker is not None:  # an error left the loop: the worker ends before it
+            worker.join()
     return pop0.copy_with(rho, R)
 
 

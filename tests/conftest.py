@@ -16,6 +16,20 @@ def linear_params():
                            kernel_kind=ek.KernelKind.LINEAR)
 
 
+def centered_box(L, n):
+    """The n x n grid on [-L, L]^2."""
+    return ek.Grid2D(-L, L, -L, L, n, n)
+
+
+def point_mass(grid, rho, R):
+    """Unit mass concentrated in the cell containing (rho, R)."""
+    i = int(np.clip((rho - grid.rho_min) / grid.h_rho, 0, grid.n_rho - 1))
+    j = int(np.clip((R - grid.R_min) / grid.h_R, 0, grid.n_R - 1))
+    v = np.zeros((grid.n_rho, grid.n_R))
+    v[i, j] = 1.0 / grid.cell_area
+    return ek.DensityField(grid, v)
+
+
 def gaussian_blob(grid, center, spread, normalize=True):
     cr, cR = center
     return ek.DensityField.from_function(

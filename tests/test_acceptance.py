@@ -12,6 +12,7 @@ import pytest
 
 import elo_kinetics as ek
 from elo_kinetics import particles
+from conftest import centered_box
 
 BETA = 0.1
 TANH_ORACLE = {
@@ -171,7 +172,7 @@ def test_criterion_07_lyapunov_drift(f_inf, params_base):
         rad = ek.confinement_radii(M, BETA, params_base)
         z = max(rad.z1, rad.z2)
         L = float(np.ceil(3.0 * z))
-        eval_grid = ek.Grid2D.centered_box(L, 221)
+        eval_grid = centered_box(L, 221)
         res = ek.lyapunov_drift_check(f_inf, BETA, params_base, exterior_ball=z,
                                       eval_grid=eval_grid)
         assert res.lambda_hat > 0.0
@@ -183,7 +184,7 @@ def test_criterion_07_lyapunov_drift(f_inf, params_base):
 
 def test_criterion_08_confinement_radii(params_base):
     with criterion(8, "coefficients exceed 1/2 beyond the explicit radii"):
-        g = ek.Grid2D.centered_box(3.0, 60)
+        g = centered_box(3.0, 60)
         family = [
             ek.DensityField.uniform(g),
             ek.DensityField.from_function(

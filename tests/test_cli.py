@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import elo_kinetics as ek
-from elo_kinetics import cli
+from elo_kinetics import cli, particles
 from conftest import gaussian_blob
 
 
@@ -385,14 +386,25 @@ def test_march_that_cannot_end_is_a_numerical_abort(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("message", [
     "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type "
     "float64", ""])
-@pytest.mark.parametrize("command, target", [("solve", "evolve"), ("sde", "simulate_mean_field")])
+@pytest.mark.parametrize("command, target", [
+    ("solve", "evolve"), ("sde", "simulate_mean_field"), ("particles", "_draw_round")])
 def test_allocation_failure_is_config_error(tmp_path, monkeypatch, capsys, command, target,
                                             message):
     # injected: an absurd grid.n_rho or particles.n reaches numpy as this MemoryError
     def allocate(*args, **kwargs):
         raise MemoryError(message)
-    monkeypatch.setattr(cli, target, allocate)
-    code, _ = run_cli(tmp_path, monkeypatch, *small_args(command, tmp_path), command)
+    extra = []
+    if command == "particles":  # raised by the draws of round 1, on the worker thread
+        monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0, 1})
+        real, extra = particles._draw_round, ["--set", "particles.rounds=3"]
+
+        def draw(seed, rnd, *buffers):
+            assert rnd == 0 or threading.current_thread() is not threading.main_thread()
+            (allocate if rnd else real)(seed, rnd, *buffers)
+        monkeypatch.setattr(particles, target, draw)
+    else:
+        monkeypatch.setattr(cli, target, allocate)
+    code, _ = run_cli(tmp_path, monkeypatch, *small_args(command, tmp_path), *extra, command)
     assert code == cli.EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"config error: {message or 'out of memory'}"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import elo_kinetics as ek
-from conftest import gaussian_blob
+from conftest import centered_box, gaussian_blob, point_mass
 
 # frozen oracle values (high-precision arithmetic)
 DELTA_FROZEN = 0.31880117029095764       # alpha=2, beta=0.1, gamma=1
@@ -105,7 +105,7 @@ def test_beta_norm_triangle_inequality():
 
 
 def test_generator_small_beta_limit(params):
-    g = ek.Grid2D.centered_box(3.0, 40)
+    g = centered_box(3.0, 40)
     mu = gaussian_blob(g, (0.0, 0.0), 0.5)
     pts = np.array([0.5, -1.0, 2.0])
     ratio = ek.generator_on_weight(mu, 1e-8, params, pts, pts)
@@ -114,7 +114,7 @@ def test_generator_small_beta_limit(params):
 
 def test_generator_positive_at_origin(params):
     # symmetric mu: drift terms vanish at the origin; sigma^2 terms are positive
-    g = ek.Grid2D.centered_box(3.0, 60)
+    g = centered_box(3.0, 60)
     mu = gaussian_blob(g, (0.0, 0.0), 0.5)
     val = ek.generator_on_weight(mu, 0.1, params, np.array([0.0]), np.array([0.0]))
     assert val[0] > 0.0
@@ -141,16 +141,16 @@ GENERATOR_POINTS = (np.array([0.7, -1.5, 2.0, 0.0, -0.4]), np.array([0.3, 1.0, -
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_generator_matches_finite_differences(gamma):
     params = ek.KernelParams(1.0, gamma, 0.5)
-    mu = gaussian_blob(ek.Grid2D.centered_box(3.0, 60), (0.0, 0.0), 0.5)
+    mu = gaussian_blob(centered_box(3.0, 60), (0.0, 0.0), 0.5)
     np.testing.assert_allclose(
         ek.generator_on_weight(mu, 0.3, params, *GENERATOR_POINTS),
         generator_ratio_by_differences(mu, 0.3, params, *GENERATOR_POINTS), rtol=0, atol=1e-6)
 
 
 def test_drift_check_far_field_negative(params):
-    g = ek.Grid2D.centered_box(3.0, 60)
+    g = centered_box(3.0, 60)
     mu = gaussian_blob(g, (0.0, 0.0), 0.4)
-    eval_grid = ek.Grid2D.centered_box(15.0, 151)
+    eval_grid = centered_box(15.0, 151)
     res = ek.lyapunov_drift_check(mu, 0.1, params, exterior_ball=5.0,
                                   eval_grid=eval_grid)
     assert res.lambda_hat > 0.0
@@ -210,9 +210,9 @@ def test_drift_check_sums_each_coefficient_on_its_axis(params, monkeypatch):
 
 
 def test_drift_check_fitted_lambda_shrinks_with_beta(params):
-    g = ek.Grid2D.centered_box(3.0, 40)
+    g = centered_box(3.0, 40)
     mu = gaussian_blob(g, (0.0, 0.0), 0.4)
-    eval_grid = ek.Grid2D.centered_box(12.0, 101)
+    eval_grid = centered_box(12.0, 101)
     lam = []
     for beta in (0.1, 1e-3):
         res = ek.lyapunov_drift_check(mu, beta, params,
@@ -281,8 +281,8 @@ def test_w1_marginal_trivials():
     g = ek.Grid2D.unit_square(40)
     f = gaussian_blob(g, (0.5, 0.5), 0.1)
     assert ek.wasserstein1_marginal(f, f, "rho") == 0.0
-    a = ek.DensityField.point_mass(g, 0.2125, 0.5)
-    b = ek.DensityField.point_mass(g, 0.7125, 0.5)
+    a = point_mass(g, 0.2125, 0.5)
+    b = point_mass(g, 0.7125, 0.5)
     assert ek.wasserstein1_marginal(a, b, "rho") == pytest.approx(0.5, abs=1e-12)
     assert ek.wasserstein1_marginal(a, b, "R") == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
@@ -296,7 +296,7 @@ def test_w1_samples_vs_marginal_consistency():
     w1 = ek.wasserstein1_samples_vs_marginal(rng.random(200000), f, "rho")
     assert w1 < 0.005  # large uniform sample vs uniform marginal
     # point sample at distance d from a point marginal
-    pm = ek.DensityField.point_mass(g, 0.21, 0.5)
+    pm = point_mass(g, 0.21, 0.5)
     w1 = ek.wasserstein1_samples_vs_marginal(np.array([0.71]), pm, "rho")
     assert w1 == pytest.approx(0.5, abs=g.h_rho)
 

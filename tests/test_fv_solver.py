@@ -8,7 +8,7 @@ import pytest
 
 import elo_kinetics as ek
 import step_reference
-from conftest import gaussian_blob, zero_coefficients
+from conftest import gaussian_blob, point_mass, zero_coefficients
 
 
 @pytest.fixture
@@ -32,7 +32,7 @@ def test_advect_point_mass_upwind_stencil():
     v = 0.3
     coeff = ek.CoefficientField(
         g, coeff.a1_at_rho_faces, coeff.a2_at_R_faces, np.full(g.n_rho, v))
-    f = ek.DensityField.point_mass(g, 0.45, 0.45)  # cell (4, 4)
+    f = point_mass(g, 0.45, 0.45)  # cell (4, 4)
     dt = 0.2 * g.h_R / v  # courant number 0.2
     out = ek.step_advect_R(f, coeff, dt)
     moved = v * dt / g.h_R
@@ -73,7 +73,7 @@ def test_rho_step_identity_when_inactive():
 
 def test_rho_step_heat_stencil(params):
     g = ek.Grid2D.unit_square(10)
-    f = ek.DensityField.point_mass(g, 0.45, 0.45)
+    f = point_mass(g, 0.45, 0.45)
     dt = 1e-3
     lam = 0.5 * params.sigma ** 2 * dt / g.h_rho ** 2
     out = step_reference.step_drift_diffuse_rho(f, zero_coefficients(g), dt, params)
@@ -148,6 +148,33 @@ def test_strang_vanishing_coefficients_identity():
     f = ek.DensityField.from_function(g, lambda r, R: 1.0 + r * R, normalize=True)
     out = ek.strang_step(f, 1e-3, p)
     assert np.max(np.abs(out.values - f.values)) < 1e-10
+
+
+def test_strang_step_rejects_a_non_finite_result():
+    # R-advection piles 1.5e308 onto 1.5e308: the step scans its result once
+    g = ek.Grid2D.unit_square(6)
+    z = zero_coefficients(g)
+    coeff = ek.CoefficientField(g, z.a1_at_rho_faces, z.a2_at_R_faces, np.full(g.n_rho, 1.0))
+    f = ek.DensityField(g, np.full((6, 6), 1.5e308))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite density values"):
+        ek.strang_step(f, 0.1, ek.KernelParams(1.0, 1.0, 0.0), frozen=coeff)
+
+
+def test_a_nonlinear_step_checks_the_measure_once_and_scans_once(params, monkeypatch):
+    # the sub-steps' results are the solver's own conservative updates: each
+    # step validates the measure it starts from and scans its result once
+    counts = {"measure": 0, "scan": 0}
+    validate, init = ek.kernels._validate_measure, ek.DensityField.__post_init__
+    monkeypatch.setattr(ek.kernels, "_validate_measure", lambda f: (
+        counts.update(measure=counts["measure"] + 1), validate(f)))
+    monkeypatch.setattr(ek.DensityField, "__post_init__", lambda self: (
+        counts.update(scan=counts["scan"] + 1), init(self)))
+    f = ek.DensityField.from_function(ek.Grid2D.unit_square(24), lambda r, R: 1.0 + r * R)
+    counts.update(measure=0, scan=0)
+    trace = ek.evolve(f, ek.SolverConfig(t_final=0.05), params)
+    assert max(trace.clipped_masses) == 0.0  # no positivity fix builds a field
+    assert counts == {"measure": len(trace.times), "scan": len(trace.times)}
 
 
 def test_strang_self_convergence_order(params):

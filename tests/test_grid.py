@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import elo_kinetics as ek
-from conftest import gaussian_blob
+from conftest import gaussian_blob, point_mass
 
 
 def test_grid_geometry():
@@ -47,7 +47,7 @@ def test_density_shape_and_finiteness():
 def test_mass_trivials():
     g = ek.Grid2D.unit_square(20)
     assert ek.DensityField.uniform(g).mass() == pytest.approx(1.0, abs=1e-14)
-    assert ek.DensityField.point_mass(g, 0.3, 0.7).mass() == pytest.approx(1.0, abs=1e-14)
+    assert point_mass(g, 0.3, 0.7).mass() == pytest.approx(1.0, abs=1e-14)
     f = ek.DensityField.uniform(g)
     assert f.copy_with(2.0 * f.values).mass() == pytest.approx(2.0, abs=1e-14)
 
@@ -55,10 +55,10 @@ def test_mass_trivials():
 def test_center_of_mass_trivials():
     g = ek.Grid2D.unit_square(2)  # cell centers at 0.25 and 0.75
     assert ek.DensityField.uniform(g).center_of_mass() == pytest.approx((0.5, 0.5))
-    pm = ek.DensityField.point_mass(g, 0.25, 0.75)
+    pm = point_mass(g, 0.25, 0.75)
     assert pm.center_of_mass() == pytest.approx((0.25, 0.75))
     mix = pm.copy_with(0.5 * pm.values
-                       + 0.5 * ek.DensityField.point_mass(g, 0.75, 0.25).values)
+                       + 0.5 * point_mass(g, 0.75, 0.25).values)
     assert mix.center_of_mass() == pytest.approx((0.5, 0.5))
     with pytest.raises(ValueError):
         pm.copy_with(np.zeros_like(pm.values)).center_of_mass()

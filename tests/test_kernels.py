@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import elo_kinetics as ek
-from conftest import gaussian_blob
+from conftest import gaussian_blob, point_mass
 
 # frozen oracle values (high-precision arithmetic, independent of numpy)
 TANH_2 = 0.9640275800758169
@@ -89,7 +89,7 @@ def test_a1_symmetric_density_vanishes_at_center(params):
 
 def test_a1_point_mass_is_b(params):
     g = ek.Grid2D.unit_square(40)
-    f = ek.DensityField.point_mass(g, 0.5125, 0.5125)  # cell center exactly
+    f = point_mass(g, 0.5125, 0.5125)  # cell center exactly
     rho0 = g.rho_centers[20]
     for rho in (-1.0, 0.2, 0.9, 3.0):
         assert ek.a1_of_density(f, rho, params) == pytest.approx(
@@ -171,7 +171,7 @@ def test_a_field_uniform_frozen_value(params):
 def test_a_field_translation_covariance(params):
     # power-of-two spacing so shifted differences are bitwise identical
     g = ek.Grid2D.unit_square(16)
-    f = ek.DensityField.point_mass(g, 0.41, 0.41)
+    f = point_mass(g, 0.41, 0.41)
     rolled = f.copy_with(np.roll(f.values, 1, axis=0))
     a_f = ek.a1_of_density(f, g.rho_centers[:-1], params)
     a_r = ek.a1_of_density(rolled, g.rho_centers[1:], params)

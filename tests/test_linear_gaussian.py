@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import elo_kinetics as ek
+from conftest import centered_box
 
 MARGIN = 1.25
 PARAMS = ek.KernelParams(1.0, 1.0, np.sqrt(0.1), ek.KernelKind.LINEAR)
@@ -61,7 +62,7 @@ def test_exact_covariance_reaches_the_stationary_law():
 def march(n, centre):
     """Datum exp(-|x - centre|^2 / 0.08) on n^2 cells of [-1.5, 1.5]^2, and its
     march to t = 1 with the automatic dt."""
-    g = ek.Grid2D.centered_box(1.5, n)
+    g = centered_box(1.5, n)
     f0 = ek.DensityField.from_function(
         g, lambda r, R: np.exp(-((r - centre[0]) ** 2 + (R - centre[1]) ** 2) / 0.08),
         normalize=True)

@@ -1,5 +1,8 @@
 """Microscopic simulation tests: matches, tournaments, the mean-field SDE,
 and the empirical-measure histogram."""
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,51 @@ def test_tournament_deterministic(params, interaction):
     a = ek.run_tournament(pop, 10, interaction, params)
     b = ek.run_tournament(pop, 10, interaction, params)
     assert np.array_equal(a.rho, b.rho) and np.array_equal(a.R, b.R)
+
+
+class Injected(Exception):
+    """An error a test puts into a tournament's draws."""
+
+
+@pytest.mark.parametrize("where, error", [
+    (None, None), ("draw", Injected("round 2")), ("draw", MemoryError()),
+    ("game", FloatingPointError("overflow encountered in multiply"))])
+def test_tournament_errors_reach_the_caller_and_no_thread_outlives_it(
+        monkeypatch, params, interaction, where, error):
+    # two CPUs on any machine: rounds 1, 2, ... are drawn on a worker thread,
+    # each while the caller plays the round before
+    monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0, 1})
+    real_draw, real_update = particles._draw_round, particles._match_update
+    drawn_on, games = {}, []
+
+    def draw(seed, rnd, *buffers):
+        drawn_on[rnd] = threading.get_ident()
+        if rnd == 2 and where == "draw":
+            raise error
+        if rnd == 2 and where == "game":
+            time.sleep(0.2)  # still drawing when round 1's game raises
+        real_draw(seed, rnd, *buffers)
+
+    def update(*args):
+        games.append(len(games))
+        if len(games) == 2 and where == "game":  # round 1, one block a round
+            raise error
+        return real_update(*args)
+
+    monkeypatch.setattr(particles, "_draw_round", draw)
+    monkeypatch.setattr(particles, "_match_update", update)
+    baseline = threading.active_count()
+    pop = ek.AgentPopulation.uniform_box(20, 9)
+    if error is None:
+        ek.run_tournament(pop, 4, interaction, params)
+    else:
+        with pytest.raises(type(error)) as info:
+            ek.run_tournament(pop, 4, interaction, params)
+        assert info.value is error
+    assert threading.active_count() == baseline
+    caller = threading.get_ident()
+    assert drawn_on[0] == caller and all(drawn_on[r] != caller for r in drawn_on if r)
+    assert sorted(drawn_on) == list(range(4 if error is None else 3))
 
 
 NOISE_SDS = 5.0  # tolerance of the mean-rho rise, in noise sds

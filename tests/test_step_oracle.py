@@ -8,6 +8,9 @@ first rho half-step, within 1e-14 of the reference, which re-tabulates
 before every sub-step. The backward-Euler rho sub-step, its sweeps in
 blocks of rows, against a dense solve of its system and against the
 row-by-row Thomas sweeps it replaced.
+The tournament's draws are taken one round ahead on a worker thread when
+more than one CPU is available, and inline on one CPU: both paths against
+the serial reference.
 The SDE's particle-mesh drift against the exact sum, within its error bound,
 and the exact sum itself where the mesh is not taken. Also: single sub-steps
 at admissible time steps conserve mass and stay nonnegative to roundoff, the
@@ -18,6 +21,8 @@ vector and singular values at roundoff, on and off the block path. The one
 assembly of the frozen generator: its matvec against a dense L built entry by
 entry, mass conservation, and map G's residual against the forward-Euler form
 it replaced."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -25,7 +30,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import elo_kinetics as ek
 import step_reference as ref
 from elo_kinetics import cli, particles
-from conftest import gaussian_blob
+from conftest import centered_box, gaussian_blob, point_mass
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -136,7 +141,7 @@ def test_rho_step_matches_reference(f, params, measured, seed, scale):
 @SETTINGS
 @given(densities(), st.sampled_from([0.0, 1e-3, np.sqrt(0.1), 1.0]), st.booleans(),
        st.integers(0, 2**32 - 1), st.floats(0.0, 1000.0, exclude_min=True))
-@example(ek.DensityField.point_mass(ek.Grid2D.unit_square(8), 0.3, 0.6), 1e-3, True, 0, 1000.0)
+@example(point_mass(ek.Grid2D.unit_square(8), 0.3, 0.6), 1e-3, True, 0, 1000.0)
 def test_rho_step_is_positive_and_conservative_at_any_dt(f, sigma, measured, seed, scale):
     # up to 1000 times the explicit bound; sigma = 1e-3 puts |P| = |v| h_rho / D
     # past 709, where one of the two Bernoulli rates of a face is exactly 0
@@ -442,17 +447,38 @@ BLOCKS = ek.AgentPopulation.uniform_box(2 * (2 * particles._PAIR_BLOCK + 3), 11)
 WHOLE_BLOCKS = ek.AgentPopulation.uniform_box(2 * (2 * particles._PAIR_BLOCK), 12)
 
 
+# up to 5 rounds: each of the two draw buffer sets is filled at least twice
 @SETTINGS
-@given(populations(), interaction_st, params_st, st.integers(0, 3))
+@given(populations(), interaction_st, params_st, st.integers(0, 5))
 @example(PAIR, GAME, TANH, 3)
 @example(PAIR, GAME, LINEAR, 3)
 @example(BLOCKS, GAME, TANH, 3)
 @example(BLOCKS, GAME, LINEAR, 2)
 @example(WHOLE_BLOCKS, GAME, TANH, 2)
 @example(WHOLE_BLOCKS, GAME, LINEAR, 3)
+@example(BLOCKS, GAME, TANH, 5)
 def test_tournament_matches_reference(pop, p, params, rounds):
-    new = ek.run_tournament(pop, rounds, p, params)
+    # two CPUs on any machine: rounds 1, 2, ... are drawn on the worker thread
+    with mock.patch.object(particles.os, "sched_getaffinity", lambda pid: {0, 1}):
+        new = ek.run_tournament(pop, rounds, p, params)
     old = ref.run_tournament(pop, rounds, p, params)
+    assert new.rho.tobytes() == old.rho.tobytes()
+    assert new.R.tobytes() == old.R.tobytes()
+
+
+@pytest.mark.parametrize("pop, params", [(PAIR, LINEAR), (BLOCKS, TANH)])
+@pytest.mark.parametrize("affinity_call", [True, False])
+def test_tournament_on_one_cpu_matches_reference(monkeypatch, pop, params, affinity_call):
+    # one CPU, by the affinity mask or, where there is no affinity call, by
+    # os.cpu_count(): every round is drawn inline into one buffer set
+    if affinity_call:
+        monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(particles.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(particles.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(particles, "_DrawAhead", None)  # a started worker would fail
+    new = ek.run_tournament(pop, 5, GAME, params)
+    old = ref.run_tournament(pop, 5, GAME, params)
     assert new.rho.tobytes() == old.rho.tobytes()
     assert new.R.tobytes() == old.R.tobytes()
 
@@ -517,7 +543,7 @@ def test_null_vector_matches_reference(n_R):
 @pytest.mark.parametrize("L", [4.0, 40.0])
 def test_null_vector_matches_reference_on_wide_boxes(L):
     """Far tails: the last Schur complement shows no null space here."""
-    g = ek.Grid2D.centered_box(L, 80)
+    g = centered_box(L, 80)
     assert_null_vector_matches_reference(gaussian_blob(g, (0.3, -0.2), 0.5), TANH)
 
 
@@ -534,7 +560,7 @@ def test_null_vector_matches_reference_on_criterion_05_box():
 # (grid, params, mu's center and spread): a non-stationary mu on each box
 GENERATOR_CASES = {
     "unit_100": (ek.Grid2D.unit_square(100), TANH, (0.4, 0.6), 0.16),
-    "wide_80": (ek.Grid2D.centered_box(4.0, 80), TANH, (0.3, -0.2), 0.5),
+    "wide_80": (centered_box(4.0, 80), TANH, (0.3, -0.2), 0.5),
     "no_diffusion_60x90": (ek.Grid2D(-1.0, 2.0, -1.0, 2.0, 60, 90),
                            ek.KernelParams(4.0, 1.0, 0.0), (0.5, 0.8), 0.4),
     "linear_7": (ek.Grid2D.unit_square(7), LINEAR, (0.4, 0.6), 0.3),
