@@ -29,7 +29,7 @@ from .diagnostics import (
     wasserstein1_samples_vs_marginal,
 )
 from .fv_solver import CFLError, PositivityError, SolverConfig, evolve
-from .grid import DensityField, Grid2D
+from .grid import _BLOCK_LINES as _BLOCK_ROWS, DensityField, Grid2D, _csv_lines, _g17, _printf
 from .kernels import KernelKind, KernelParams, phi_beta
 from .particles import AgentPopulation, InteractionParams, run_tournament, simulate_mean_field
 from .steady_state import (
@@ -212,23 +212,29 @@ def write_manifest(outdir: Path, cfg: dict[str, str], mode: str) -> None:
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-_BLOCK_ROWS = 4096  # CSV rows formatted per write
-
-
 def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:
     """The header line, then row k as row_format % (every column's k-th
-    value): the bytes of a csv.writer writing those fields (CRLF line ends),
-    formatted a block of rows at a time. The columns are arrays or lists of
-    one length."""
-    width = len(columns)
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
+    value): the bytes of a csv.writer writing those fields (CRLF line ends).
+    The columns are arrays or lists of one length, written _BLOCK_ROWS rows
+    at a time. A %.17g column goes through grid's _g17, and so does a %d
+    column of integers below 2**53 in magnitude: as floats they are exact,
+    and "%.17g" prints them as "%d" does. Any other column (compare's %s) is
+    formatted by Python one value at a time."""
+    formats = row_format.split(",")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\r\n")
         for s in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [np.asarray(c[s:s + _BLOCK_ROWS]).tolist() for c in columns]
-            args = [None] * (width * len(block[0]))
-            for i, values in enumerate(block):
-                args[i::width] = values
-            fh.write(((row_format + "\r\n") * len(block[0])) % tuple(args))
+            fh.write(_csv_lines([_csv_field(fmt, c[s:s + _BLOCK_ROWS])
+                                 for fmt, c in zip(formats, columns)]))
+
+
+def _csv_field(fmt: str, values) -> np.ndarray:
+    """The bytes of fmt % v for each value, as the rows of a NUL-padded matrix."""
+    v = np.asarray(values)
+    if fmt == "%.17g" or (fmt == "%d" and v.dtype.kind in "iu"
+                          and np.all((v > -2**53) & (v < 2**53))):
+        return _g17(v.astype(np.float64))
+    return _printf(fmt, v.tolist())
 
 
 def write_trace_csv(trace, path: Path) -> None:

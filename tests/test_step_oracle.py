@@ -652,7 +652,8 @@ EDGE_COORDS = [-0.0, 2.0, 5e-324, -7.0, 1e300, -3.25, 1e16, 1e17, 0.1]
 BLOCK = cli._BLOCK_ROWS
 
 
-@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
+                               2 * BLOCK + 3])
 def test_agents_csv_bytes_match_csv_writer(tmp_path, n):
     """The edge coordinates lead (whole numbers among them from n = 1) and
     recur at random rows, across block boundaries."""
