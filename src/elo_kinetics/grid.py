@@ -204,9 +204,9 @@ class DensityField:
                 Rs[0] - h_R / 2, Rs[-1] + h_R / 2,
                 n_rho, n_R,
             )
-        except ValueError as exc:  # e.g. a cell side whose square underflows
+            return cls(grid, data[:, 2].reshape(n_rho, n_R))
+        except ValueError as exc:  # a cell side whose square underflows, a non-finite value
             raise ValueError(f"{path}: {exc}") from None
-        return cls(grid, data[:, 2].reshape(n_rho, n_R))
 
 
 # -- CSV number formatting ----------------------------------------------------

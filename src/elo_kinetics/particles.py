@@ -3,12 +3,12 @@ mean-field SDE system driven by the empirical measure.
 
 Randomness is drawn from counter-based streams keyed on (seed, round) or
 (seed, step), so a run is bitwise reproducible from its seed and config.
+The tournament draws each round one round ahead on one pooled worker thread;
+its bits depend neither on the number of CPUs nor on the threads' timing.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,27 +102,6 @@ def _draw_round(seed: int, rnd: int, ids, perm, u, z) -> None:
     rng.standard_normal(out=z)
 
 
-class _DrawAhead(threading.Thread):
-    """_draw_round(*args) on a worker thread, started at once; result() joins
-    it and raises on the calling thread whatever the draw raised."""
-
-    def __init__(self, *args):
-        super().__init__(target=_draw_round, args=args)
-        self.error = None
-        self.start()
-
-    def run(self):
-        try:
-            super().run()
-        except BaseException as exc:  # raised again by result(), on the caller
-            self.error = exc
-
-    def result(self) -> None:
-        self.join()
-        if self.error is not None:
-            raise self.error
-
-
 def run_tournament(
     pop0: AgentPopulation,
     rounds: int,
@@ -137,16 +116,19 @@ def run_tournament(
     Macroscopic time is rounds * epsilon.
 
     A round's draws (the matching, one uniform and two normals per game)
-    fill a set of buffers allocated once per run. When the process may run
-    on more than one CPU there are two sets: a worker thread fills round
-    rnd+1's set while this thread plays round rnd from the other, and joins
-    the worker before it reads that set. On one CPU the same draws run
-    inline into one set. Each round draws from its own stream
+    fill one of two buffer sets allocated once per run. Round 0 is drawn
+    here; from then on one pooled worker thread draws round rnd+1 into the
+    other set while this thread plays round rnd, and this thread waits for
+    that draw before it reads the set. Each round draws from its own stream
     SeedSequence([seed, rnd]) in a fixed order, and only this thread
-    touches the agents, so the result is bitwise the same on either path
-    and under any scheduling. The game's float operations all run here,
-    under the caller's np.errstate.
+    touches the agents, so the result is bitwise the same on any number of
+    CPUs and under any scheduling. The game's float operations all run
+    here, under the caller's np.errstate. An error in a draw is raised
+    again here, and no worker outlives the call.
     """
+    # imported here: the commands that play no tournament skip its import time and memory
+    from concurrent.futures import ThreadPoolExecutor
+
     if pop0.n % 2 != 0:
         raise ValueError("need an even number of agents for a full matching")
     if rounds < 0:
@@ -156,30 +138,21 @@ def run_tournament(
     seed, n = pop0.rng_seed, pop0.n
     m = n // 2
     ids = np.arange(n)
-    # CPUs this process may run on: all of them where no affinity call exists (macOS, Windows)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    ahead = (cpus or 1) > 1
-    sets = [(np.empty(n, dtype=np.intp), np.empty(m), np.empty((2, m)))
-            for _ in range(1 + ahead)]
-    worker = None
-    try:
+    sets = [(np.empty(n, dtype=np.intp), np.empty(m), np.empty((2, m))) for _ in range(2)]
+    with ThreadPoolExecutor(max_workers=1) as worker:  # leaving the block joins the worker
         for rnd in range(rounds):
-            perm, u, z = sets[rnd % len(sets)]
-            if worker is None:
+            perm, u, z = sets[rnd % 2]
+            if rnd == 0:
                 _draw_round(seed, rnd, ids, perm, u, z)
             else:
-                worker.result()
-                worker = None
-            if ahead and rnd + 1 < rounds:
-                worker = _DrawAhead(seed, rnd + 1, ids, *sets[(rnd + 1) % 2])
+                drawn.result()  # raises whatever the draw raised
+            if rnd + 1 < rounds:
+                drawn = worker.submit(_draw_round, seed, rnd + 1, ids, *sets[(rnd + 1) % 2])
             for a in range(0, m, _PAIR_BLOCK):
                 e = min(m, a + _PAIR_BLOCK)
                 ii, jj = perm[a:e], perm[m + a:m + e]
                 R[ii], R[jj], rho[ii], rho[jj] = _match_update(
                     rho[ii], rho[jj], R[ii], R[jj], u[a:e], z[:, a:e], p, params)
-    finally:
-        if worker is not None:  # an error left the loop: the worker ends before it
-            worker.join()
     return pop0.copy_with(rho, R)
 
 

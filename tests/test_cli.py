@@ -298,8 +298,10 @@ def test_unusable_initial_density_file_is_config_error(tmp_path, monkeypatch, ca
     "rho,R,f\r\n",
     "",
     "rho,R\n0.25,0.25\n0.75,0.25\n",
+    "rho,R,f\n0.25,0.25,1\n0.25,0.75,nan\n0.75,0.25,1\n0.75,0.75,1\n",
+    "rho,R,f\n0.25,0.25,1\n0.25,0.75,1\n0.75,0.25,-inf\n0.75,0.75,1\n",
 ], ids=["non_numeric_cell", "trailing_comma", "ragged_row", "header_only", "empty",
-        "two_columns"])
+        "two_columns", "nan_cell", "inf_cell"])
 def test_malformed_density_file_is_config_error(tmp_path, monkeypatch, capsys, text):
     path = tmp_path / "f0.csv"
     path.write_text(text)
@@ -395,7 +397,6 @@ def test_allocation_failure_is_config_error(tmp_path, monkeypatch, capsys, comma
         raise MemoryError(message)
     extra = []
     if command == "particles":  # raised by the draws of round 1, on the worker thread
-        monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0, 1})
         real, extra = particles._draw_round, ["--set", "particles.rounds=3"]
 
         def draw(seed, rnd, *buffers):

@@ -138,11 +138,13 @@ def test_integers_below_2_53_are_printed_as_percent_d():
 
 
 def test_no_table_is_built_at_import():
-    code = ("import elo_kinetics.grid as g; "
-            "print(g._g17_tables.cache_info().currsize, g._ten.cache_info().currsize)")
+    # nor is the tournament's thread pool imported, which every other command would pay for
+    code = ("import sys, elo_kinetics.cli, elo_kinetics.grid as g; "
+            "print(g._g17_tables.cache_info().currsize, g._ten.cache_info().currsize, "
+            "'concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "False"]
 
 
 def test_to_csv_across_blocks_matches_csv_writer(tmp_path):

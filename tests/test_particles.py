@@ -129,14 +129,13 @@ class Injected(Exception):
     ("game", FloatingPointError("overflow encountered in multiply"))])
 def test_tournament_errors_reach_the_caller_and_no_thread_outlives_it(
         monkeypatch, params, interaction, where, error):
-    # two CPUs on any machine: rounds 1, 2, ... are drawn on a worker thread,
-    # each while the caller plays the round before
-    monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0, 1})
+    # round 0 is drawn on the caller; rounds 1, 2, ... on one pooled worker
+    # thread, each while the caller plays the round before
     real_draw, real_update = particles._draw_round, particles._match_update
     drawn_on, games = {}, []
 
     def draw(seed, rnd, *buffers):
-        drawn_on[rnd] = threading.get_ident()
+        drawn_on[rnd] = threading.current_thread()  # kept: a dead thread's ident is reused
         if rnd == 2 and where == "draw":
             raise error
         if rnd == 2 and where == "game":
@@ -160,9 +159,10 @@ def test_tournament_errors_reach_the_caller_and_no_thread_outlives_it(
             ek.run_tournament(pop, 4, interaction, params)
         assert info.value is error
     assert threading.active_count() == baseline
-    caller = threading.get_ident()
-    assert drawn_on[0] == caller and all(drawn_on[r] != caller for r in drawn_on if r)
     assert sorted(drawn_on) == list(range(4 if error is None else 3))
+    caller, worker = threading.current_thread(), drawn_on[1]
+    assert drawn_on[0] is caller and worker is not caller and not worker.is_alive()
+    assert all(drawn_on[r] is worker for r in drawn_on if r)
 
 
 NOISE_SDS = 5.0  # tolerance of the mean-rho rise, in noise sds

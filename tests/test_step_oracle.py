@@ -8,9 +8,8 @@ first rho half-step, within 1e-14 of the reference, which re-tabulates
 before every sub-step. The backward-Euler rho sub-step, its sweeps in
 blocks of rows, against a dense solve of its system and against the
 row-by-row Thomas sweeps it replaced.
-The tournament's draws are taken one round ahead on a worker thread when
-more than one CPU is available, and inline on one CPU: both paths against
-the serial reference.
+The tournament, its draws taken one round ahead on a pooled worker thread,
+against the serial reference.
 The SDE's particle-mesh drift against the exact sum, within its error bound,
 and the exact sum itself where the mesh is not taken. Also: single sub-steps
 at admissible time steps conserve mass and stay nonnegative to roundoff, the
@@ -21,7 +20,6 @@ vector and singular values at roundoff, on and off the block path. The one
 assembly of the frozen generator: its matvec against a dense L built entry by
 entry, mass conservation, and map G's residual against the forward-Euler form
 it replaced."""
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -458,27 +456,8 @@ WHOLE_BLOCKS = ek.AgentPopulation.uniform_box(2 * (2 * particles._PAIR_BLOCK), 1
 @example(WHOLE_BLOCKS, GAME, LINEAR, 3)
 @example(BLOCKS, GAME, TANH, 5)
 def test_tournament_matches_reference(pop, p, params, rounds):
-    # two CPUs on any machine: rounds 1, 2, ... are drawn on the worker thread
-    with mock.patch.object(particles.os, "sched_getaffinity", lambda pid: {0, 1}):
-        new = ek.run_tournament(pop, rounds, p, params)
+    new = ek.run_tournament(pop, rounds, p, params)
     old = ref.run_tournament(pop, rounds, p, params)
-    assert new.rho.tobytes() == old.rho.tobytes()
-    assert new.R.tobytes() == old.R.tobytes()
-
-
-@pytest.mark.parametrize("pop, params", [(PAIR, LINEAR), (BLOCKS, TANH)])
-@pytest.mark.parametrize("affinity_call", [True, False])
-def test_tournament_on_one_cpu_matches_reference(monkeypatch, pop, params, affinity_call):
-    # one CPU, by the affinity mask or, where there is no affinity call, by
-    # os.cpu_count(): every round is drawn inline into one buffer set
-    if affinity_call:
-        monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0})
-    else:
-        monkeypatch.delattr(particles.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(particles.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(particles, "_DrawAhead", None)  # a started worker would fail
-    new = ek.run_tournament(pop, 5, GAME, params)
-    old = ref.run_tournament(pop, 5, GAME, params)
     assert new.rho.tobytes() == old.rho.tobytes()
     assert new.R.tobytes() == old.R.tobytes()
 
