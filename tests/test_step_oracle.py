@@ -9,7 +9,7 @@ before every sub-step. The backward-Euler rho sub-step, its sweeps in
 blocks of rows, against a dense solve of its system and against the
 row-by-row Thomas sweeps it replaced.
 The tournament, its draws taken one round ahead on a pooled worker thread,
-against the serial reference.
+against the serial reference, also pinned to one CPU and with no CPU probe.
 The SDE's particle-mesh drift against the exact sum, within its error bound,
 and the exact sum itself where the mesh is not taken. Also: single sub-steps
 at admissible time steps conserve mass and stay nonnegative to roundoff, the
@@ -20,6 +20,8 @@ vector and singular values at roundoff, on and off the block path. The one
 assembly of the frozen generator: its matvec against a dense L built entry by
 entry, mass conservation, and map G's residual against the forward-Euler form
 it replaced."""
+
+import os
 
 import numpy as np
 import pytest
@@ -458,6 +460,31 @@ WHOLE_BLOCKS = ek.AgentPopulation.uniform_box(2 * (2 * particles._PAIR_BLOCK), 1
 def test_tournament_matches_reference(pop, p, params, rounds):
     new = ek.run_tournament(pop, rounds, p, params)
     old = ref.run_tournament(pop, rounds, p, params)
+    assert new.rho.tobytes() == old.rho.tobytes()
+    assert new.R.tobytes() == old.R.tobytes()
+
+
+@pytest.mark.parametrize("pop, params", [(PAIR, LINEAR), (BLOCKS, TANH)])
+@pytest.mark.parametrize("affinity_call", [True, False])
+def test_tournament_on_one_cpu_matches_reference(monkeypatch, pop, params, affinity_call):
+    # one path on every machine. With the affinity call, the calling thread is
+    # pinned to one CPU and the pooled worker inherits that mask, so the caller
+    # and the worker share it. Without it, the tournament must not ask how many
+    # CPUs there are: both calls raise if it does.
+    if affinity_call:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            new = ek.run_tournament(pop, 5, GAME, params)
+        finally:
+            os.sched_setaffinity(0, mask)
+    else:
+        def probe(*args):
+            raise AssertionError("the tournament probed the CPU count")
+        monkeypatch.setattr(os, "sched_getaffinity", probe, raising=False)
+        monkeypatch.setattr(os, "cpu_count", probe)
+        new = ek.run_tournament(pop, 5, GAME, params)
+    old = ref.run_tournament(pop, 5, GAME, params)
     assert new.rho.tobytes() == old.rho.tobytes()
     assert new.R.tobytes() == old.R.tobytes()
 
