@@ -29,7 +29,7 @@ from .diagnostics import (
     wasserstein1_samples_vs_marginal,
 )
 from .fv_solver import CFLError, PositivityError, SolverConfig, evolve
-from .grid import _BLOCK_LINES as _BLOCK_ROWS, DensityField, Grid2D, _csv_lines, _g17, _printf
+from .grid import DensityField, Grid2D, _write_csv
 from .kernels import KernelKind, KernelParams, phi_beta
 from .particles import AgentPopulation, InteractionParams, run_tournament, simulate_mean_field
 from .steady_state import (
@@ -212,39 +212,13 @@ def write_manifest(outdir: Path, cfg: dict[str, str], mode: str) -> None:
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:
-    """The header line, then row k as row_format % (every column's k-th
-    value): the bytes of a csv.writer writing those fields (CRLF line ends).
-    The columns are arrays or lists of one length, written _BLOCK_ROWS rows
-    at a time. A %.17g column goes through grid's _g17, and so does a %d
-    column of integers below 2**53 in magnitude: as floats they are exact,
-    and "%.17g" prints them as "%d" does. Any other column (compare's %s) is
-    formatted by Python one value at a time."""
-    formats = row_format.split(",")
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\r\n")
-        for s in range(0, len(columns[0]), _BLOCK_ROWS):
-            fh.write(_csv_lines([_csv_field(fmt, c[s:s + _BLOCK_ROWS])
-                                 for fmt, c in zip(formats, columns)]))
-
-
-def _csv_field(fmt: str, values) -> np.ndarray:
-    """The bytes of fmt % v for each value, as the rows of a NUL-padded matrix."""
-    v = np.asarray(values)
-    if fmt == "%.17g" or (fmt == "%d" and v.dtype.kind in "iu"
-                          and np.all((v > -2**53) & (v < 2**53))):
-        return _g17(v.astype(np.float64))
-    return _printf(fmt, v.tolist())
-
-
 def write_trace_csv(trace, path: Path) -> None:
-    _write_csv(path, "step,t,mass,clipped_mass,max_f", "%d,%.17g,%.17g,%.17g,%.17g",
-               np.arange(len(trace.times)), trace.times, trace.masses,
-               trace.clipped_masses, trace.max_values)
+    _write_csv(path, "step,t,mass,clipped_mass,max_f", np.arange(len(trace.times)),
+               trace.times, trace.masses, trace.clipped_masses, trace.max_values)
 
 
 def write_agents_csv(pop: AgentPopulation, path: Path) -> None:
-    _write_csv(path, "id,rho,R", "%d,%.17g,%.17g", np.arange(pop.n), pop.rho, pop.R)
+    _write_csv(path, "id,rho,R", np.arange(pop.n), pop.rho, pop.R)
 
 
 def _population(cfg: dict[str, str]) -> AgentPopulation:
@@ -335,7 +309,7 @@ def cmd_steady(cfg: dict[str, str], outdir: Path) -> None:
     try:
         result = nonlinear_equilibrate(f0, fp_cfg, params)
     except NonConvergenceError as exc:
-        _write_csv(outdir / "steady_log.csv", "check,residual", "%d,%.17g",
+        _write_csv(outdir / "steady_log.csv", "check,residual",
                    np.arange(len(exc.history)), exc.history)
         raise
     result.density.to_csv(outdir / "steady_state.csv")
@@ -348,7 +322,7 @@ def cmd_steady(cfg: dict[str, str], outdir: Path) -> None:
 
 
 def _write_fixedpoint_log(result: SteadyStateResult, path: Path) -> None:
-    _write_csv(path, "outer_iter,norm_diff_beta,moment_beta,residual", "%d,%.17g,%.17g,%.17g",
+    _write_csv(path, "outer_iter,norm_diff_beta,moment_beta,residual",
                np.arange(result.outer_iterations), result.norm_diff_history, result.moment_history,
                result.residual_history)
 
@@ -407,8 +381,7 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> None:
     e_beta = beta_norm_diff(f, f_inf, beta, params.gamma)  # in both columns
     row = (t, e_beta, relative_energy(f, f_inf), e_beta, f.mass(), *f.center_of_mass())
     _write_csv(outdir / "diagnostics.csv",
-               "t,E_phi_beta,E_inv_finf,beta_norm_diff,mass,com_rho,com_R",
-               ",".join(["%.17g"] * len(row)), *([v] for v in row))
+               "t,E_phi_beta,E_inv_finf,beta_norm_diff,mass,com_rho,com_R", *([v] for v in row))
     if drift_check:
         result = lyapunov_drift_check(f_inf, beta, params, exterior_ball=ball)
         (outdir / "drift_check.json").write_text(json.dumps({
@@ -427,8 +400,8 @@ def cmd_compare(cfg: dict[str, str], outdir: Path) -> None:
     trace = evolve(f0, solver_cfg, params)
     w1_rho = wasserstein1_samples_vs_marginal(pop.rho, trace.final, "rho")
     w1_R = wasserstein1_samples_vs_marginal(pop.R, trace.final, "R")
-    _write_csv(outdir / "compare.csv", "t,n,w1_rho,w1_R", "%s,%d,%.17g,%.17g",
-               [solver_cfg.t_final], [pop.n], [w1_rho], [w1_R])
+    _write_csv(outdir / "compare.csv", "t,n,w1_rho,w1_R",
+               [str(solver_cfg.t_final)], [pop.n], [w1_rho], [w1_R])
     trace.final.to_csv(outdir / "pde_final.csv")
     write_agents_csv(pop, outdir / "agents.csv")
 
@@ -443,8 +416,7 @@ def cmd_repro_fig2(cfg: dict[str, str], outdir: Path) -> None:
     trace = evolve(f0, solver_cfg, params, snapshot_every=snap)
     f_inf = trace.final
     snaps = trace.snapshots
-    _write_csv(outdir / "energies.csv", "t,E_phi_beta,E_inv_finf", "%.17g,%.17g,%.17g",
-               [t for t, _ in snaps],
+    _write_csv(outdir / "energies.csv", "t,E_phi_beta,E_inv_finf", [t for t, _ in snaps],
                [beta_norm_diff(f, f_inf, beta, params.gamma) for _, f in snaps],
                [relative_energy(f, f_inf) for _, f in snaps])
     f_inf.to_csv(outdir / "steady_state.csv")

@@ -9,7 +9,7 @@ M-matrix solve per sub-step, its sweeps in blocks of rho-rows, one matmul
 each, every value a sum of nonnegative products, so positive at any time
 step. Both operators have zero-flux walls, so the R step telescopes mass
 exactly and the rho solve keeps it to roundoff. The sub-steps write into a
-given `out`, so a march allocates its arrays once.
+given `out`, so a march allocates its state array once.
 
 The scheme's rates have one owner: `_generator_blocks` assembles the frozen
 semi-discrete generator L_mu of both sub-steps as blocks over rho-rows, and
@@ -76,20 +76,12 @@ def cfl_limit(coeff: CoefficientField) -> float:
     return coeff.grid.h_R / max_a if max_a > 0 else np.inf
 
 
-def _advect_work(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work arrays of step_advect_R on grid: the face fluxes and the masks of
-    v > 0 and v <= 0, one entry per interior R-face of each rho-row."""
-    shape = (grid.n_rho, grid.n_R - 1)
-    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-
-
 def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float,
-                  out: np.ndarray | None = None, *, _work=None) -> DensityField:
+                  out: np.ndarray | None = None) -> DensityField:
     """Donor-cell upwind transport in R with velocity a1(rho) - a2(R_face).
 
     The result is written into `out` when given (f.values itself allowed);
     it is not scanned for finiteness (strang_step scans once per step).
-    `_work` is private to the march: _advect_work's arrays, allocated once.
     """
     g = f.grid
     a1 = coeff.a1_at_rho_centers
@@ -100,12 +92,10 @@ def step_advect_R(f: DensityField, coeff: CoefficientField, dt: float,
         raise CFLError("R-advection CFL violated")
     # donor-cell flux v f_upwind: max(v,0) lo + min(v,0) hi up to the sign of
     # a zero flux, which leaves every cell value unchanged
-    flux, pos, nonpos = _work if _work is not None else _advect_work(g)
-    np.subtract(a1[:, None], a2[None, :], out=flux)  # the face velocities v
-    np.greater(flux, 0, out=pos)
-    np.logical_not(pos, out=nonpos)
+    flux = a1[:, None] - a2[None, :]  # the face velocities v
+    pos = flux > 0
     np.multiply(flux, f.values[:, :-1], out=flux, where=pos)
-    np.multiply(flux, f.values[:, 1:], out=flux, where=nonpos)
+    np.multiply(flux, f.values[:, 1:], out=flux, where=~pos)
     flux *= dt / g.h_R
     if out is None:
         out = f.values.copy()
@@ -226,7 +216,8 @@ def step_drift_diffuse_rho(
     I - dt A is one tridiagonal M-matrix for every R-column (a1 depends on
     rho only) whose columns sum to 1, so g keeps f's mass. Its Thomas
     factorisation is a scalar loop over the rho-rows, with each pivot built
-    from sums of positive terms. The forward and back sweeps run in blocks
+    from sums of positive terms; a pivot that overflows raises
+    FloatingPointError. The forward and back sweeps run in blocks
     of rho-rows, each block one matmul whose entries are products of the
     sweep's nonnegative multipliers (_sweep): every value is a sum of
     nonnegative products, so g >= 0 in floating point whenever f >= 0, at
@@ -241,6 +232,8 @@ def step_drift_diffuse_rho(
         e = 1.0 + hi_i * e / m[-1]
     m.append(e)
     m = np.array(m)
+    if not np.isfinite(m).all():  # Python floats overflow to inf and nan without raising
+        raise FloatingPointError("overflow in the rho solve's pivots")
     g = np.multiply(f.values, (1.0 / m)[:, None], out=out)
     _sweep(g, lo / m[1:], backward=False)  # g[i] = (f[i] + lo[i-1] g[i-1]) / m[i]
     _sweep(g, hi / m[:-1], backward=True)  # g[i] += (hi[i] / m[i]) g[i+1]
@@ -255,7 +248,6 @@ def strang_step(
     *,
     out: np.ndarray | None = None,
     _coeff: CoefficientField | None = None,
-    _work=None,
 ) -> DensityField:
     """Symmetric split step: half rho, full R, half rho (the stiff rho
     operator takes the halves).
@@ -266,9 +258,8 @@ def strang_step(
     sub-step every rho-row's, so only a1 is re-tabulated, once, after the
     first rho half-step. The result is written into `out` when given (f.values
     itself allowed); the sub-steps after the first write in place. `_coeff`
-    and `_work` are private to `evolve`: the coefficients it already
-    tabulated from this `f` to choose `dt` (a1 at the rho-faces, a2 at the
-    R-faces), and the R step's work arrays.
+    is private to `evolve`: the coefficients it already tabulated from this
+    `f` to choose `dt` (a1 at the rho-faces, a2 at the R-faces).
 
     A step checks once: a_field validates the measure it starts from, and
     the result is scanned for finiteness (ValueError); the sub-steps and
@@ -282,7 +273,7 @@ def strang_step(
     if frozen is None:
         a1_faces, a1_centers = _a1_tables(f, params)
         coeff = replace(coeff, a1_at_rho_faces=a1_faces, a1_at_rho_centers=a1_centers)
-    f = step_advect_R(f, coeff, dt, out=f.values, _work=_work)
+    f = step_advect_R(f, coeff, dt, out=f.values)
     f = step_drift_diffuse_rho(f, coeff, dt / 2, params, out=f.values)
     return f.copy_with(f.values)  # the step's one finiteness scan
 
@@ -334,10 +325,9 @@ def evolve(
     coefficients must be tabulated on f0's grid. Snapshots are recorded at
     t = 0 and every `snapshot_every` after it; none when it is inf.
 
-    Every step writes into one state array, and the R step into work arrays,
-    all allocated once per march; f0 is never written, and each snapshot is
-    a copy (the final field is the last snapshot itself when the march ends
-    on one).
+    Every step writes into one state array, allocated once per march; f0 is
+    never written, and each snapshot is a copy (the final field is the last
+    snapshot itself when the march ends on one).
     """
     if frozen is not None and frozen.grid != f0.grid:
         raise ValueError("frozen coefficients are tabulated on another grid")
@@ -348,13 +338,13 @@ def evolve(
         trace.snapshots.append((0.0, f))
     next_snap = snapshot_every
     n_whole = _whole_steps(cfg)
-    state, work = np.empty_like(f0.values), _advect_work(f0.grid)
+    state = np.empty_like(f0.values)
     while (len(trace.times) < n_whole) if n_whole else (t < cfg.t_final - 1e-15):
         coeff = frozen if frozen is not None else a_field(f, params, centers=False)
         dt = cfg.dt if cfg.dt is not None else CFL_SAFETY * cfl_limit(coeff)
         if not n_whole:
             dt = min(dt, cfg.t_final - t)
-        f = strang_step(f, dt, params, frozen, out=state, _coeff=coeff, _work=work)
+        f = strang_step(f, dt, params, frozen, out=state, _coeff=coeff)
         f, min_val, clipped = enforce_positivity(f, _CLIP_BUDGET)
         t += dt
         trace.times.append(t)

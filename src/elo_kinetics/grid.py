@@ -379,3 +379,26 @@ def _csv_lines(fields: list[np.ndarray]) -> bytearray:
         o += f.shape[1] + 1
     lines[:, o - 1:] = np.frombuffer(b"\r\n", np.uint8)
     return buffer.translate(None, b"\0")
+
+
+def _column_bytes(values: np.ndarray) -> np.ndarray:
+    """The CSV bytes of each value, as the rows of a NUL-padded uint8 matrix:
+    a float as "%.17g" prints it, an integer as "%d" and a str as it is. The
+    integers below 2**53 in magnitude go through _g17: as floats they are
+    exact, and "%.17g" prints them as "%d" does."""
+    if values.dtype.kind == "f" or (values.dtype.kind in "iu" and np.all(
+            (values > -2**53) & (values < 2**53))):
+        return _g17(values.astype(np.float64))
+    return _printf("%s", values.tolist())
+
+
+def _write_csv(path, header: str, *columns) -> None:
+    """The header line, then row k joining every column's k-th value, each
+    formatted by its type (_column_bytes): the bytes of a csv.writer writing
+    the floats as f"{x:.17g}" (CRLF line ends). The columns are arrays or
+    lists of one length, written _BLOCK_LINES rows at a time."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\r\n")
+        for s in range(0, len(columns[0]), _BLOCK_LINES):
+            fh.write(_csv_lines([_column_bytes(c[s:s + _BLOCK_LINES]) for c in columns]))

@@ -194,12 +194,16 @@ def nonlinear_equilibrate(
     """Reference steady state f_inf: direct equilibration of the nonlinear
     equation from f0, marching blocks of _CHECK_EVERY steps (the CFL step at
     the block's start) until the discrete d_t proxy
-    ||f_{t+Delta} - f_t||_beta / Delta drops below tol_state."""
+    ||f_{t+Delta} - f_t||_beta / Delta drops below tol_state. With no
+    R transport (a zero velocity field: no CFL bound) nothing bounds the
+    implicit rho step, and one block marches to t_max."""
     f = f0
     t = 0.0
     history: list[float] = []
     while t < cfg.t_max:
-        dt = CFL_SAFETY * cfl_limit(a_field(f, params))
+        dt = CFL_SAFETY * cfl_limit(a_field(f, params, centers=False))
+        if dt == np.inf:
+            dt = cfg.t_max / _CHECK_EVERY
         delta = _CHECK_EVERY * dt
         f_next = evolve(f, SolverConfig(t_final=delta, dt=dt), params).final
         t += delta

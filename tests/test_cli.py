@@ -352,6 +352,12 @@ def test_unstable_dt_is_cfl_abort(tmp_path, monkeypatch):
     ("fixedpoint", ("model.gamma=1e308",)),
     ("solve", ("grid.rho_max=6e-160", "solver.t_final=0.01")),  # D / h_rho^2
     ("solve", ("grid.rho_max=6e-150", "model.sigma=1e100", "solver.t_final=0.01")),
+    # the rho solve's pivots, Python floats, overflow to inf and nan without raising
+    ("solve", ("grid.n_rho=6", "model.gamma=1e200", "solver.t_final=0.01")),
+    ("steady", ("grid.n_rho=6", "model.gamma=1e200")),
+    ("repro-fig2", ("grid.n_rho=6", "model.gamma=1e200", "solver.t_final=0.01")),
+    ("compare", ("grid.n_rho=6", "model.gamma=1e200", "solver.t_final=0.01", "run.seed=1",
+                 "particles.n=10")),
 ])
 def test_float_overflow_is_a_numerical_abort(tmp_path, monkeypatch, capsys, command, keys):
     # finite model values whose rates or weights overflow the float range
@@ -383,6 +389,20 @@ def test_march_that_cannot_end_is_a_numerical_abort(tmp_path, monkeypatch, capsy
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical abort: the march would take over")
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("kernel", ["tanh", "linear"])
+def test_steady_with_a_zero_velocity_field_exits_0(tmp_path, monkeypatch, kernel):
+    # c = 5e-324 underflows every c z to 0: no R transport, so no CFL bound on the
+    # step, and the implicit rho step marches one block to fixedpoint.t_max
+    keys = ("defaults.accept=true", "grid.n_rho=6", "grid.n_R=6", "model.c=5e-324",
+            f"model.kernel={kernel}")
+    code, out = run_cli(tmp_path, monkeypatch, *(a for k in keys for a in ("--set", k)), "steady")
+    assert code == cli.EXIT_OK
+    f = ek.DensityField.from_csv(out / "steady_state.csv")
+    assert f.mass() == pytest.approx(1.0, abs=1e-12)
+    assert json.loads((out / "steady_summary.json").read_text())["residual"] < \
+        ek.FixedPointConfig.tol_state
 
 
 @pytest.mark.parametrize("message", [

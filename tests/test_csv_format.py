@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import elo_kinetics as ek
-from elo_kinetics import cli, grid
+from elo_kinetics import grid
 
 BLOCK = grid._BLOCK_LINES
 TINY, HUGE = 1e-280, 1e280  # the ends of the fast path
@@ -127,13 +127,14 @@ def test_python_formats_only_zeros_non_finite_ties_and_far_magnitudes(python_for
     assert len(python_formatted) - before == len(special)
 
 
-def test_integers_below_2_53_are_printed_as_percent_d():
-    """cli._write_csv sends %d columns of such integers through _g17."""
+def test_integers_below_2_53_are_printed_as_percent_d(python_formatted):
+    """grid._write_csv sends integer columns of such values through _g17."""
     ints = np.r_[np.arange(-1000, 1000), 2**53 - 1, -(2**53 - 1), 10**15, 123456789012345]
-    ours = grid._csv_lines([cli._csv_field("%d", ints)])
+    ours = grid._csv_lines([grid._column_bytes(ints)])
     assert ours == "".join(f"{v}\r\n" for v in ints.tolist()).encode()
+    assert python_formatted == [0]  # only _g17's zero
     big = [2**53, -2**63, 2**62 + 1]  # not exact as floats: Python formats them
-    assert grid._csv_lines([cli._csv_field("%d", big)]) == "".join(
+    assert grid._csv_lines([grid._column_bytes(np.asarray(big))]) == "".join(
         f"{v}\r\n" for v in big).encode()
 
 

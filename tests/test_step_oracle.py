@@ -29,7 +29,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import elo_kinetics as ek
 import step_reference as ref
-from elo_kinetics import cli, particles
+from elo_kinetics import cli, grid, particles
 from conftest import centered_box, gaussian_blob, point_mass
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -655,7 +655,7 @@ def test_map_g_assembles_the_generator_once(monkeypatch):
 # -- CSV tables in blocks against the row-at-a-time csv.writer --------------
 
 EDGE_COORDS = [-0.0, 2.0, 5e-324, -7.0, 1e300, -3.25, 1e16, 1e17, 0.1]
-BLOCK = cli._BLOCK_ROWS
+BLOCK = grid._BLOCK_LINES
 
 
 @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
@@ -694,9 +694,10 @@ EDGE_VALUES = EDGE_COORDS + [np.nan, np.inf, -np.inf, -5e-324]
 def test_csv_table_bytes_match_csv_writer(tmp_path, row_format, n):
     """Each table as the old call sites gave it to a csv.writer: %d columns
     as ints, %.17g columns formatted as f"{x:.17g}", the %s column (compare's
-    t) as the float itself. The new writer gets the same columns as numpy
-    arrays (np.int64, np.float64) and as lists of Python numbers in turn;
-    edge values lead and recur at random rows."""
+    t) as the float itself. The new writer, which takes each column's format
+    from its type, gets the same columns as numpy arrays (np.int64,
+    np.float64) and as lists of Python numbers in turn, the %s column as the
+    str of each float; edge values lead and recur at random rows."""
     rng = np.random.default_rng(n)
     formats = row_format.split(",")
     columns, fields = [], []
@@ -711,8 +712,10 @@ def test_csv_table_bytes_match_csv_writer(tmp_path, row_format, n):
             k = min(n, len(EDGE_VALUES))
             values[:k] = np.roll(EDGE_VALUES, i)[:k]
             fields.append([float(v) if fmt == "%s" else f"{v:.17g}" for v in values])
+            if fmt == "%s":
+                values = np.array([str(v) for v in values.tolist()])
         columns.append(values if i % 2 else values.tolist())
     header = ",".join(f"c{i}" for i in range(len(formats)))
-    cli._write_csv(tmp_path / "table.csv", header, row_format, *columns)
+    grid._write_csv(tmp_path / "table.csv", header, *columns)
     ref._write_csv(tmp_path / "reference.csv", header.split(","), zip(*fields))
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
