@@ -195,6 +195,23 @@ def test_frozen_path_coefficient_count(params, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n_rho", [1, 2, 25, 40])
+def test_null_vector_inverts_each_schur_complement_once(params, monkeypatch, n_rho):
+    # n_R <= _LEAF_ROWS, so _inverse does not recurse and each call is one complement
+    real = ek.steady_state._inverse
+    calls = []
+
+    def counting(S):
+        calls.append(S.shape)
+        return real(S)
+
+    monkeypatch.setattr(ek.steady_state, "_inverse", counting)
+    g = ek.Grid2D(0.0, 1.0, 0.0, 1.0, n_rho, 20)
+    mu = gaussian_blob(g, (0.5, 0.5), 0.14)
+    ek.steady_state._null_vector(ek.fv_solver._generator_blocks(ek.a_field(mu, params), params))
+    assert len(calls) == n_rho - 1
+
+
 # -- fixed_point_iterate ----------------------------------------------
 
 

@@ -541,8 +541,9 @@ def assert_null_vector_matches_reference(mu, params):
 
 
 @pytest.mark.parametrize("n_R", [1, 2, LEAF - 1, LEAF, LEAF + 1, 100, 2 * LEAF + 1])
-def test_null_vector_matches_reference(n_R):
-    g = ek.Grid2D(0.0, 1.0, 0.0, 1.0, 24, n_R)
+@pytest.mark.parametrize("n_rho", [1, 2, 3, 24, 25])  # one row; last row odd or even
+def test_null_vector_matches_reference(n_rho, n_R):
+    g = ek.Grid2D(0.0, 1.0, 0.0, 1.0, n_rho, n_R)
     assert_null_vector_matches_reference(gaussian_blob(g, (0.4, 0.6), 0.16), TANH)
 
 
