@@ -197,7 +197,7 @@ def nonlinear_equilibrate(
     the block's start) until the discrete d_t proxy
     ||f_{t+Delta} - f_t||_beta / Delta drops below tol_state. With no
     R transport (a zero velocity field: no CFL bound) nothing bounds the
-    implicit rho step, and it is t_max / _CHECK_EVERY**2, so up to
+    implicit rho step, and it is t_max / _CHECK_EVERY**2, so about
     _CHECK_EVERY blocks reach t_max."""
     f = f0
     t = 0.0
