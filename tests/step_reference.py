@@ -26,6 +26,9 @@ oracles (see test_step_oracle.py):
   inverted by `np.linalg.inv` (`null_vector`), before complements of more
   than 64 rows were inverted in 2x2 blocks; the inverse is an argument here,
   for measuring how far another valid roundoff moves the result;
+- the fixed-point iteration by Picard steps alone, a map G every step
+  (`fixed_point_iterate`), before steps after the second became chord sweeps
+  with the second step's factor;
 - the residual ||L_mu f||_beta of that solve with the R part of L_mu applied
   as a forward-Euler R sub-step (`generator_residual`), before it was
   applied from the same blocks the elimination solves;
@@ -301,6 +304,28 @@ def null_vector(coeff, params, invert=np.linalg.inv):
         for i in reversed(range(start, start + len(invs))):
             f[i] = -down[i] * (invs[i - start] @ f[i + 1])
     return f, sv
+
+
+def fixed_point_iterate(mu0, cfg, params):
+    """Picard iteration mu_{k+1} = G(mu_k), the package's map G every step,
+    until ||G(mu_k) - mu_k||_beta falls below tol_map."""
+    out = ek.SteadyStateResult(mu0, np.nan, ek.beta_norm(mu0, cfg.beta, params.gamma))
+    for _ in range(cfg.max_outer):
+        try:
+            g = ek.map_G(out.density, cfg, params)
+        except ek.NonConvergenceError as exc:
+            exc.result = out
+            raise
+        out.norm_diff_history.append(
+            ek.beta_norm_diff(g.density, out.density, cfg.beta, params.gamma))
+        out.moment_history.append(g.moment_beta)
+        out.residual_history.append(g.residual)
+        out.density, out.residual, out.moment_beta = g.density, g.residual, g.moment_beta
+        if out.norm_diff_history[-1] < cfg.tol_map:
+            return out
+    raise ek.NonConvergenceError(
+        f"fixed point not reached in {cfg.max_outer} outer iterations",
+        out.norm_diff_history, out)
 
 
 def h1_eval(z, params):

@@ -654,14 +654,27 @@ def test_fixedpoint_log_residual_is_each_iterates_own(tmp_path, monkeypatch, key
                         "fixedpoint")
     assert code == expected
     log = np.loadtxt(out / "fixedpoint_log.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert len(log) >= 2
-    # replay the outer iteration mu_{k+1} = G(mu_k)
+    assert len(log) >= 3
+    # replay the outer iteration: mu_{k+1} = G(mu_k), whose residual is
+    # ||L_mu G(mu)||_beta, for k = 0, 1; then chord sweeps with the factor of
+    # L_{mu_1}, mu_{k+1} = mu_k - F^{-1} L_{mu_k} mu_k, whose residual is
+    # ||L_f f||_beta of the sweep's own iterate f = mu_{k+1}
     cfg = cli._accept_defaults(dict(k.split("=", 1) for k in keys), "fixedpoint")
     params, fp_cfg, mu = cli.build_params(cfg), cli._fp_config(cfg), cli._initial_density(cfg)
-    for row in log:
-        g = ek.map_G(mu, fp_cfg, params)
-        assert row[3] == g.residual
-        mu = g.density
+
+    def L_f_f(f):
+        return ek.fv_solver._apply_generator(
+            ek.fv_solver._generator_blocks(ek.a_field(f, params), params), f.values)
+
+    for k, row in enumerate(log):
+        if k < 2:
+            g = ek.map_G(mu, fp_cfg, params)
+            assert row[3] == g.residual
+            mu, factor = g.density, g.factor
+        else:
+            mu = mu.copy_with(mu.values - ek.steady_state._solve(factor, L_f_f(mu)))
+            assert mu.values.min() >= 0
+            assert row[3] == ek.beta_norm(mu.copy_with(L_f_f(mu)), fp_cfg.beta, params.gamma)
     assert len(set(log[:, 3])) == len(log)
 
 

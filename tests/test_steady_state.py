@@ -51,8 +51,8 @@ def test_map_g_uniqueness_two_guesses(params):
     mu = gaussian_blob(g, (0.4, 0.6), 0.16)
     cfg = ek.FixedPointConfig()
     # the frozen generator's null space is one-dimensional
-    _, sv = ek.steady_state._null_vector(
-        ek.fv_solver._generator_blocks(ek.a_field(mu, params), params))
+    sv = ek.steady_state._factor(
+        ek.fv_solver._generator_blocks(ek.a_field(mu, params), params)).sv
     assert sv[-1] < 1e-12 * sv[0] and sv[-2] > 1e-3 * sv[0]
     # the marched oracle reaches it from two initial guesses, up to O(dt)
     direct = ek.map_G(mu, cfg, params).density
@@ -127,14 +127,14 @@ def test_map_g_without_diffusion_is_nonconvergence(mu, reason):
 
 def test_map_g_negative_stationary_state_is_nonconvergence(params, monkeypatch):
     g = ek.Grid2D.unit_square(10)
-    real = ek.steady_state._null_vector
+    real = ek.steady_state._factor
 
     def sign_flipped(*args):
-        x, sv = real(*args)
-        x[:2] *= -1.0  # a few percent of the mass
-        return x, sv
+        factor = real(*args)
+        factor.null[:2] *= -1.0  # a few percent of the mass
+        return factor
 
-    monkeypatch.setattr(ek.steady_state, "_null_vector", sign_flipped)
+    monkeypatch.setattr(ek.steady_state, "_factor", sign_flipped)
     with pytest.raises(ek.NonConvergenceError, match="negative mass") as exc:
         ek.map_G(ek.DensityField.uniform(g), ek.FixedPointConfig(), params)
     assert len(exc.value.history) == g.n_R
@@ -208,7 +208,7 @@ def test_null_vector_inverts_each_schur_complement_once(params, monkeypatch, n_r
     monkeypatch.setattr(ek.steady_state, "_inverse", counting)
     g = ek.Grid2D(0.0, 1.0, 0.0, 1.0, n_rho, 20)
     mu = gaussian_blob(g, (0.5, 0.5), 0.14)
-    ek.steady_state._null_vector(ek.fv_solver._generator_blocks(ek.a_field(mu, params), params))
+    ek.steady_state._factor(ek.fv_solver._generator_blocks(ek.a_field(mu, params), params))
     assert len(calls) == n_rho - 1
 
 
@@ -239,13 +239,15 @@ def test_fixed_point_nonconvergence(params):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_fixed_point_failing_map_keeps_the_last_g(params, monkeypatch, k):
-    # a map G that fails on outer call k leaves the k-1 outer rows and the
-    # (k-1)-th G, or mu0 with a NaN residual when k = 1
+    # a map G that fails on outer step k leaves the k-1 outer rows and the
+    # (k-1)-th G, or mu0 with a NaN residual when k = 1. Step 3 is a chord
+    # sweep, made here to leave negative mass, so that a Picard step from the
+    # same iterate replaces it, and that step's map G fails
     g = ek.Grid2D.unit_square(20)
-    mu0 = gaussian_blob(g, (0.4, 0.6), 0.16)
+    mu0 = ek.DensityField.uniform(g)
     cfg = ek.FixedPointConfig(tol_map=1e-14)
     real = ek.steady_state.map_G
-    outputs = []
+    outputs, sweeps = [], []
 
     def failing_on_call_k(mu, *args):
         if len(outputs) == k - 1:
@@ -253,9 +255,15 @@ def test_fixed_point_failing_map_keeps_the_last_g(params, monkeypatch, k):
         outputs.append(real(mu, *args))
         return outputs[-1]
 
+    def overshooting(factor, r):
+        sweeps.append(r)
+        return 1e6 * r
+
     monkeypatch.setattr(ek.steady_state, "map_G", failing_on_call_k)
+    monkeypatch.setattr(ek.steady_state, "_solve", overshooting)
     with pytest.raises(ek.NonConvergenceError, match="injected") as exc:
         ek.fixed_point_iterate(mu0, cfg, params)
+    assert len(sweeps) == (k == 3)
     res = exc.value.result
     assert res.outer_iterations == len(res.norm_diff_history) == k - 1
     assert len(res.moment_history) == len(res.residual_history) == k - 1
@@ -267,6 +275,32 @@ def test_fixed_point_failing_map_keeps_the_last_g(params, monkeypatch, k):
         assert res.density is last.density
         assert (res.residual, res.moment_beta) == (last.residual, last.moment_beta)
         assert res.residual_history == [out.residual for out in outputs]
+
+
+@pytest.mark.parametrize("box, n, tol, map_calls", [
+    ((0.0, 1.0), 50, 1e-12, 2),
+    # on this box the first sweep misses tol_state: a Picard step replaces it
+    ((-0.5, 1.5), 60, 1e-11, 3),
+])
+def test_chord_sweeps_agree_with_picard(params, monkeypatch, box, n, tol, map_calls):
+    g = ek.Grid2D(*box, *box, n, n)
+    mu0 = ek.DensityField.uniform(g)
+    cfg = ek.FixedPointConfig(tol_map=1e-10)
+    picard = step_reference.fixed_point_iterate(mu0, cfg, params)
+    real, calls = ek.steady_state.map_G, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ek.steady_state, "map_G", counting)
+    chord = ek.fixed_point_iterate(mu0, cfg, params)
+    assert len(calls) == map_calls < chord.outer_iterations
+    assert ek.beta_norm_diff(chord.density, picard.density, cfg.beta, params.gamma) <= tol
+    # the first two steps are Picard's
+    for hist in ("norm_diff_history", "moment_history", "residual_history"):
+        assert getattr(chord, hist)[:2] == getattr(picard, hist)[:2]
+    assert chord.density.mass() == pytest.approx(1.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("sigma2, c, expected", [
@@ -318,6 +352,28 @@ def test_nonlinear_equilibrate_stationarity(params):
     stepped = ek.strang_step(f, dt, params)
     l1 = np.abs(stepped.values - f.values).sum() * g.cell_area
     assert l1 < cfg.tol_state * dt
+
+
+@pytest.mark.parametrize("c, blocks", [(5e-324, 100), (1.0, 9)], ids=["no_cfl_bound", "cfl"])
+def test_nonlinear_equilibrate_ends_its_last_block_at_t_max(monkeypatch, c, blocks):
+    # c = 5e-324: no R transport, and steps of t_max / 1e4 in blocks of 100,
+    # whose float sum falls just short of t_max; c = 1: CFL steps, the last
+    # block cut
+    params = ek.KernelParams(c, 1.0, np.sqrt(0.1))
+    f0 = ek.DensityField.from_function(
+        ek.Grid2D.unit_square(20), lambda r, R: 1.0 + np.cos(np.pi * r), normalize=True)
+    cfg = ek.FixedPointConfig(tol_state=1e-300, t_max=20.0)
+    real, lengths = ek.steady_state.evolve, []
+
+    def recording(f, solver_cfg, *args):
+        lengths.append(solver_cfg.t_final)
+        return real(f, solver_cfg, *args)
+
+    monkeypatch.setattr(ek.steady_state, "evolve", recording)
+    with pytest.raises(ek.NonConvergenceError, match="no stationarity") as exc:
+        ek.nonlinear_equilibrate(f0, cfg, params)
+    assert len(exc.value.history) == len(lengths) == blocks
+    assert sum(lengths) == pytest.approx(cfg.t_max, rel=1e-14)
 
 
 def test_config_validation():

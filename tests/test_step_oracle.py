@@ -16,7 +16,8 @@ at admissible time steps conserve mass and stay nonnegative to roundoff, the
 rho sub-step at any time step, and each keeps the other axis's marginal.
 The direct solve's block elimination, whose Schur complements are inverted
 in 2x2 blocks, against the same elimination on np.linalg.inv: the same null
-vector and singular values at roundoff, on and off the block path. The one
+vector and singular values at roundoff, on and off the block path; and the
+solve with its kept factor against a dense solve. The one
 assembly of the frozen generator: its matvec against a dense L built entry by
 entry, mass conservation, and map G's residual against the forward-Euler form
 it replaced."""
@@ -531,7 +532,8 @@ def assert_null_vector_matches_reference(mu, params):
     the far tail (up to ~1e6 on the [-4,4]^2 box), to 10 times what the
     reference moves by when LAPACK inverts each transposed complement."""
     coeff = ek.a_field(mu, params)
-    x, sv = ek.steady_state._null_vector(ek.fv_solver._generator_blocks(coeff, params))
+    factor = ek.steady_state._factor(ek.fv_solver._generator_blocks(coeff, params))
+    x, sv = factor.null, factor.sv
     x_ref, sv_ref = ref.null_vector(coeff, params)
     _, sv_transposed = ref.null_vector(coeff, params, lambda S: np.linalg.inv(S.T).T)
     x, x_ref = x / x.sum(), x_ref / x_ref.sum()
@@ -545,6 +547,26 @@ def assert_null_vector_matches_reference(mu, params):
 def test_null_vector_matches_reference(n_rho, n_R):
     g = ek.Grid2D(0.0, 1.0, 0.0, 1.0, n_rho, n_R)
     assert_null_vector_matches_reference(gaussian_blob(g, (0.4, 0.6), 0.16), TANH)
+
+
+@pytest.mark.parametrize("n_R", [1, 2, LEAF - 1, LEAF + 1, 100])
+@pytest.mark.parametrize("n_rho", [1, 2, 3, 24, 25])
+def test_solve_matches_dense_solve(n_rho, n_R):
+    # the kept factor's solve of L x = r, 1^T x = 0, against the bordered dense
+    # system [[L, 1], [1^T, 0]], L applied to each unit vector
+    g = ek.Grid2D(0.0, 1.0, 0.0, 1.0, n_rho, n_R)
+    coeff = ek.a_field(gaussian_blob(g, (0.4, 0.6), 0.16), TANH)
+    blocks = ek.fv_solver._generator_blocks(coeff, TANH)
+    n = n_rho * n_R
+    K = np.ones((n + 1, n + 1))
+    K[n, n] = 0.0
+    K[:n, :n] = np.column_stack([
+        ek.fv_solver._apply_generator(blocks, e.reshape(n_rho, n_R)).ravel() for e in np.eye(n)])
+    r = np.random.default_rng(n).standard_normal((n_rho, n_R))
+    r -= r.mean()
+    expected = np.linalg.solve(K, np.r_[r.ravel(), 0.0])[:n]
+    x = ek.steady_state._solve(ek.steady_state._factor(blocks), r).ravel()
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("L", [4.0, 40.0])
