@@ -162,7 +162,7 @@ def _factor(blocks) -> _Factor:
     _generator_blocks, and its null vector.
 
     Forward elimination S_0 = A_0, S_i = A_i - up[i-1] down[i-1] S_{i-1}^{-1}
-    leaves S_{n-1} f[n-1] = 0; the null vector is f[n-1] the last right
+    leaves S_{n-1} f[n-1] = 0; the null vector f has f[n-1] the last right
     singular vector of S_{n-1}, then f[i] = -down[i] S_i^{-1} f[i+1]. Each
     S_i is inverted once, and S_i^{-1} is kept for every even i: n_rho n_R^2 / 2
     doubles (4 MB at 100x100, 32 MB at 200x200, 256 MB at 400x400), which
