@@ -42,7 +42,6 @@ from .particles import (
 )
 from .diagnostics import (
     ConfinementRadii,
-    ContinuityProbeResult,
     DriftCheckResult,
     beta_norm,
     beta_norm_diff,
@@ -50,8 +49,6 @@ from .diagnostics import (
     generator_on_weight,
     lyapunov_drift_check,
     relative_energy,
-    semigroup_continuity_probe,
-    wasserstein1_marginal,
     wasserstein1_samples_vs_marginal,
 )
 

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    beta_norm,
     beta_norm_diff,
+    confinement_radii,
     lyapunov_drift_check,
     relative_energy,
     wasserstein1_samples_vs_marginal,
@@ -223,7 +225,10 @@ def write_agents_csv(pop: AgentPopulation, path: Path) -> None:
 
 def _population(cfg: dict[str, str]) -> AgentPopulation:
     """particles.n agents on the unit square, seeded by run.seed."""
-    return _build(AgentPopulation.uniform_box, _get(cfg, "particles.n"), _get(cfg, "run.seed"))
+    n, seed = _get(cfg, "particles.n"), _get(cfg, "run.seed")
+    if seed < 0:
+        raise ConfigError(f"run.seed must be nonnegative, got {seed}")
+    return _build(AgentPopulation.uniform_box, n, seed)
 
 
 def _density_file(path: str) -> DensityField:
@@ -384,11 +389,18 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> None:
                "t,E_phi_beta,E_inv_finf,beta_norm_diff,mass,com_rho,com_R", *([v] for v in row))
     if drift_check:
         result = lyapunov_drift_check(f_inf, beta, params, exterior_ball=ball)
+        try:  # the proof's radii, beside the fitted B_hat
+            radii = confinement_radii(beta_norm(f_inf, beta, params.gamma), beta, params)
+            z1, z2 = radii.z1, radii.z2
+        except ValueError:  # undefined: the linear kernel, beta = 0, or 4 M C' <= 1
+            z1 = z2 = None
         (outdir / "drift_check.json").write_text(json.dumps({
             "lambda_hat": result.lambda_hat,
             "A_hat": result.A_hat,
             "B_hat": result.B_hat,
             "violation_fraction": result.violation_fraction,
+            "z1": z1,
+            "z2": z2,
         }, indent=2))
 
 

@@ -1,6 +1,7 @@
 """Quantitative functionals: weighted relative energies, exponential-weight
-norms, Foster-Lyapunov drift verification, explicit confinement radii, and
-1D Wasserstein distances on marginals.
+norms, Foster-Lyapunov drift verification, the explicit confinement radii
+(reported by `diagnose` beside the fitted drift radius), and the 1D
+Wasserstein distance between a particle sample and a grid marginal.
 """
 from __future__ import annotations
 
@@ -9,15 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fv_solver import SolverConfig, evolve
 from .grid import DensityField, Grid2D
 from .kernels import (
-    CoefficientField,
     KernelKind,
     KernelParams,
     a1_of_density,
     a2_of_density,
-    a_field,
     phi_beta,
     quadratic_form,
 )
@@ -177,41 +175,22 @@ def confinement_radii(M: float, beta: float, params: KernelParams) -> Confinemen
     )
 
 
-def _along(f: DensityField, axis: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """(marginal, faces, spacing) of f along axis "rho" or "R"; the marginal
-    must have positive mass."""
-    k, g = {"rho": 0, "R": 1}.get(axis), f.grid
+def wasserstein1_samples_vs_marginal(
+    samples: np.ndarray, f: DensityField, axis: str
+) -> float:
+    """W1 between an empirical sample and a grid marginal along one axis
+    ("rho" or "R"; the marginal must have positive mass).
+
+    Evaluated as the L1 distance between the empirical CDF and the
+    piecewise-linear grid CDF on a merged breakpoint set.
+    """
+    k = {"rho": 0, "R": 1}.get(axis)
     if k is None:
         raise ValueError("axis must be 'rho' or 'R'")
     m = f.marginals()[k]
     if not m.sum() > 0:
         raise ValueError("zero-mass marginal")
-    return m, (g.rho_faces, g.R_faces)[k], (g.h_rho, g.h_R)[k]
-
-
-def wasserstein1_marginal(f: DensityField, g: DensityField, axis: str) -> float:
-    """Exact 1D W1 between the chosen marginals: L1 distance of the CDFs.
-
-    Inputs are renormalized to unit mass.
-    """
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch")
-    mf, _, h = _along(f, axis)
-    mg, _, _ = _along(g, axis)
-    cdf_f = np.cumsum(mf) / mf.sum()
-    cdf_g = np.cumsum(mg) / mg.sum()
-    return float(np.sum(np.abs(cdf_f - cdf_g))) * h
-
-
-def wasserstein1_samples_vs_marginal(
-    samples: np.ndarray, f: DensityField, axis: str
-) -> float:
-    """W1 between an empirical sample and a grid marginal along one axis.
-
-    Evaluated as the L1 distance between the empirical CDF and the
-    piecewise-linear grid CDF on a merged breakpoint set.
-    """
-    m, edges, _ = _along(f, axis)
+    edges = (f.grid.rho_faces, f.grid.R_faces)[k]
     m = m / m.sum()
     grid_cdf_at_edges = np.concatenate([[0.0], np.cumsum(m)])
     xs = np.sort(np.asarray(samples, dtype=float))
@@ -227,43 +206,3 @@ def wasserstein1_samples_vs_marginal(
     emp_seg = F_emp[:-1]
     grid_seg = 0.5 * (F_grid[:-1] + F_grid[1:])
     return float(np.sum(np.abs(emp_seg - grid_seg) * dx))
-
-
-def coefficient_gap(c1: CoefficientField, c2: CoefficientField) -> float:
-    """||a1[mu1]-a1[mu2]||_inf + ||a2[mu1]-a2[mu2]||_inf on the faces, from
-    the tabulations c1 = a_field(mu1) and c2 = a_field(mu2) on one grid."""
-    d1 = np.max(np.abs(c1.a1_at_rho_faces - c2.a1_at_rho_faces))
-    d2 = np.max(np.abs(c1.a2_at_R_faces - c2.a2_at_R_faces))
-    return float(d1 + d2)
-
-
-@dataclass
-class ContinuityProbeResult:
-    w1_rho: float
-    w1_R: float
-    gap: float
-
-    @property
-    def total(self) -> float:
-        return self.w1_rho + self.w1_R
-
-
-def semigroup_continuity_probe(
-    mu1: DensityField,
-    mu2: DensityField,
-    nu: DensityField,
-    t: float,
-    params: KernelParams,
-) -> ContinuityProbeResult:
-    """Evolve nu under the two frozen-coefficient equations to time t and
-    compare the marginals; used to check the exp(Ct)-Lipschitz bound shape.
-    All three measures are on one grid."""
-    if not mu1.grid == mu2.grid == nu.grid:
-        raise ValueError("grid mismatch")
-    c1, c2 = a_field(mu1, params), a_field(mu2, params)
-    f1, f2 = (evolve(nu, SolverConfig(t_final=t), params, frozen=c).final for c in (c1, c2))
-    return ContinuityProbeResult(
-        w1_rho=wasserstein1_marginal(f1, f2, "rho"),
-        w1_R=wasserstein1_marginal(f1, f2, "R"),
-        gap=coefficient_gap(c1, c2),
-    )

@@ -1,8 +1,10 @@
 """Microscopic simulations: the binary-interaction rating tournament and the
 mean-field SDE system driven by the empirical measure.
 
-Randomness is drawn from counter-based streams keyed on (seed, round) or
-(seed, step), so a run is bitwise reproducible from its seed and config.
+Randomness is drawn from counter-based streams SeedSequence([seed, tag])
+for the placement and SeedSequence([seed, tag, counter]) for a tournament
+round or an SDE step, one tag per kind of draw, so no two draws share a
+stream and a run is bitwise reproducible from its seed and config.
 The tournament draws each round one round ahead on one pooled worker thread;
 its bits depend neither on the number of CPUs nor on the threads' timing.
 """
@@ -94,8 +96,8 @@ def _match_update(rho_i, rho_j, R_i, R_j, u, z, p: InteractionParams, params: Ke
 def _draw_round(seed: int, rnd: int, ids, perm, u, z) -> None:
     """Fill round rnd's buffers with the draws of rng.permutation(n) (ids
     copied, then shuffled), rng.random(m) and rng.standard_normal((2, m)),
-    in that order, from the stream SeedSequence([seed, rnd])."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, rnd]))
+    in that order, from the stream SeedSequence([seed, 0x6A3E, rnd])."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A3E, rnd]))
     np.copyto(perm, ids)
     rng.shuffle(perm)
     rng.random(out=u)
@@ -120,7 +122,7 @@ def run_tournament(
     here; from then on one pooled worker thread draws round rnd+1 into the
     other set while this thread plays round rnd, and this thread waits for
     that draw before it reads the set. Each round draws from its own stream
-    SeedSequence([seed, rnd]) in a fixed order, and only this thread
+    SeedSequence([seed, 0x6A3E, rnd]) in a fixed order, and only this thread
     touches the agents, so the result is bitwise the same on any number of
     CPUs and under any scheduling. The game's float operations all run
     here, under the caller's np.errstate. An error in a draw is raised

@@ -62,7 +62,7 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class FixedPointConfig:
-    tol_state: float = 5e-4   # ||L_mu G(mu)||_beta, or a chord sweep's ||L_f f||_beta
+    tol_state: float = 5e-4   # caps map_G's ||L_mu G(mu)||_beta and a sweep's ||L_f f||_beta
     tol_map: float = 2e-3     # fixed-point tolerance ||mu_{k+1}-mu_k||_beta
     max_outer: int = 40       # outer-iteration limit of fixed_point_iterate
     beta: float = 0.1
@@ -303,12 +303,11 @@ def fixed_point_iterate(
     5.4): mu_{k+1} = mu_k - F^{-1} L_{mu_k} mu_k, clipped, which contracts at
     the Picard rate for one solve with F instead of an elimination. A sweep
     that fails _chord_sweep's checks is replaced by a Picard step from the
-    same mu_k, whose factor is kept instead. The residual of a Picard row is
-    map_G's ||L_mu G(mu)||_beta; that of a sweep row ||L_f f||_beta of its
-    own iterate f. Undamped: at the uniform fixed point the leading
-    eigenvalues of DG are real and nonnegative (test_steady_state), and a
-    damping weight w moves such a lambda to 1 - w + w lambda >= lambda,
-    stabilising no mode above 1.
+    same mu_k, whose factor is kept instead. Every row's residual is
+    ||L_f f||_beta of its own iterate f, Picard or swept. Undamped: at the
+    uniform fixed point the leading eigenvalues of DG are real and
+    nonnegative (test_steady_state), and a damping weight w moves such a
+    lambda to 1 - w + w lambda >= lambda, stabilising no mode above 1.
 
     The result is the last iterate with the outer histories; a
     NonConvergenceError, from the outer loop or from a map G, carries the
@@ -329,10 +328,11 @@ def fixed_point_iterate(
             except NonConvergenceError as exc:
                 exc.result = out
                 raise
-            f, res, moment = g.density, g.residual, g.moment_beta
+            f, moment, Lf = g.density, g.moment_beta, _stationarity(g.density, params)
+            res = beta_norm(f.copy_with(Lf), cfg.beta, params.gamma)
             step = beta_norm_diff(f, out.density, cfg.beta, params.gamma)
             if out.outer_iterations:
-                factor, Lf = g.factor, _stationarity(f, params)
+                factor = g.factor
             del g  # step 0's factor is freed before step 1 eliminates
         out.norm_diff_history.append(step)
         out.moment_history.append(moment)

@@ -39,6 +39,21 @@ def gaussian_blob(grid, center, spread, normalize=True):
     )
 
 
+def continuity_probe(mu1, mu2, nu, t, params):
+    """(w1_rho, w1_R, gap) of nu marched to t under the coefficients frozen at
+    mu1 and at mu2: the L1 distances of the two marches' marginal CDFs, and
+    max|a1[mu1] - a1[mu2]| + max|a2[mu1] - a2[mu2]| over the face tables."""
+    c1, c2 = ek.a_field(mu1, params), ek.a_field(mu2, params)
+    f1, f2 = (ek.evolve(nu, ek.SolverConfig(t_final=t), params, frozen=c).final
+              for c in (c1, c2))
+    cdfs = [[np.cumsum(m) / m.sum() for m in f.marginals()] for f in (f1, f2)]
+    w1_rho, w1_R = (float(np.sum(np.abs(a - b))) * h
+                    for a, b, h in zip(*cdfs, (nu.grid.h_rho, nu.grid.h_R)))
+    gap = float(np.max(np.abs(c1.a1_at_rho_faces - c2.a1_at_rho_faces))
+                + np.max(np.abs(c1.a2_at_R_faces - c2.a2_at_R_faces)))
+    return w1_rho, w1_R, gap
+
+
 def zero_coefficients(grid):
     return ek.CoefficientField(
         grid=grid,

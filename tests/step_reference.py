@@ -380,7 +380,7 @@ def run_tournament(
     R = pop0.R.copy()
     n = pop0.n
     for rnd in range(rounds):
-        rng = np.random.default_rng(np.random.SeedSequence([pop0.rng_seed, rnd]))
+        rng = np.random.default_rng(np.random.SeedSequence([pop0.rng_seed, 0x6A3E, rnd]))
         perm = rng.permutation(n)
         ii, jj = perm[: n // 2], perm[n // 2:]
         drho = rho[ii] - rho[jj]

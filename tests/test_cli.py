@@ -1,5 +1,6 @@
 """CLI tests: config parsing, exit codes, artifact emission, determinism."""
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -617,6 +618,39 @@ def test_diagnose_drift_check_writes_finite_json(tmp_path, monkeypatch):
     assert not (out / "drift_check.json").exists()
 
 
+@pytest.mark.parametrize("keys, mass, defined", [
+    (("model.gamma=2.0",), 1.0, True),  # gamma != 1: z1 != z2
+    (("model.kernel=linear",), 1.0, False),
+    (("model.beta=0",), 1.0, False),
+    ((), 0.1, False),  # M = 0.12: 4 M C' <= 1
+], ids=["tanh", "linear_kernel", "beta_zero", "small_moment"])
+def test_diagnose_drift_check_reports_the_confinement_radii(tmp_path, monkeypatch, keys,
+                                                            mass, defined):
+    path = tmp_path / "f.csv"
+    f = gaussian_blob(ek.Grid2D.unit_square(10), (0.5, 0.5), 0.2)
+    f.copy_with(mass * f.values).to_csv(path)
+    keys = ("defaults.accept=true", f"diagnose.f={path}", f"diagnose.f_inf={path}",
+            "diagnose.drift_check=true", *keys)
+    code, out = run_cli(tmp_path, monkeypatch, *(a for k in keys for a in ("--set", k)),
+                        "diagnose")
+    assert code == cli.EXIT_OK
+    result = json.loads((out / "drift_check.json").read_text())
+    cfg = cli._accept_defaults(dict(k.split("=", 1) for k in keys), "diagnose")
+    params, beta = cli.build_params(cfg), cli._get(cfg, "model.beta")
+    f_inf = ek.DensityField.from_csv(path)
+    drift = ek.lyapunov_drift_check(f_inf, beta, params, exterior_ball=1.0)
+    assert result == {**dataclasses.asdict(drift), "z1": result["z1"], "z2": result["z2"]}
+    M = ek.beta_norm(f_inf, beta, params.gamma)
+    if defined:
+        radii = ek.confinement_radii(M, beta, params)
+        assert (result["z1"], result["z2"]) == (radii.z1, radii.z2)
+        assert radii.z1 != radii.z2
+    else:
+        with pytest.raises(ValueError):
+            ek.confinement_radii(M, beta, params)
+        assert result["z1"] is None and result["z2"] is None
+
+
 def test_diagnose_rejects_densities_on_different_grids(tmp_path, monkeypatch, capsys):
     paths = []
     for n_R in (12, 14):
@@ -655,10 +689,9 @@ def test_fixedpoint_log_residual_is_each_iterates_own(tmp_path, monkeypatch, key
     assert code == expected
     log = np.loadtxt(out / "fixedpoint_log.csv", delimiter=",", skiprows=1, ndmin=2)
     assert len(log) >= 3
-    # replay the outer iteration: mu_{k+1} = G(mu_k), whose residual is
-    # ||L_mu G(mu)||_beta, for k = 0, 1; then chord sweeps with the factor of
-    # L_{mu_1}, mu_{k+1} = mu_k - F^{-1} L_{mu_k} mu_k, whose residual is
-    # ||L_f f||_beta of the sweep's own iterate f = mu_{k+1}
+    # replay the outer iteration: mu_{k+1} = G(mu_k) for k = 0, 1, then chord
+    # sweeps with the factor of L_{mu_1}, mu_{k+1} = mu_k - F^{-1} L_{mu_k} mu_k;
+    # every row's residual is ||L_f f||_beta of its own iterate f = mu_{k+1}
     cfg = cli._accept_defaults(dict(k.split("=", 1) for k in keys), "fixedpoint")
     params, fp_cfg, mu = cli.build_params(cfg), cli._fp_config(cfg), cli._initial_density(cfg)
 
@@ -669,12 +702,11 @@ def test_fixedpoint_log_residual_is_each_iterates_own(tmp_path, monkeypatch, key
     for k, row in enumerate(log):
         if k < 2:
             g = ek.map_G(mu, fp_cfg, params)
-            assert row[3] == g.residual
             mu, factor = g.density, g.factor
         else:
             mu = mu.copy_with(mu.values - ek.steady_state._solve(factor, L_f_f(mu)))
             assert mu.values.min() >= 0
-            assert row[3] == ek.beta_norm(mu.copy_with(L_f_f(mu)), fp_cfg.beta, params.gamma)
+        assert row[3] == ek.beta_norm(mu.copy_with(L_f_f(mu)), fp_cfg.beta, params.gamma)
     assert len(set(log[:, 3])) == len(log)
 
 
@@ -852,7 +884,7 @@ READERS = [
     ("solve", "grid.n_R", ()),
     ("diagnose", "diagnose.t", ("zero",)),
     ("diagnose", "diagnose.exterior_ball", ("zero",)),
-    ("particles", "run.seed", ("zero",)),  # a negative seed fails in SeedSequence
+    ("particles", "run.seed", ("zero",)),
 ]
 
 
@@ -921,4 +953,6 @@ def test_malformed_value_exits_2_before_any_work(case):
         assert code == cli.EXIT_CONFIG
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+        if key == "run.seed":  # a negative seed is rejected before numpy's SeedSequence
+            assert "run.seed" in lines[0]
         assert os.listdir(out) == ["manifest.json"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import elo_kinetics as ek
-from conftest import centered_box, gaussian_blob, point_mass
+from conftest import centered_box, continuity_probe, gaussian_blob, point_mass
 
 # frozen oracle values (high-precision arithmetic)
 DELTA_FROZEN = 0.31880117029095764       # alpha=2, beta=0.1, gamma=1
@@ -42,8 +42,6 @@ def test_relative_energy_grid_mismatch():
         ek.relative_energy(a, b)
     with pytest.raises(ValueError, match="grid mismatch"):
         ek.beta_norm_diff(a, b, 0.1, 1.0)
-    with pytest.raises(ValueError, match="grid mismatch"):
-        ek.wasserstein1_marginal(a, b, "rho")
 
 
 def test_relative_energy_metric_properties():
@@ -277,18 +275,6 @@ def test_confinement_empirical_a1_bound(params):
 # -- Wasserstein -------------------------------------------------------
 
 
-def test_w1_marginal_trivials():
-    g = ek.Grid2D.unit_square(40)
-    f = gaussian_blob(g, (0.5, 0.5), 0.1)
-    assert ek.wasserstein1_marginal(f, f, "rho") == 0.0
-    a = point_mass(g, 0.2125, 0.5)
-    b = point_mass(g, 0.7125, 0.5)
-    assert ek.wasserstein1_marginal(a, b, "rho") == pytest.approx(0.5, abs=1e-12)
-    assert ek.wasserstein1_marginal(a, b, "R") == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        ek.wasserstein1_marginal(a, b, "bogus")
-
-
 def test_w1_samples_vs_marginal_consistency():
     g = ek.Grid2D(0.0, 1.0, 0.0, 1.0, 50, 50)
     f = ek.DensityField.uniform(g)
@@ -305,18 +291,13 @@ def test_w1_samples_vs_marginal_consistency():
 def test_w1_rejects_an_unknown_axis(axis):
     f = ek.DensityField.uniform(ek.Grid2D.unit_square(8))
     with pytest.raises(ValueError, match="axis"):
-        ek.wasserstein1_marginal(f, f, axis)
-    with pytest.raises(ValueError, match="axis"):
         ek.wasserstein1_samples_vs_marginal(np.array([0.3, 0.6]), f, axis)
 
 
 @pytest.mark.parametrize("axis", ["rho", "R"])
 def test_w1_rejects_a_zero_mass_marginal(axis):
     g = ek.Grid2D.unit_square(4)
-    zero, f = ek.DensityField(g, np.zeros((4, 4))), ek.DensityField.uniform(g)
-    for a, b in ((zero, f), (f, zero)):
-        with pytest.raises(ValueError, match="zero-mass marginal"):
-            ek.wasserstein1_marginal(a, b, axis)
+    zero = ek.DensityField(g, np.zeros((4, 4)))
     with pytest.raises(ValueError, match="zero-mass marginal"):
         ek.wasserstein1_samples_vs_marginal(np.array([0.3]), zero, axis)
 
@@ -329,7 +310,7 @@ def test_coefficient_continuity_bound(params):
         mu1 = ek.DensityField(g, rng.random((25, 25))).normalized()
         mu2 = ek.DensityField(g, rng.random((25, 25))).normalized()
         tv = np.abs(mu1.values - mu2.values).sum() * g.cell_area
-        gap = ek.diagnostics.coefficient_gap(ek.a_field(mu1, params), ek.a_field(mu2, params))
+        _, _, gap = continuity_probe(mu1, mu2, mu1, 0.0, params)
         assert gap <= 2.0 * tv + 1e-12  # a1 and a2 each bounded by tv
 
 
@@ -340,23 +321,11 @@ def test_continuity_probe_trivials(params):
     g = ek.Grid2D.unit_square(30)
     mu = gaussian_blob(g, (0.4, 0.6), 0.15)
     nu = gaussian_blob(g, (0.5, 0.5), 0.1)
-    same = ek.semigroup_continuity_probe(mu, mu, nu, 0.1, params)
-    assert same.total == pytest.approx(0.0, abs=1e-14)
-    assert same.gap == pytest.approx(0.0, abs=1e-14)
-    zero_t = ek.semigroup_continuity_probe(
-        mu, gaussian_blob(g, (0.6, 0.4), 0.15), nu, 0.0, params)
-    assert zero_t.total == pytest.approx(0.0, abs=1e-14)
-
-
-def test_continuity_probe_rejects_measures_on_different_grids(params):
-    g = ek.Grid2D.unit_square(12)
-    mu, nu = gaussian_blob(g, (0.4, 0.6), 0.15), gaussian_blob(g, (0.5, 0.5), 0.1)
-    other_box = ek.DensityField(ek.Grid2D(-1.0, 2.0, -1.0, 2.0, 12, 12), mu.values)
-    other_counts = ek.DensityField.uniform(ek.Grid2D(0.0, 1.0, 0.0, 1.0, 12, 14))
-    for moved in (other_box, other_counts):
-        for args in ((moved, mu, nu), (mu, moved, nu), (mu, mu, moved)):
-            with pytest.raises(ValueError, match="grid mismatch"):
-                ek.semigroup_continuity_probe(*args, 0.1, params)
+    w1_rho, w1_R, gap = continuity_probe(mu, mu, nu, 0.1, params)
+    assert w1_rho + w1_R == pytest.approx(0.0, abs=1e-14)
+    assert gap == pytest.approx(0.0, abs=1e-14)
+    w1_rho, w1_R, _ = continuity_probe(mu, gaussian_blob(g, (0.6, 0.4), 0.15), nu, 0.0, params)
+    assert w1_rho + w1_R == pytest.approx(0.0, abs=1e-14)
 
 
 def test_continuity_probe_grows_subexponentially(params):
@@ -364,8 +333,7 @@ def test_continuity_probe_grows_subexponentially(params):
     nu = gaussian_blob(g, (0.5, 0.5), 0.1)
     mu1 = gaussian_blob(g, (0.4, 0.5), 0.15)
     mu2 = gaussian_blob(g, (0.6, 0.5), 0.15)
-    totals = [ek.semigroup_continuity_probe(mu1, mu2, nu, t, params).total
-              for t in (0.1, 0.2, 0.4)]
+    totals = [sum(continuity_probe(mu1, mu2, nu, t, params)[:2]) for t in (0.1, 0.2, 0.4)]
     assert totals[0] < totals[1] < totals[2]
     # log-increments per unit time must not increase (no super-exponential growth)
     rate1 = np.log(totals[1] / totals[0]) / 0.1

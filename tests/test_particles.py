@@ -120,6 +120,22 @@ def test_tournament_deterministic(params, interaction):
     assert np.array_equal(a.rho, b.rho) and np.array_equal(a.R, b.R)
 
 
+def test_tournament_rounds_draw_streams_of_their_own(params, monkeypatch):
+    # keyed [seed, round], round 0xA6E7 would draw the placement's stream and
+    # round 1502 = 0x5DE SDE step 0's: SeedSequence pads its entropy with
+    # zeros, so [s, t, 0] is the stream [s, t]
+    seqs, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: seqs.append(seq) or real(seq))
+    pop = ek.AgentPopulation.uniform_box(4, 5)
+    ek.simulate_mean_field(pop, 0.01, 0.01, params)
+    buffers = (np.arange(4), np.empty(4, dtype=np.intp), np.empty(2), np.empty((2, 2)))
+    for rnd in (0xA6E7, 1502):
+        particles._draw_round(5, rnd, *buffers)
+    place, sde_step_0, round_a6e7, round_1502 = (seq.generate_state(4) for seq in seqs)
+    assert not np.array_equal(round_a6e7, place)
+    assert not np.array_equal(round_1502, sde_step_0)
+
+
 class Injected(Exception):
     """An error a test puts into a tournament's draws."""
 

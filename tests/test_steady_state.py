@@ -237,6 +237,13 @@ def test_fixed_point_nonconvergence(params):
     assert len(exc.value.history) == 2
 
 
+def own_residual(f, cfg, params):
+    """||L_f f||_beta, the residual fixed_point_iterate reports for its iterate f."""
+    Lf = ek.fv_solver._apply_generator(
+        ek.fv_solver._generator_blocks(ek.a_field(f, params), params), f.values)
+    return ek.beta_norm(f.copy_with(Lf), cfg.beta, params.gamma)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_fixed_point_failing_map_keeps_the_last_g(params, monkeypatch, k):
     # a map G that fails on outer step k leaves the k-1 outer rows and the
@@ -273,8 +280,10 @@ def test_fixed_point_failing_map_keeps_the_last_g(params, monkeypatch, k):
     else:
         last = outputs[-1]
         assert res.density is last.density
-        assert (res.residual, res.moment_beta) == (last.residual, last.moment_beta)
-        assert res.residual_history == [out.residual for out in outputs]
+        assert res.moment_beta == last.moment_beta
+        assert res.residual_history == [own_residual(out.density, cfg, params)
+                                        for out in outputs]
+        assert res.residual == res.residual_history[-1]
 
 
 @pytest.mark.parametrize("box, n, tol, map_calls", [
@@ -297,9 +306,15 @@ def test_chord_sweeps_agree_with_picard(params, monkeypatch, box, n, tol, map_ca
     chord = ek.fixed_point_iterate(mu0, cfg, params)
     assert len(calls) == map_calls < chord.outer_iterations
     assert ek.beta_norm_diff(chord.density, picard.density, cfg.beta, params.gamma) <= tol
-    # the first two steps are Picard's
-    for hist in ("norm_diff_history", "moment_history", "residual_history"):
+    # the first two steps are Picard's; the residuals are those of the
+    # iterates, where the oracle reports map_G's ||L_mu G(mu)||_beta
+    for hist in ("norm_diff_history", "moment_history"):
         assert getattr(chord, hist)[:2] == getattr(picard, hist)[:2]
+    f = mu0
+    for res in chord.residual_history[:2]:
+        f = real(f, cfg, params).density
+        assert res == own_residual(f, cfg, params)
+    assert chord.residual == own_residual(chord.density, cfg, params)
     assert chord.density.mass() == pytest.approx(1.0, abs=1e-13)
 
 
