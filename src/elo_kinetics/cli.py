@@ -380,6 +380,8 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> None:
         if not (x >= 0 and math.isfinite(x)):
             raise ConfigError(f"{key} must be nonnegative and finite, got {cfg[key]}")
     drift_check = _get(cfg, "diagnose.drift_check")
+    if drift_check and beta == 0:  # phi_beta is constant: there is no drift to fit
+        raise ConfigError(f"diagnose.drift_check needs model.beta > 0, got {cfg['model.beta']}")
     f, f_inf = _density_file(_get(cfg, "diagnose.f")), _density_file(_get(cfg, "diagnose.f_inf"))
     if f.grid != f_inf.grid:
         raise ConfigError("diagnose.f and diagnose.f_inf are on different grids")
@@ -392,7 +394,7 @@ def cmd_diagnose(cfg: dict[str, str], outdir: Path) -> None:
         try:  # the proof's radii, beside the fitted B_hat
             radii = confinement_radii(beta_norm(f_inf, beta, params.gamma), beta, params)
             z1, z2 = radii.z1, radii.z2
-        except ValueError:  # undefined: the linear kernel, beta = 0, or 4 M C' <= 1
+        except ValueError:  # undefined: the linear kernel, or 4 M C' <= 1
             z1 = z2 = None
         (outdir / "drift_check.json").write_text(json.dumps({
             "lambda_hat": result.lambda_hat,

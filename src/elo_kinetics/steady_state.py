@@ -11,8 +11,9 @@ is the same blocks applied to it. That elimination is a factor: _solve
 solves L x = r with it, for any r of zero mass. The fixed-point iteration
 takes two Picard steps mu_{k+1} = G(mu_k), then chord sweeps that solve
 with the second step's factor, so one elimination serves the iteration at
-one map G's memory. It is reported honestly when it does not converge,
-since the existence proof is non-constructive.
+one map G's memory; a sweep that leaves negative mass or does not contract
+is replaced by a Picard step. It is reported honestly when it does not
+converge, since the existence proof is non-constructive.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class FixedPointConfig:
-    tol_state: float = 5e-4   # caps map_G's ||L_mu G(mu)||_beta and a sweep's ||L_f f||_beta
+    tol_state: float = 5e-4   # caps map_G's ||L_mu G(mu)||_beta and steady's d_t proxy
     tol_map: float = 2e-3     # fixed-point tolerance ||mu_{k+1}-mu_k||_beta
     max_outer: int = 40       # outer-iteration limit of fixed_point_iterate
     beta: float = 0.1
@@ -274,21 +275,15 @@ def _stationarity(f: DensityField, params: KernelParams) -> np.ndarray:
     return _apply_generator(_generator_blocks(a_field(f, params), params), f.values)
 
 
-def _chord_sweep(f: DensityField, Lf: np.ndarray, factor: _Factor, last_step: float,
-                 cfg: FixedPointConfig, params: KernelParams):
-    """g = f - F^{-1} L_f f, clipped as map_G clips, with L_g g, ||L_g g||_beta
-    and the step ||g - f||_beta; None when g has negative mass beyond
-    roundoff, a residual at or above tol_state, or a step no smaller than
-    last_step."""
+def _chord_sweep(f: DensityField, Lf: np.ndarray, factor: _Factor) -> DensityField | None:
+    """f - F^{-1} L_f f, clipped as map_G clips; None when it has negative
+    mass beyond roundoff."""
     try:
         g, _, _ = enforce_positivity(f.copy_with(f.values - _solve(factor, Lf)),
                                      _ROUNDOFF * f.mass())
     except PositivityError:
         return None
-    Lg = _stationarity(g, params)
-    res = beta_norm(g.copy_with(Lg), cfg.beta, params.gamma)
-    step = beta_norm_diff(g, f, cfg.beta, params.gamma)
-    return (g, Lg, res, step) if res < cfg.tol_state and step < last_step else None
+    return g
 
 
 def fixed_point_iterate(
@@ -298,16 +293,20 @@ def fixed_point_iterate(
     below tol_map.
 
     Steps 0 and 1 are Picard steps, mu_{k+1} = G(mu_k), and the factor F of
-    L_{mu_1} that step 1 eliminates is kept. Every later step is a chord
+    L_{mu_1} that step 1 eliminates is kept. Every later step proposes a chord
     sweep (Kelley 1995, Iterative Methods for Linear and Nonlinear Equations,
     5.4): mu_{k+1} = mu_k - F^{-1} L_{mu_k} mu_k, clipped, which contracts at
     the Picard rate for one solve with F instead of an elimination. A sweep
-    that fails _chord_sweep's checks is replaced by a Picard step from the
-    same mu_k, whose factor is kept instead. Every row's residual is
-    ||L_f f||_beta of its own iterate f, Picard or swept. Undamped: at the
-    uniform fixed point the leading eigenvalues of DG are real and
-    nonnegative (test_steady_state), and a damping weight w moves such a
-    lambda to 1 - w + w lambda >= lambda, stabilising no mode above 1.
+    is refused only for negative mass beyond roundoff or a step not below the
+    previous row's, and then costs its solve and its step alone: a Picard
+    step from the same mu_k replaces it, and that step's factor is kept
+    instead. The residual is no test: F is nonsingular on the mass-zero
+    space, so a limit of the sweeps has L_f f = 0. Whichever iterate f is
+    kept, one site computes its L_f f (for the next sweep), its moment and
+    its residual ||L_f f||_beta, and writes its row. Undamped: at the uniform
+    fixed point the leading eigenvalues of DG are real and nonnegative
+    (test_steady_state), and a damping weight w moves such a lambda to
+    1 - w + w lambda >= lambda, stabilising no mode above 1.
 
     The result is the last iterate with the outer histories; a
     NonConvergenceError, from the outer loop or from a map G, carries the
@@ -316,29 +315,27 @@ def fixed_point_iterate(
     out = SteadyStateResult(mu0, np.nan, beta_norm(mu0, cfg.beta, params.gamma))
     factor = Lf = None  # the kept factor; L_f f at the current iterate f
     for _ in range(cfg.max_outer):
-        swept = None if factor is None else _chord_sweep(
-            out.density, Lf, factor, out.norm_diff_history[-1], cfg, params)
-        if swept is not None:
-            f, Lf, res, step = swept
-            moment = beta_norm(f, cfg.beta, params.gamma)
-        else:
-            factor = Lf = None  # freed before map_G eliminates the next one
+        f = out.density
+        g = None if factor is None else _chord_sweep(f, Lf, factor)
+        step = None if g is None else beta_norm_diff(g, f, cfg.beta, params.gamma)
+        if g is None or not step < out.norm_diff_history[-1]:
+            factor = None  # freed before map_G eliminates the next one
             try:
-                g = map_G(out.density, cfg, params)
+                picard = map_G(f, cfg, params)
             except NonConvergenceError as exc:
                 exc.result = out
                 raise
-            f, moment, Lf = g.density, g.moment_beta, _stationarity(g.density, params)
-            res = beta_norm(f.copy_with(Lf), cfg.beta, params.gamma)
-            step = beta_norm_diff(f, out.density, cfg.beta, params.gamma)
-            if out.outer_iterations:
-                factor = g.factor
-            del g  # step 0's factor is freed before step 1 eliminates
+            g = picard.density
+            step = beta_norm_diff(g, f, cfg.beta, params.gamma)
+            factor = picard.factor if out.outer_iterations else None
+            del picard  # step 0's factor is freed before step 1 eliminates
+        Lf = _stationarity(g, params)
+        out.density, out.moment_beta = g, beta_norm(g, cfg.beta, params.gamma)
+        out.residual = beta_norm(g.copy_with(Lf), cfg.beta, params.gamma)
         out.norm_diff_history.append(step)
-        out.moment_history.append(moment)
-        out.residual_history.append(res)
-        out.density, out.residual, out.moment_beta = f, res, moment
-        if out.norm_diff_history[-1] < cfg.tol_map:
+        out.moment_history.append(out.moment_beta)
+        out.residual_history.append(out.residual)
+        if step < cfg.tol_map:
             return out
     raise NonConvergenceError(
         f"fixed point not reached in {cfg.max_outer} outer iterations",

@@ -621,18 +621,32 @@ def test_diagnose_drift_check_writes_finite_json(tmp_path, monkeypatch):
 @pytest.mark.parametrize("keys, mass, defined", [
     (("model.gamma=2.0",), 1.0, True),  # gamma != 1: z1 != z2
     (("model.kernel=linear",), 1.0, False),
-    (("model.beta=0",), 1.0, False),
+    (("model.beta=0",), 1.0, None),  # phi_beta = 1 has no drift to fit: exit 2
     ((), 0.1, False),  # M = 0.12: 4 M C' <= 1
 ], ids=["tanh", "linear_kernel", "beta_zero", "small_moment"])
-def test_diagnose_drift_check_reports_the_confinement_radii(tmp_path, monkeypatch, keys,
-                                                            mass, defined):
+def test_diagnose_drift_check_reports_the_confinement_radii(tmp_path, monkeypatch, capsys,
+                                                            keys, mass, defined):
     path = tmp_path / "f.csv"
     f = gaussian_blob(ek.Grid2D.unit_square(10), (0.5, 0.5), 0.2)
     f.copy_with(mass * f.values).to_csv(path)
     keys = ("defaults.accept=true", f"diagnose.f={path}", f"diagnose.f_inf={path}",
             "diagnose.drift_check=true", *keys)
+    if defined is None:  # rejected before a density is read
+        read = cli._density_file
+        monkeypatch.setattr(cli, "_density_file", lambda p: pytest.fail(f"read {p}"))
     code, out = run_cli(tmp_path, monkeypatch, *(a for k in keys for a in ("--set", k)),
                         "diagnose")
+    if defined is None:
+        assert code == cli.EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:") and "model.beta" in line
+        assert not (out / "diagnostics.csv").exists()
+        # without the drift check beta = 0 stays valid (E_phi_beta is the L1 distance)
+        monkeypatch.setattr(cli, "_density_file", read)
+        code, out = run_cli(tmp_path, monkeypatch, *(a for k in keys for a in ("--set", k)),
+                            "--set", "diagnose.drift_check=false", "diagnose")
+        assert code == cli.EXIT_OK and (out / "diagnostics.csv").exists()
+        return
     assert code == cli.EXIT_OK
     result = json.loads((out / "drift_check.json").read_text())
     cfg = cli._accept_defaults(dict(k.split("=", 1) for k in keys), "diagnose")

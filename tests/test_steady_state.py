@@ -286,16 +286,8 @@ def test_fixed_point_failing_map_keeps_the_last_g(params, monkeypatch, k):
         assert res.residual == res.residual_history[-1]
 
 
-@pytest.mark.parametrize("box, n, tol, map_calls", [
-    ((0.0, 1.0), 50, 1e-12, 2),
-    # on this box the first sweep misses tol_state: a Picard step replaces it
-    ((-0.5, 1.5), 60, 1e-11, 3),
-])
-def test_chord_sweeps_agree_with_picard(params, monkeypatch, box, n, tol, map_calls):
-    g = ek.Grid2D(*box, *box, n, n)
-    mu0 = ek.DensityField.uniform(g)
-    cfg = ek.FixedPointConfig(tol_map=1e-10)
-    picard = step_reference.fixed_point_iterate(mu0, cfg, params)
+def counting_map_G(monkeypatch):
+    """The calls to map_G from here on, and the unpatched map_G."""
     real, calls = ek.steady_state.map_G, []
 
     def counting(*args):
@@ -303,6 +295,20 @@ def test_chord_sweeps_agree_with_picard(params, monkeypatch, box, n, tol, map_ca
         return real(*args)
 
     monkeypatch.setattr(ek.steady_state, "map_G", counting)
+    return calls, real
+
+
+@pytest.mark.parametrize("box, n, tol, map_calls", [
+    ((0.0, 1.0), 50, 1e-12, 2),
+    ((-0.5, 1.5), 60, 1e-11, 2),
+    ((-1.0, 2.0), 60, 1e-11, 2),
+])
+def test_chord_sweeps_agree_with_picard(params, monkeypatch, box, n, tol, map_calls):
+    g = ek.Grid2D(*box, *box, n, n)
+    mu0 = ek.DensityField.uniform(g)
+    cfg = ek.FixedPointConfig(tol_map=1e-10)
+    picard = step_reference.fixed_point_iterate(mu0, cfg, params)
+    calls, real = counting_map_G(monkeypatch)
     chord = ek.fixed_point_iterate(mu0, cfg, params)
     assert len(calls) == map_calls < chord.outer_iterations
     assert ek.beta_norm_diff(chord.density, picard.density, cfg.beta, params.gamma) <= tol
@@ -316,6 +322,25 @@ def test_chord_sweeps_agree_with_picard(params, monkeypatch, box, n, tol, map_ca
         assert res == own_residual(f, cfg, params)
     assert chord.residual == own_residual(chord.density, cfg, params)
     assert chord.density.mass() == pytest.approx(1.0, abs=1e-13)
+
+
+def test_walking_fixed_point_keeps_its_sweeps(params, monkeypatch):
+    # from an off-centre datum the iteration walks along the translation mode:
+    # steps of ~1e-2 that still shrink, with ||L_f f||_beta far above
+    # tol_state. Every sweep contracts, so none is replaced by a map G
+    g = ek.Grid2D.unit_square(40)
+    mu0 = gaussian_blob(g, (0.35, 0.6), 0.1)
+    cfg = ek.FixedPointConfig(max_outer=15)
+    calls, _ = counting_map_G(monkeypatch)
+    with pytest.raises(ek.NonConvergenceError) as exc:
+        ek.fixed_point_iterate(mu0, cfg, params)
+    res = exc.value.result
+    assert len(exc.value.history) == res.outer_iterations == 15
+    assert len(res.moment_history) == len(res.residual_history) == 15
+    assert len(calls) <= 2
+    steps = res.norm_diff_history
+    assert all(b < a for a, b in zip(steps[1:], steps[2:]))
+    assert res.residual == own_residual(res.density, cfg, params) > cfg.tol_state
 
 
 @pytest.mark.parametrize("sigma2, c, expected", [
